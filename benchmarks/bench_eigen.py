@@ -1,11 +1,12 @@
-"""Benchmark the compiled Jacobi kernels against the pure-numpy fallback.
+"""Time speclap's sym_eigen against the numpy.linalg.eigh yardstick.
 
-Runs the eigendecomposition and SVD kernels on random symmetric matrices /
-random rectangular matrices of growing size and reports wall time per call
-for both backends. The compiled path is warmed up before timing so JIT
-compilation is excluded.
+Each size n gets the normalized Laplacian of a seeded random graph with four
+planted blocks (the matrix a 4-way `speclap cluster` solves). The script
+reports the best wall time over the repeats for both solvers, their ratio and
+the largest eigenvalue difference. numpy is a yardstick here, never a
+production path: speclap calls no external eigensolver.
 
-Usage: python benchmarks/bench_eigen.py [--sizes 20,40,80] [--repeats 5]
+Usage: python benchmarks/bench_eigen.py [--sizes 30,60,120,250] [--repeats 3]
 """
 
 import argparse
@@ -13,57 +14,42 @@ import time
 
 import numpy as np
 
-from speclap import _kernels
+import speclap as sp
 
 
-def time_backend(fn, make_args, repeats):
+def planted_laplacian(rng, n, blocks=4):
+    labels = np.arange(n) * blocks // n
+    same = labels[:, None] == labels[None, :]
+    W = np.where(rng.random((n, n)) < np.where(same, 0.5, 0.05), rng.uniform(0.5, 1.5, (n, n)), 0.0)
+    W = np.triu(W, 1)
+    W = W + W.T
+    W[np.arange(n - 1), np.arange(1, n)] = W[np.arange(1, n), np.arange(n - 1)] = 1.0  # connected
+    return sp.laplacian(sp.Graph(W), "sym").M
+
+
+def best_time(fn, S, repeats):
     best = float("inf")
     for _ in range(repeats):
-        args = make_args()
         t0 = time.perf_counter()
-        fn(*args)
+        out = fn(S)
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, out
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", default="10,20,40,80,120")
-    ap.add_argument("--repeats", type=int, default=5)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--sizes", default="30,60,120,250")
+    ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
-    sizes = [int(s) for s in args.sizes.split(",")]
     rng = np.random.default_rng(0)
 
-    if not _kernels.USE_NUMBA:
-        print("note: compiled backend unavailable "
-              "(SPECLAP_NO_NUMBA set or numba missing); timing fallback only")
-        backends = [("numpy", _kernels._jacobi_eigen_impl, _kernels._jacobi_svd_impl)]
-    else:
-        # warm up the JIT
-        _kernels.jacobi_eigen(np.eye(3), np.eye(3), 1e-12, 100)
-        _kernels.jacobi_svd(np.eye(3), np.eye(3), 1e-12, 100)
-        backends = [
-            ("numba", _kernels.jacobi_eigen, _kernels.jacobi_svd),
-            ("numpy", _kernels._jacobi_eigen_impl, _kernels._jacobi_svd_impl),
-        ]
-
-    print(f"{'n':>5} {'kernel':>6} " + " ".join(f"{name:>12}" for name, *_ in backends)
-          + ("      speedup" if len(backends) == 2 else ""))
-    for n in sizes:
-        S = rng.standard_normal((n, n))
-        S = 0.5 * (S + S.T)
-        M = rng.standard_normal((n + 5, n))
-        rows = {"eigen": [], "svd": []}
-        for _, eig_fn, svd_fn in backends:
-            rows["eigen"].append(time_backend(
-                eig_fn, lambda: (S.copy(), np.eye(n), 1e-12, 100), args.repeats))
-            rows["svd"].append(time_backend(
-                svd_fn, lambda: (M.copy(), np.eye(n), 1e-12, 100), args.repeats))
-        for kernel, times in rows.items():
-            line = f"{n:>5} {kernel:>6} " + " ".join(f"{t * 1e3:>10.2f}ms" for t in times)
-            if len(times) == 2:
-                line += f"  {times[1] / times[0]:>10.1f}x"
-            print(line)
+    print(f"{'n':>5} {'sym_eigen':>12} {'numpy eigh':>12} {'ratio':>8} {'max |dλ|':>10}")
+    for n in (int(s) for s in args.sizes.split(",")):
+        S = planted_laplacian(rng, n)
+        t_own, eig = best_time(sp.sym_eigen, S, args.repeats)
+        t_ref, ref = best_time(np.linalg.eigh, S, args.repeats)
+        err = float(np.max(np.abs(eig.values - ref.eigenvalues)))
+        print(f"{n:>5} {t_own * 1e3:>10.2f}ms {t_ref * 1e3:>10.3f}ms {t_own / t_ref:>7.0f}x {err:>10.1e}")
 
 
 if __name__ == "__main__":

@@ -2,13 +2,14 @@
 
 Graph files are plain text: a first line with the node count N, then one
 edge per line as "i j w" with 1-based endpoints and a real weight. Blank
-lines and lines starting with '#' are ignored. Self-loops and duplicate
-unordered pairs are rejected.
+lines and lines starting with '#' are ignored. Self-loops, duplicate
+unordered pairs and non-finite weights are rejected.
 
 Exit codes: 0 success, 1 usage error, 2 domain error. Errors are printed
 to stderr as a single-line JSON object.
 
-The environment variable SPECLAP_TOL overrides the eigensolver tolerance.
+The environment variable SPECLAP_TOL overrides the eigensolver tolerance;
+it must be a number with 0 < tol < 1.
 """
 
 import argparse
@@ -23,6 +24,7 @@ from .drawing import emit_csv, emit_svg, energy, signed_drawing, spectral_drawin
 from .errors import (
     DuplicateEdge,
     IndexOutOfRange,
+    NonFiniteWeight,
     ParseError,
     SpeclapError,
 )
@@ -46,9 +48,15 @@ _RESCALE_MAP = {
 
 def _tol():
     raw = os.environ.get("SPECLAP_TOL", "")
-    if raw.strip():
-        return float(raw)
-    return eigen.DEFAULT_TOL
+    if not raw.strip():
+        return eigen.DEFAULT_TOL
+    try:
+        tol = float(raw)
+    except ValueError:
+        raise ValueError(f"SPECLAP_TOL={raw!r} is not a number") from None
+    if not 0.0 < tol < 1.0:  # also rejects nan
+        raise ValueError(f"SPECLAP_TOL={raw!r} must be a finite number with 0 < tol < 1")
+    return tol
 
 
 def parse_graph(path):
@@ -81,6 +89,8 @@ def parse_graph(path):
             w = float(fields[2])
         except ValueError:
             raise ParseError(line_no, f"bad edge record {line!r}") from None
+        if not np.isfinite(w):
+            raise NonFiniteWeight(f"line {line_no}: non-finite weight {fields[2]!r}")
         if i == j:
             raise ParseError(line_no, f"self-loop on node {i}")
         for idx in (i, j):

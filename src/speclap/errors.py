@@ -63,6 +63,10 @@ class NegativeWeightInUnsignedMode(SpeclapError):
     pass
 
 
+class NonFiniteWeight(SpeclapError):
+    pass
+
+
 class ParseError(SpeclapError):
     def __init__(self, line_no, message):
         self.line_no = line_no

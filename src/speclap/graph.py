@@ -8,15 +8,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeWeightInUnsignedMode
+from .errors import NegativeWeightInUnsignedMode, NonFiniteWeight
 
 
 class Graph:
     """An undirected weighted graph held as a dense symmetric weight matrix.
 
-    Weights may be negative (signed graph). The matrix must be exactly
-    symmetric with a zero diagonal; use symmetrize() first if your data
-    is noisy.
+    Weights may be negative (signed graph) but must be finite. The matrix
+    must be exactly symmetric with a zero diagonal; use symmetrize() first
+    if your data is noisy.
     """
 
     __slots__ = ("m", "W")
@@ -27,6 +27,8 @@ class Graph:
             raise ValueError("weight matrix must be square")
         if W.shape[0] < 1:
             raise ValueError("graph needs at least one node")
+        if not np.all(np.isfinite(W)):
+            raise NonFiniteWeight("weight matrix has a nan or infinite entry")
         if not np.array_equal(W, W.T):
             raise ValueError("weight matrix must be symmetric (see symmetrize)")
         if np.any(np.diag(W) != 0):

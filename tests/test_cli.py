@@ -7,7 +7,7 @@ import pytest
 
 import speclap as sp
 from speclap import cli
-from speclap.errors import DuplicateEdge, IndexOutOfRange, ParseError
+from speclap.errors import DuplicateEdge, IndexOutOfRange, NonFiniteWeight, ParseError
 
 from conftest import G1_BIPARTITION, W1_EDGES, W4, g1_signed, g2_signed
 
@@ -61,6 +61,11 @@ class TestParseGraph:
     def test_out_of_range_rejected(self, tmp_path):
         with pytest.raises(IndexOutOfRange):
             cli.parse_graph(write_graph(tmp_path, "oor.txt", "2\n1 3 1.0\n"))
+
+    @pytest.mark.parametrize("w", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, w):
+        with pytest.raises(NonFiniteWeight, match="line 3"):
+            cli.parse_graph(write_graph(tmp_path, "nf.txt", f"3\n1 2 1.0\n2 3 {w}\n"))
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ParseError):
@@ -244,6 +249,14 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("w", ["nan", "inf"])
+    def test_non_finite_weight_is_2(self, tmp_path, capsys, w):
+        path = write_graph(tmp_path, "nf.txt", f"3\n1 2 1.0\n2 3 {w}\n1 3 1.0\n")
+        for argv in (["cluster", path, "--k", "2"], ["draw", path], ["balance", path]):
+            code, _, err = run(capsys, argv)
+            assert code == 2
+            assert json.loads(err)["error"] == "NonFiniteWeight"
+
 
 class TestTolEnv:
     def test_tol_override_used(self, tmp_path, capsys, monkeypatch):
@@ -260,3 +273,15 @@ class TestTolEnv:
         code, _, err = run(capsys, ["draw", path])
         assert code == 2
         json.loads(err)
+
+    @pytest.mark.parametrize("raw", ["-1e-12", "0", "1", "2.5", "nan", "inf", "-inf", "1e400"])
+    def test_out_of_range_tol_is_error(self, tmp_path, capsys, monkeypatch, raw):
+        path = write_graph(tmp_path, "ring.txt", ring_text(6))
+        monkeypatch.setenv("SPECLAP_TOL", raw)
+        for argv in (["draw", path], ["balance", path]):
+            code, out, err = run(capsys, argv)
+            assert code == 2
+            assert out == ""
+            report = json.loads(err)
+            assert report["error"] == "ValueError"
+            assert "SPECLAP_TOL" in report["message"]

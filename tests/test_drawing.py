@@ -54,7 +54,6 @@ class TestEnergy:
             sp.energy(g, np.zeros((4, 2)))
 
     def test_trace_equals_edge_sum(self, rng):
-        # energy() internally asserts the two forms agree; exercise it widely
         for _ in range(100):
             n = int(rng.integers(3, 9))
             signed = bool(rng.random() < 0.5)
@@ -62,8 +61,11 @@ class TestEnergy:
             R = random_orthonormal(rng, n, 2)
             kind = "signed_unnormalized" if signed else "unnormalized"
             L = sp.laplacian(g, kind).M
-            assert sp.energy(g, R, signed=signed) == pytest.approx(
-                float(np.trace(R.T @ L @ R)), rel=1e-10, abs=1e-10)
+            e = sp.energy(g, R, signed=signed)
+            assert e == pytest.approx(float(np.trace(R.T @ L @ R)), rel=1e-10, abs=1e-10)
+            # the edge-sum form, one drawing axis at a time
+            edge_sum = sum(sp.quadratic_form(g, R[:, j], signed=signed) for j in range(2))
+            assert abs(e - edge_sum) <= 1e-10 * max(abs(e), abs(edge_sum), 1.0)
 
     def test_rotation_invariance(self, rng):
         g = random_connected(rng, 7)

@@ -203,14 +203,134 @@ class TestVariationalProperties:
         assert np.allclose(np.sort(s ** 2), vals, atol=1e-8)
 
 
+def _with_spectrum(rng, values):
+    Q = random_orthonormal(rng, len(values), len(values))
+    S = (Q * values) @ Q.T
+    return 0.5 * (S + S.T)
+
+
+def _oracle_matrices():
+    """(name, S) pairs: degenerate, clustered, graded and random spectra."""
+    rng = np.random.default_rng(1985)
+    cases = [
+        ("ring12", sp.laplacian(ring(12), "unnormalized").M),
+        ("complete12-sym", sp.laplacian(complete(12), "sym").M),
+        # Z^T Z of an rcut relaxation: a scaled identity
+        ("scaled-identity-3", (1e4 / 3) * np.eye(3)),
+        ("scaled-identity-4", 2500.0 * np.eye(4)),
+        ("block-repeated-12", _with_spectrum(rng, np.repeat(rng.standard_normal(4), 3))),
+        ("block-diagonal-12", np.kron(np.eye(3), random_symmetric(rng, 4))),
+        ("clustered-48", _with_spectrum(
+            rng, np.repeat([-1.0, 0.5, 2.0, 3.0], 12) + 1e-9 * rng.standard_normal(48))),
+        ("graded-48", _with_spectrum(rng, np.logspace(0, -14, 48) * rng.choice([-1, 1], 48))),
+        ("graded-diagonal-12", np.diag(np.logspace(0, -20, 12)) + 1e-22 * random_symmetric(rng, 12)),
+    ]
+    for n in (1, 2, 3, 12, 48, 120, 250):
+        cases.append((f"random-{n}", random_symmetric(rng, n)))
+    return cases
+
+
+ORACLE_CASES = _oracle_matrices()
+
+
+class TestNumpyOracle:
+    """sym_eigen against numpy.linalg.eigh on hard spectra, n = 1 .. 250."""
+
+    @pytest.mark.parametrize("name,S", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_against_eigh(self, name, S):
+        n = S.shape[0]
+        # Jacobi is backward stable: errors of a few ulps of ||S|| per
+        # index, and the solver stops once every off-diagonal entry is at
+        # most DEFAULT_TOL * ||S||_F, which moves eigenvalues by at most n
+        # times that (Weyl).
+        scale = max(np.linalg.norm(S), np.finfo(float).tiny)
+        bound = n * (sp.eigen.DEFAULT_TOL + 64 * np.finfo(float).eps) * scale
+        eig = sp.sym_eigen(S)
+        ref = np.linalg.eigh(S).eigenvalues
+        assert np.max(np.abs(eig.values - ref)) <= bound
+        residual = np.linalg.norm(S @ eig.vectors - eig.vectors * eig.values, axis=0)
+        assert np.max(residual) <= bound
+        ortho = np.max(np.abs(eig.vectors.T @ eig.vectors - np.eye(n)))
+        assert ortho <= 64 * n * np.finfo(float).eps
+
+
+class TestRoundRobinSchedule:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 13, 48, 120, 121, 250])
+    def test_disjoint_rounds_cover_every_pair_once(self, n):
+        rounds = _kernels.round_robin_schedule(n)
+        assert len(rounds) == n + n % 2 - 1
+        seen = []
+        for P, Q in rounds:
+            assert np.all(P < Q) and np.all(Q < n)
+            members = np.concatenate([P, Q])
+            assert len(set(members.tolist())) == len(members)  # disjoint
+            assert len(P) == n // 2
+            seen += list(zip(P.tolist(), Q.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def sequential_round_robin(A, V, tol, max_sweeps):
+    """Reference: the round-robin sweep with one rotation at a time, in
+    scalar loops, as the pre-vectorisation cyclic kernel applied them."""
+    n = A.shape[0]
+    thresh = tol * np.sqrt((A * A).sum())
+    for sweep in range(max_sweeps):
+        if np.abs(A - np.diag(np.diag(A))).max() <= thresh:
+            return sweep
+        for P, Q in _kernels.round_robin_schedule(n):
+            for p, q in zip(P.tolist(), Q.tolist()):
+                apq = A[p, q]
+                if abs(apq) <= thresh * 1e-4:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                if theta >= 0.0:
+                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
+                else:
+                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                for M in (A, V):
+                    for k in range(n):
+                        mkp, mkq = M[k, p], M[k, q]
+                        M[k, p] = c * mkp - s * mkq
+                        M[k, q] = s * mkp + c * mkq
+                for k in range(n):
+                    apk, aqk = A[p, k], A[q, k]
+                    A[p, k] = c * apk - s * aqk
+                    A[q, k] = s * apk + c * aqk
+    return -1
+
+
 class TestKernelBackends:
-    def test_pure_python_impl_matches_dispatch(self, rng):
+    @pytest.mark.parametrize("n", [2, 3, 7, 8])
+    def test_vectorised_rounds_match_one_rotation_at_a_time(self, n):
+        S = random_symmetric(np.random.default_rng(n), n)
+        A1, V1 = S.copy(), np.eye(n)
+        A2, V2 = S.copy(), np.eye(n)
+        assert _kernels.jacobi_eigen(A1, V1, 1e-12, 100) == sequential_round_robin(A2, V2, 1e-12, 100)
+        # same rotations; only the order of the row and column updates of
+        # entries shared by two pairs differs, by rounding
+        bound = 64 * n * np.finfo(float).eps
+        assert np.max(np.abs(A1 - A2)) <= bound * np.linalg.norm(S)
+        assert np.max(np.abs(V1 - V2)) <= bound
+
+    def test_eigen_kernel_diagonalizes_in_place(self, rng):
         S = random_symmetric(rng, 8)
         A1 = S.copy()
         V1 = np.eye(8)
-        _kernels._jacobi_eigen_impl(A1, V1, 1e-12, 100)
+        sweeps = _kernels.jacobi_eigen(A1, V1, 1e-12, 100)
+        assert 0 < sweeps < 100
         eig = sp.sym_eigen(S)
         assert np.allclose(np.sort(np.diag(A1)), eig.values, atol=1e-10)
+        assert np.allclose(V1 @ np.diag(np.diag(A1)) @ V1.T, S, atol=1e-10)
+
+    def test_eigen_kernel_sweep_count(self):
+        # one rotation diagonalizes a 2 x 2 matrix; the check after the last
+        # sweep counts it as converged
+        assert _kernels.jacobi_eigen(np.array([[2.0, 1.0], [1.0, 3.0]]), np.eye(2), 1e-12, 1) == 1
+        S = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 1.0], [0.5, 1.0, 3.0]])
+        assert _kernels.jacobi_eigen(S.copy(), np.eye(3), 1e-12, 1) == -1
+        assert 1 < _kernels.jacobi_eigen(S.copy(), np.eye(3), 1e-12, 100) < 100
 
     def test_svd_impl_column_orthogonality(self, rng):
         M = rng.standard_normal((6, 4))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import speclap as sp
-from speclap.errors import SpeclapError
+from speclap.errors import NonFiniteWeight, SpeclapError
 
 from conftest import A5, B4, L5, W4, complete, random_connected, ring, w1_graph
 
@@ -27,6 +27,12 @@ class TestGraphType:
     def test_rejects_nonzero_diagonal(self):
         W = np.array([[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises((SpeclapError, ValueError)):
+            sp.Graph(W)
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, w):
+        W = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, w], [1.0, w, 0.0]])
+        with pytest.raises(NonFiniteWeight):
             sp.Graph(W)
 
     def test_weight_matrix_read_only(self):
