@@ -13,6 +13,9 @@ from .errors import NoConvergence, NotSymmetric, ZeroVector
 
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
+# relative gap under which two computed quantities count as equal: far above
+# the solver's rounding (about 1e-13), far below any real difference
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -30,18 +33,48 @@ class SVDResult:
 
 def _fix_signs(vectors):
     # deterministic orientation: largest-magnitude component of each column
-    # positive, ties broken by lowest index (argmax picks the first maximum)
+    # positive; components within TIE_RTOL of the largest are tied, and the
+    # lowest index among them decides
     out = vectors.copy()
     for k in range(out.shape[1]):
         col = out[:, k]
-        i = int(np.argmax(np.abs(col)))
+        mag = np.abs(col)
+        i = int(np.argmax(mag >= (1.0 - TIE_RTOL) * mag.max()))
         if col[i] < 0:
             out[:, k] = -col
     return out
 
 
+def _canonical_basis(V):
+    """Orthonormal basis of span(V) that does not depend on the basis V holds.
+
+    Gram-Schmidt over the projections P e_0, P e_1, ... of the unit vectors
+    onto the span (P = V V^T), skipping those with less than 1/(2 sqrt(n))
+    of their length outside the basis built so far; the rows of V span R^m,
+    so m of them always pass. Works on the coordinates (the rows of V) and
+    orthogonalises twice, so the basis stays orthonormal to rounding.
+    """
+    n, m = V.shape
+    C = np.empty((m, 0))
+    floor = 0.5 / np.sqrt(n)
+    for r in V:
+        w = r - C @ (C.T @ r)
+        w -= C @ (C.T @ w)
+        nrm = np.linalg.norm(w)
+        if nrm > floor:
+            C = np.column_stack((C, w / nrm))
+            if C.shape[1] == m:
+                break
+    return V @ C
+
+
 def sym_eigen(S, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi."""
+    """Full eigendecomposition of a symmetric matrix by round-robin Jacobi.
+
+    Eigenvalues that agree to tol * ||S||_F, the solver's own accuracy, are
+    one multiple eigenvalue: its eigenvectors are returned in a canonical
+    basis (_canonical_basis), so they do not depend on the rotation order.
+    """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise NotSymmetric("matrix is not square")
@@ -57,7 +90,14 @@ def sym_eigen(S, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     values = np.diag(A).copy()
     order = np.argsort(values, kind="stable")
     values = values[order]
-    vectors = _fix_signs(V[:, order])
+    vectors = V[:, order]
+    start = 0
+    for k in range(1, n + 1):
+        if k == n or values[k] - values[start] > tol * scale:
+            if k - start > 1:
+                vectors[:, start:k] = _canonical_basis(vectors[:, start:k])
+            start = k
+    vectors = _fix_signs(vectors)
     return SymmetricEigen(values=values, vectors=vectors)
 
 

@@ -18,6 +18,7 @@ from .graph import NodeSubset, connected_components, cut, degree_vector, links
 from .laplacian import laplacian
 
 MODES = ("ncut", "rcut", "signed_ncut", "signed_rcut")
+TIE = eigen.TIE_RTOL
 TARGET_FROBENIUS = 100.0
 RESCALE_METHODS = ("row_sum_ls", "row_norm_ls", "row_normalize")
 
@@ -184,7 +185,7 @@ def init_rotation_R2(Z, first_row=0):
     c = np.zeros(N)
     for _ in range(1, K):
         c = c + np.abs(Z @ cols[-1])
-        pick = min(available, key=lambda i: c[i])
+        pick = available[_first_min(c[available], c.max())]
         cols.append(Z[pick].copy())
         available.remove(pick)
     R = np.column_stack(cols)
@@ -229,14 +230,16 @@ def _pinv(M, tol=1e-10):
 
 
 def flip_columns(ZR):
-    """Negate every column with a strictly negative mean."""
+    """Negate every column with a strictly negative mean (a mean within
+    rounding of zero is not negative)."""
     ZR = np.asarray(ZR, dtype=float)
-    signs = np.where(ZR.mean(axis=0) < 0, -1.0, 1.0)
+    signs = np.where(ZR.mean(axis=0) < -TIE * np.abs(ZR).max(axis=0), -1.0, 1.0)
     return ZR * signs[None, :], np.diag(signs)
 
 
 def podx(Z, Q=None):
-    """Round Z Q to an indicator: per row keep the leftmost largest entry;
+    """Round Z Q to an indicator: per row keep the leftmost largest entry
+    (entries within rounding of the largest are tied);
     repair empty columns by migrating a 1 from the most populated column;
     rescale so ||X||_F = ||Z||_F."""
     Z = _as_z(Z)
@@ -246,9 +249,10 @@ def podx(Z, Q=None):
         Qm = Q.Q if isinstance(Q, TransformQ) else np.asarray(Q, dtype=float)
         Y = Z @ Qm
     N, K = Y.shape
+    top = Y.max(axis=1, keepdims=True)
+    tied = Y >= top - TIE * np.abs(Y).max(axis=1, keepdims=True)
     pattern = np.zeros((N, K))
-    for i in range(N):
-        pattern[i, int(np.argmax(Y[i]))] = 1.0
+    pattern[np.arange(N), np.argmax(tied, axis=1)] = 1.0
     counts = pattern.sum(axis=0)
     while np.any(counts == 0):
         k_from = int(np.argmax(counts))  # leftmost column with the most ones
@@ -343,6 +347,13 @@ def _as_z(Z):
     return np.asarray(Z, dtype=float)
 
 
+def _first_min(values, scale):
+    """Index of the first entry within TIE * scale of the smallest: exact ties
+    must not be broken by the last bits of the eigensolver's output."""
+    values = np.asarray(values, dtype=float)
+    return int(np.argmax(values <= values.min() + TIE * scale))
+
+
 def _pattern_key(X):
     return tuple(int(v) for v in X.assignment)
 
@@ -371,11 +382,12 @@ def cluster(g, K, mode="ncut", rescale="row_normalize", max_iters=100,
             ZQp, Rp = flip_columns(ZR)
             X_flip = podx(ZQp)
             res_flip = float(np.linalg.norm(X_flip.X - ZQp))
-            if res_flip < res_plain:
+            if res_flip < res_plain * (1.0 - TIE):
                 candidates.append((res_flip, base_R @ Rc @ Rp))
             else:
                 candidates.append((res_plain, base_R @ Rc))
-    _, Q0 = min(candidates, key=lambda t: t[0])
+    residuals = [res for res, _ in candidates]
+    _, Q0 = candidates[_first_min(residuals, max(residuals))]
 
     Q = TransformQ(R=Q0, Lambda=np.eye(K))
     prev_key = None

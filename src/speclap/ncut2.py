@@ -57,32 +57,36 @@ def solve_relaxed_2way(g):
 
 def orient_sign(Z):
     """Flip Z when its positive side is more spread out than its negative
-    side (compare each side against its own mean)."""
+    side (compare each side against its own mean). Entries within rounding
+    of zero belong to neither side, and a tie within rounding keeps Z."""
     Z = np.asarray(Z, dtype=float)
-    pos = Z > 0
-    neg = Z < 0
+    tol = eigen.TIE_RTOL * np.abs(Z).max(initial=0.0)
+    pos = Z > tol
+    neg = Z < -tol
     res_pos = 0.0
     if pos.any():
         res_pos = float(np.linalg.norm(Z[pos] - Z[pos].mean()))
     res_neg = 0.0
     if neg.any():
         res_neg = float(np.linalg.norm(Z[neg] - Z[neg].mean()))
-    if res_pos > res_neg:
+    if res_pos > res_neg + tol:
         return -Z
     return Z
 
 
 def round_2way(g, Z):
     """Discretize Z into a two-level indicator, deciding each zero entry by
-    whether moving it to the positive side strictly reduces ||X - Z||."""
+    whether moving it to the positive side strictly reduces ||X - Z||.
+    Entries and reductions within rounding of zero count as zero."""
     Z = np.asarray(Z, dtype=float)
     d_vec = degree_vector(g)
     d = float(d_vec.sum())
     N = g.m
     norm_z = float(np.linalg.norm(Z))
-    pos = Z > 0
-    zero = np.nonzero(Z == 0)[0]
-    if not pos.any() or not (Z < 0).any():
+    tol = eigen.TIE_RTOL * np.abs(Z).max(initial=0.0)
+    pos = Z > tol
+    zero = np.nonzero(np.abs(Z) <= tol)[0]
+    if not pos.any() or not (Z < -tol).any():
         raise AllOneSide("Z must take both signs")
 
     def build(mask):
@@ -97,7 +101,7 @@ def round_2way(g, Z):
         trial = pos.copy()
         trial[i] = True
         ta, tbeta, tX = build(trial)
-        if np.linalg.norm(tX - Z) < np.linalg.norm(X - Z):
+        if np.linalg.norm(tX - Z) < np.linalg.norm(X - Z) - eigen.TIE_RTOL * norm_z:
             pos, a, beta, X = trial, ta, tbeta, tX
 
     A = NodeSubset((np.nonzero(pos)[0] + 1).tolist(), m=N)

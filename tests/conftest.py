@@ -147,3 +147,39 @@ def random_orthonormal(rng, m, n):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260824)
+
+
+def one_rotation_at_a_time(A, V, tol, max_sweeps, sweep_pairs):
+    """Reference Jacobi eigensolver: the rotations of a sweep applied one at
+    a time, in the order sweep_pairs lists them, with the kernel's angle
+    formula and skip threshold. Updates A and V in place; returns the sweep
+    count or -1."""
+    n = A.shape[0]
+    thresh = tol * np.sqrt((A * A).sum())
+    for sweep in range(max_sweeps):
+        if np.abs(A - np.diag(np.diag(A))).max() <= thresh:
+            return sweep
+        for p, q in sweep_pairs:
+            apq = A[p, q]
+            if abs(apq) <= thresh * 1e-4:
+                continue
+            theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+            if theta >= 0.0:
+                t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
+            else:
+                t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            G = np.array([[c, s], [-s, c]])
+            A[:, [p, q]] = A[:, [p, q]] @ G
+            V[:, [p, q]] = V[:, [p, q]] @ G
+            A[[p, q], :] = G.T @ A[[p, q], :]
+    return -1
+
+
+def row_cyclic_jacobi(A, V, tol, max_sweeps):
+    """The classic row-cyclic order (0, 1), (0, 2), ..., (n-2, n-1): a
+    drop-in for _kernels.jacobi_eigen that rotates in another order."""
+    n = A.shape[0]
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    return one_rotation_at_a_time(A, V, tol, max_sweeps, pairs)

@@ -11,8 +11,10 @@ from conftest import (
     L1BAR,
     L1BAR_EIGENVALUES,
     complete,
+    one_rotation_at_a_time,
     random_orthonormal,
     ring,
+    row_cyclic_jacobi,
 )
 
 
@@ -254,6 +256,42 @@ class TestNumpyOracle:
         assert ortho <= 64 * n * np.finfo(float).eps
 
 
+DEGENERATE_CASES = [c for c in ORACLE_CASES if c[0] in (
+    "ring12", "complete12-sym", "scaled-identity-3", "scaled-identity-4", "block-repeated-12")]
+
+
+class TestMultipleEigenvalues:
+    """A multiple eigenvalue's eigenvectors come back in a canonical basis,
+    so they do not depend on the order the rotations ran in."""
+
+    @pytest.mark.parametrize("name,S", DEGENERATE_CASES, ids=[c[0] for c in DEGENERATE_CASES])
+    def test_vectors_do_not_depend_on_rotation_order(self, name, S, monkeypatch):
+        eig = sp.sym_eigen(S)
+        monkeypatch.setattr(sp.eigen, "jacobi_eigen", row_cyclic_jacobi)
+        other = sp.sym_eigen(S)
+        assert np.max(np.abs(eig.values - other.values)) <= 1e-12 * np.linalg.norm(S)
+        assert np.max(np.abs(eig.vectors - other.vectors)) <= 1e-10
+
+    def test_scaled_identity_keeps_the_unit_vectors(self):
+        # G = Z^T Z of an rcut relaxation: the rounding on its diagonal must
+        # not pick a permutation
+        S = 2500.0 * np.eye(4) + np.diag([3e-13, -2e-13, 1e-13, 0.0])
+        assert np.array_equal(sp.sym_eigen(S).vectors, np.eye(4))
+
+    def test_canonical_basis_ignores_the_basis_given(self, rng):
+        V = random_orthonormal(rng, 12, 4)
+        Q = random_orthonormal(rng, 4, 4)
+        C = sp.eigen._canonical_basis(V)
+        assert np.allclose(sp.eigen._canonical_basis(V @ Q), C, atol=1e-12)
+        assert np.allclose(C.T @ C, np.eye(4), atol=1e-14)
+        assert np.allclose(C @ C.T, V @ V.T, atol=1e-14)  # same span
+
+    def test_sign_ties_go_to_the_lowest_index(self):
+        # entries 0 and 1 have the same magnitude up to rounding
+        col = np.array([[-0.5], [0.5 + 1e-16], [0.5], [0.5]])
+        assert sp.eigen._fix_signs(col)[0, 0] == 0.5
+
+
 class TestRoundRobinSchedule:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 13, 48, 120, 121, 250])
     def test_disjoint_rounds_cover_every_pair_once(self, n):
@@ -269,45 +307,14 @@ class TestRoundRobinSchedule:
         assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
-def sequential_round_robin(A, V, tol, max_sweeps):
-    """Reference: the round-robin sweep with one rotation at a time, in
-    scalar loops, as the pre-vectorisation cyclic kernel applied them."""
-    n = A.shape[0]
-    thresh = tol * np.sqrt((A * A).sum())
-    for sweep in range(max_sweeps):
-        if np.abs(A - np.diag(np.diag(A))).max() <= thresh:
-            return sweep
-        for P, Q in _kernels.round_robin_schedule(n):
-            for p, q in zip(P.tolist(), Q.tolist()):
-                apq = A[p, q]
-                if abs(apq) <= thresh * 1e-4:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                for M in (A, V):
-                    for k in range(n):
-                        mkp, mkq = M[k, p], M[k, q]
-                        M[k, p] = c * mkp - s * mkq
-                        M[k, q] = s * mkp + c * mkq
-                for k in range(n):
-                    apk, aqk = A[p, k], A[q, k]
-                    A[p, k] = c * apk - s * aqk
-                    A[q, k] = s * apk + c * aqk
-    return -1
-
-
 class TestKernelBackends:
     @pytest.mark.parametrize("n", [2, 3, 7, 8])
     def test_vectorised_rounds_match_one_rotation_at_a_time(self, n):
         S = random_symmetric(np.random.default_rng(n), n)
         A1, V1 = S.copy(), np.eye(n)
         A2, V2 = S.copy(), np.eye(n)
-        assert _kernels.jacobi_eigen(A1, V1, 1e-12, 100) == sequential_round_robin(A2, V2, 1e-12, 100)
+        pairs = [pq for P, Q in _kernels.round_robin_schedule(n) for pq in zip(P.tolist(), Q.tolist())]
+        assert _kernels.jacobi_eigen(A1, V1, 1e-12, 100) == one_rotation_at_a_time(A2, V2, 1e-12, 100, pairs)
         # same rotations; only the order of the row and column updates of
         # entries shared by two pairs differs, by rounding
         bound = 64 * n * np.finfo(float).eps

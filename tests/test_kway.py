@@ -7,7 +7,18 @@ import speclap as sp
 from speclap import kway
 from speclap.errors import EmptyBlock, RankDeficient, ZeroVector
 
-from conftest import G1_BIPARTITION, g1_signed, random_connected, w1_graph
+from conftest import (
+    G1_BIPARTITION,
+    W4,
+    complete,
+    g1_signed,
+    g2_signed,
+    path,
+    random_connected,
+    ring,
+    row_cyclic_jacobi,
+    w1_graph,
+)
 
 GOLD_4WAY = {
     frozenset({7, 8}),
@@ -525,3 +536,65 @@ class TestCluster:
             res = sp.cluster(g, K, mode="ncut")
             assert nu[:K].sum() <= best + 1e-9
             assert res.objective >= best - 1e-9
+
+
+GOLDEN_GRAPHS = {
+    "w1": w1_graph, "g1": g1_signed, "g2": g2_signed, "w4": lambda: sp.Graph(W4),
+    "ring12": lambda: ring(12), "complete12": lambda: complete(12), "path5": lambda: path(5),
+}
+
+
+def _all_clusterings(g):
+    """Outcome of every K = 2..5, mode and rescale on g: the assignment and
+    round count, or the error class; and the objectives."""
+    signed = bool((g.W < 0).any())
+    outcomes, objectives = [], []
+    for K in range(2, min(5, g.m) + 1):
+        for mode in ("signed_ncut", "signed_rcut") if signed else ("ncut", "rcut"):
+            for rescale in kway.RESCALE_METHODS:
+                try:
+                    res = sp.cluster(g, K, mode=mode, rescale=rescale)
+                except (AssertionError, sp.errors.SpeclapError) as exc:
+                    outcomes.append(type(exc).__name__)
+                    continue
+                outcomes.append((tuple(res.X.assignment), res.iterations))
+                objectives.append(res.objective)
+    return outcomes, objectives
+
+
+class TestRotationOrderIndependence:
+    """Symmetric graphs tie exactly in the spectrum, in the R2 row picks, in
+    the candidate pick and in the rounding. Running the eigensolver's
+    rotations in another order moves its output by rounding only, which must
+    not change a partition, a block label, a round count or an error."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+    def test_cluster_same_under_row_cyclic_order(self, name, monkeypatch):
+        g = GOLDEN_GRAPHS[name]()
+        outcomes, objectives = _all_clusterings(g)
+        monkeypatch.setattr(sp.eigen, "jacobi_eigen", row_cyclic_jacobi)
+        other_outcomes, other_objectives = _all_clusterings(g)
+        assert other_outcomes == outcomes
+        assert np.allclose(other_objectives, objectives, rtol=1e-9)
+
+    @pytest.mark.parametrize("name", ["w1", "w4", "ring12", "complete12", "path5"])
+    def test_two_way_same_under_row_cyclic_order(self, name, monkeypatch):
+        g = GOLDEN_GRAPHS[name]()
+        part = sp.round_2way(g, sp.orient_sign(sp.solve_relaxed_2way(g))).partition
+        monkeypatch.setattr(sp.eigen, "jacobi_eigen", row_cyclic_jacobi)
+        assert sp.round_2way(g, sp.orient_sign(sp.solve_relaxed_2way(g))).partition == part
+
+
+class TestTieBreaks:
+    def test_r2_tied_rows_pick_the_lowest_index(self):
+        # rows 1 and 2 are both orthogonal to row 0 up to rounding
+        Z = np.array([[1.0, 0.0], [1e-16, 1.0], [0.0, -1.0]])
+        assert sp.init_rotation_R2(Z).R[1, 1] == 1.0
+
+    def test_podx_tied_entries_pick_the_leftmost(self):
+        Y = np.array([[0.5, 0.5 + 1e-16, 0.0], [0.0, 1.0, 1.0 + 1e-15], [0.0, 0.0, 1.0]])
+        assert tuple(sp.podx(Y).assignment) == (0, 1, 2)
+
+    def test_rounding_noise_mean_not_flipped(self):
+        Z = np.array([[1.0], [-1.0 - 1e-15]])
+        assert sp.flip_columns(Z)[1][0, 0] == 1.0
