@@ -14,6 +14,7 @@ it must be a number with 0 < tol < 1.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -89,7 +90,7 @@ def parse_graph(path):
             w = float(fields[2])
         except ValueError:
             raise ParseError(line_no, f"bad edge record {line!r}") from None
-        if not np.isfinite(w):
+        if not math.isfinite(w):
             raise NonFiniteWeight(f"line {line_no}: non-finite weight {fields[2]!r}")
         if i == j:
             raise ParseError(line_no, f"self-loop on node {i}")

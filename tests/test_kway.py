@@ -577,7 +577,7 @@ class TestRotationOrderIndependence:
         assert other_outcomes == outcomes
         assert np.allclose(other_objectives, objectives, rtol=1e-9)
 
-    @pytest.mark.parametrize("name", ["w1", "w4", "ring12", "complete12", "path5"])
+    @pytest.mark.parametrize("name", ["ring12", "complete12"])
     def test_two_way_same_under_row_cyclic_order(self, name, monkeypatch):
         g = GOLDEN_GRAPHS[name]()
         part = sp.round_2way(g, sp.orient_sign(sp.solve_relaxed_2way(g))).partition
