@@ -3,29 +3,18 @@
 The eigensolver is cyclic Jacobi in the round-robin parallel ordering of
 Brent & Luk (1985): a sweep is a sequence of rounds, each holding up to n/2
 disjoint (p, q) pairs, and all rotations of a round are applied together as
-vectorised numpy row and column updates. It is plain numpy on every install.
-
-Only the SVD kernel keeps the optional numba dispatch: it is compiled with
-numba's @njit when available. Setting the environment variable
-SPECLAP_NO_NUMBA=1 (or importing without numba installed) selects the
-pure-numpy fallback, which runs the exact same code uncompiled.
+vectorised numpy row and column updates. The SVD is cyclic one-sided
+Jacobi, rotating one column pair at a time in plain Python loops. Nothing
+is compiled.
 """
 
 import functools
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("SPECLAP_NO_NUMBA", "").strip() in ("1", "true", "yes")
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time dependency
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not _DISABLED
+# nothing is compiled; the flag stays only because perfbench/run.py records
+# it with every run, and goes when that line does
+USE_NUMBA = False
 
 
 @functools.lru_cache(maxsize=32)
@@ -56,7 +45,7 @@ def _max_off_diagonal(A):
     return np.abs(A - np.diag(np.diag(A))).max()
 
 
-def _jacobi_eigen_impl(A, V, tol, max_sweeps):
+def jacobi_eigen(A, V, tol, max_sweeps):
     """Round-robin Jacobi diagonalization of the symmetric matrix A, in place.
 
     V accumulates the rotations (must start as the identity). Returns the
@@ -102,7 +91,7 @@ def _jacobi_eigen_impl(A, V, tol, max_sweeps):
     return sweep
 
 
-def _jacobi_svd_impl(A, V, tol, max_sweeps):
+def jacobi_svd(A, V, tol, max_sweeps):
     """One-sided Jacobi SVD on the columns of A (m x n, m >= n), in place.
 
     Columns of A are rotated until pairwise orthogonal; V (n x n, starts as
@@ -152,10 +141,3 @@ def _jacobi_svd_impl(A, V, tol, max_sweeps):
             return sweep
     return -1
 
-
-jacobi_eigen = _jacobi_eigen_impl
-
-if USE_NUMBA:
-    jacobi_svd = njit(cache=True)(_jacobi_svd_impl)
-else:
-    jacobi_svd = _jacobi_svd_impl

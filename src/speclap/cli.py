@@ -30,9 +30,9 @@ from .errors import (
     SpeclapError,
 )
 from .graph import Graph
-from .kway import cluster, rayleigh_sum
+from .kway import cluster
 from .laplacian import is_balanced, laplacian
-from .ncut2 import ncut2_value, orient_sign, round_2way, solve_relaxed_2way
+from .ncut2 import orient_sign, round_2way, two_way_vector
 
 _MODE_MAP = {
     "ncut": "ncut",
@@ -145,10 +145,6 @@ def cmd_draw(args):
 def cmd_cluster(args):
     g = parse_graph(args.graph)
     mode = _MODE_MAP[args.mode]
-    if g.has_negative_edges and mode in ("ncut", "rcut"):
-        raise SpeclapError(
-            "NegativeWeightInUnsignedMode: use --mode sncut or srcut for signed graphs"
-        )
     result = cluster(
         g,
         args.k,
@@ -167,8 +163,8 @@ def cmd_cluster(args):
         "residual": result.residual,
     }
     if args.k == 2 and mode == "ncut":
-        Z = orient_sign(solve_relaxed_2way(g))
-        two = round_2way(g, Z)
+        # the 2-way vector is column 2 of the K = 2 relaxation just solved
+        two = round_2way(g, orient_sign(two_way_vector(g, result.Z.Z)))
         report["two_way"] = {
             "partition": [sorted(two.partition[0].members), sorted(two.partition[1].members)],
             "ncut": two.ncut,

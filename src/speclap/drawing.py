@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .errors import DimensionTooLarge, Disconnected, NoNegativeEdges
+from .errors import DimensionTooLarge, NotConnected, NoNegativeEdges
 from .graph import connected_components, orient
 from .laplacian import is_balanced, laplacian
 
@@ -41,7 +41,7 @@ def spectral_drawing(g, n):
     """Orthogonal balanced drawing from eigenvectors u_2..u_{n+1} of L."""
     _, c = connected_components(g)
     if c != 1:
-        raise Disconnected(f"graph has {c} components")
+        raise NotConnected(f"graph has {c} components")
     if n + 1 > g.m:
         raise DimensionTooLarge(f"dimension {n} too large for {g.m} nodes")
     L = laplacian(g, "unnormalized").M
@@ -57,7 +57,7 @@ def signed_drawing(g, n, bipartite=False):
     """
     _, c = connected_components(g)
     if c != 1:
-        raise Disconnected(f"graph has {c} components")
+        raise NotConnected(f"graph has {c} components")
     if not g.has_negative_edges:
         raise NoNegativeEdges("use spectral_drawing for all-positive graphs")
     L = laplacian(g, "signed_unnormalized").M

@@ -27,10 +27,6 @@ class NotConnected(SpeclapError):
     pass
 
 
-# drawing / clustering preconditions use the same condition under another name
-Disconnected = NotConnected
-
-
 class DimensionTooLarge(SpeclapError):
     pass
 
@@ -75,11 +71,9 @@ class ParseError(SpeclapError):
 
 class DuplicateEdge(ParseError):
     def __init__(self, line_no, i, j):
-        super(ParseError, self).__init__(f"line {line_no}: duplicate edge ({i}, {j})")
-        self.line_no = line_no
+        super().__init__(line_no, f"duplicate edge ({i}, {j})")
 
 
 class IndexOutOfRange(ParseError):
     def __init__(self, line_no, idx):
-        super(ParseError, self).__init__(f"line {line_no}: node index {idx} out of range")
-        self.line_no = line_no
+        super().__init__(line_no, f"node index {idx} out of range")

@@ -8,13 +8,15 @@ import numpy as np
 
 from . import eigen
 from .errors import (
-    Disconnected,
     EmptyBlock,
+    NegativeWeightInUnsignedMode,
+    NoConvergence,
+    NotConnected,
     RankDeficient,
     ZeroVector,
     ZeroVolume,
 )
-from .graph import NodeSubset, connected_components, cut, degree_vector, links
+from .graph import NodeSubset, connected_components, cut, degree_vector, links, volume
 from .laplacian import laplacian
 
 MODES = ("ncut", "rcut", "signed_ncut", "signed_rcut")
@@ -85,30 +87,32 @@ def _partition_blocks(g, partition):
     return blocks
 
 
-def objective(g, partition, mode="ncut"):
-    """Discrete clustering objective for the given partition."""
+def _mode_kind(mode):
+    """Read a cut mode as (signed, normalized): signed modes use |W| degrees
+    and the signed Laplacian, normalized cuts divide by volume, ratio cuts
+    by block size."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    return mode.startswith("signed"), mode.endswith("ncut")
+
+
+def objective(g, partition, mode="ncut"):
+    """Discrete clustering objective for the given partition."""
+    signed, normalized = _mode_kind(mode)
     blocks = _partition_blocks(g, partition)
-    signed = mode.startswith("signed")
     total = 0.0
     for A in blocks:
         num = cut(g, A)
         if signed:
             num += 2.0 * links(g, A, A, "negative_only")
-        if mode.endswith("ncut"):
-            denom = volume_for_mode(g, A, signed)
+        if normalized:
+            denom = volume(g, A, signed=signed)
             if denom <= 0:
                 raise ZeroVolume(f"block {sorted(A.members)} has zero volume")
         else:
             denom = float(len(A))
         total += num / denom
     return total
-
-
-def volume_for_mode(g, A, signed):
-    d = degree_vector(g, signed=signed)
-    return float(d[A.indices0()].sum())
 
 
 def rayleigh_sum(g, X, mode="ncut"):
@@ -123,42 +127,33 @@ def rayleigh_sum(g, X, mode="ncut"):
 
 
 def _mode_matrices(g, mode):
-    if mode == "ncut":
-        lap = laplacian(g, "unnormalized")
-        return lap.M, np.diag(lap.degree)
-    if mode == "signed_ncut":
-        lap = laplacian(g, "signed_unnormalized")
-        return lap.M, np.diag(lap.degree)
-    if mode == "rcut":
-        return laplacian(g, "unnormalized").M, np.eye(g.m)
-    if mode == "signed_rcut":
-        return laplacian(g, "signed_unnormalized").M, np.eye(g.m)
-    raise ValueError(f"unknown mode {mode!r}")
+    signed, normalized = _mode_kind(mode)
+    lap = laplacian(g, "signed_unnormalized" if signed else "unnormalized")
+    return lap.M, (np.diag(lap.degree) if normalized else np.eye(g.m))
 
 
 def solve_relaxed(g, K, mode="ncut"):
     """Continuous solution: K smallest eigenvectors of the mode's Laplacian,
-    unnormalized by D^{-1/2} where applicable, rescaled to ||Z||_F = 100."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    unnormalized by D^{-1/2} where applicable, rescaled to ||Z||_F = 100.
+    This is the one place a cut mode is mapped to its eigenproblem."""
+    signed, normalized = _mode_kind(mode)
+    if not signed and g.has_negative_edges:
+        raise NegativeWeightInUnsignedMode(
+            f"mode {mode!r} needs nonnegative weights: use signed_{mode} for signed graphs"
+        )
     if not 2 <= K <= g.m:
         raise ValueError(f"K={K} out of range")
-    if mode == "ncut":
-        _, c = connected_components(g)
-        if c != 1:
-            raise Disconnected(f"graph has {c} components")
-    if mode == "ncut":
-        lap = laplacian(g, "sym")
+    prefix = "signed_" if signed else ""
+    if normalized:
+        if not signed:
+            _, c = connected_components(g)
+            if c != 1:
+                raise NotConnected(f"graph has {c} components")
+        lap = laplacian(g, prefix + "sym")
         _, Y = eigen.smallest_k(lap.M, K)
         Z = Y / np.sqrt(lap.degree)[:, None]
-    elif mode == "signed_ncut":
-        lap = laplacian(g, "signed_sym")
-        _, Y = eigen.smallest_k(lap.M, K)
-        Z = Y / np.sqrt(lap.degree)[:, None]
-    elif mode == "rcut":
-        _, Z = eigen.smallest_k(laplacian(g, "unnormalized").M, K)
     else:
-        _, Z = eigen.smallest_k(laplacian(g, "signed_unnormalized").M, K)
+        _, Z = eigen.smallest_k(laplacian(g, prefix + "unnormalized").M, K)
     Z = Z * (TARGET_FROBENIUS / np.linalg.norm(Z))
     return ContinuousSolution(Z=Z, mode=mode, frobenius_norm=TARGET_FROBENIUS)
 
@@ -399,7 +394,10 @@ def cluster(g, K, mode="ncut", rescale="row_normalize", max_iters=100,
         key = _pattern_key(X)
         Q = podr(X, Z1)
         phi = float(np.linalg.norm(X.X - Z1 @ Q.Q))
-        assert phi <= prev_phi + 1e-9  # alternation must not increase the fit
+        if phi > prev_phi + 1e-9:  # the alternation must not worsen the fit
+            raise NoConvergence(
+                f"alternation round {it} raised phi = ||X - ZQ|| from {prev_phi!r} to {phi!r}"
+            )
         iterations = it
         if key == prev_key or prev_phi - phi < 1e-12:
             break

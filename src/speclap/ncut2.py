@@ -6,9 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .errors import AllOneSide, DegenerateSubset, Disconnected
-from .graph import NodeSubset, connected_components, cut, degree_vector, volume
-from .laplacian import laplacian
+from .errors import AllOneSide, DegenerateSubset
+from .graph import NodeSubset, cut, degree_vector, volume
+from .kway import solve_relaxed
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,14 @@ def ncut2_value(g, A):
 
 def solve_relaxed_2way(g):
     """Z = D^{-1/2} Y with Y the unit eigenvector of L_sym for nu_2."""
-    _, c = connected_components(g)
-    if c != 1:
-        raise Disconnected(f"graph has {c} components")
-    lap = laplacian(g, "sym")
-    _, vecs = eigen.smallest_k(lap.M, 2)
-    Y = vecs[:, 1]
-    Z = Y / np.sqrt(lap.degree)
-    return Z
+    return two_way_vector(g, solve_relaxed(g, 2, "ncut").Z)
+
+
+def two_way_vector(g, Z):
+    """Column 2 of a K = 2 ncut relaxation Z, rescaled to Z^T D Z = 1: the
+    2-way vector D^{-1/2} Y with Y a unit eigenvector."""
+    z = np.asarray(Z, dtype=float)[:, 1]
+    return z / np.sqrt(z @ (degree_vector(g) * z))
 
 
 def orient_sign(Z):

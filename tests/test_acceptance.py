@@ -35,7 +35,7 @@ from test_kway import GOLD_4WAY, ZQ_REF_5, set_partitions
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile/warm the numeric kernels so timed sections measure steady state
+    # warm the numeric kernels so timed sections measure steady state
     sp.sym_eigen(np.eye(4))
     sp.svd(np.eye(3))
     sp.cluster(ring(5), 2, mode="ncut")

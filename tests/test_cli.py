@@ -9,7 +9,7 @@ import speclap as sp
 from speclap import cli
 from speclap.errors import DuplicateEdge, IndexOutOfRange, NonFiniteWeight, ParseError
 
-from conftest import G1_BIPARTITION, W1_EDGES, W4, g1_signed, g2_signed
+from conftest import G1_BIPARTITION, W1_EDGES, W4, g1_signed, g2_signed, random_connected
 
 
 def write_graph(tmp_path, name, text):
@@ -101,7 +101,7 @@ class TestDraw:
         assert code == 2
         assert out == ""
         payload = json.loads(err)
-        assert payload["error"] in ("Disconnected", "NotConnected")
+        assert payload["error"] == "NotConnected"
         assert "\n" not in err.strip()
 
     def test_dim_too_large_exit_2(self, tmp_path, capsys):
@@ -174,7 +174,42 @@ class TestCluster:
         path = graph_file(tmp_path, "g1.txt", g1_signed())
         code, _, err = run(capsys, ["cluster", path, "--k", "2", "--mode", "ncut"])
         assert code == 2
-        assert "NegativeWeightInUnsignedMode" in json.loads(err)["message"]
+        assert json.loads(err)["error"] == "NegativeWeightInUnsignedMode"
+
+    def test_residual_growth_exits_2(self, tmp_path, capsys):
+        path = graph_file(tmp_path, "g2.txt", g2_signed())
+        argv = ["cluster", path, "--k", "3", "--mode", "srcut", "--rescale", "rowsum"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "NoConvergence"
+
+    def test_two_way_solves_the_relaxation_once(self, tmp_path, capsys, monkeypatch):
+        path = write_graph(tmp_path, "w1.txt", w1_text())
+        sizes = []
+        sym_eigen = sp.eigen.sym_eigen
+
+        def counting(S, *args, **kwargs):
+            sizes.append(np.shape(S)[0])
+            return sym_eigen(S, *args, **kwargs)
+
+        monkeypatch.setattr(sp.eigen, "sym_eigen", counting)
+        code, out, _ = run(capsys, ["cluster", path, "--k", "2", "--mode", "ncut"])
+        assert code == 0
+        assert "two_way" in json.loads(out)
+        assert sizes.count(9) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_way_report_matches_library(self, tmp_path, capsys, seed):
+        g = random_connected(np.random.default_rng(seed), 6 + 3 * seed)
+        path = graph_file(tmp_path, "g.txt", g)
+        code, out, _ = run(capsys, ["cluster", path, "--k", "2", "--mode", "ncut"])
+        assert code == 0
+        two = json.loads(out)["two_way"]
+        ref = sp.round_2way(g, sp.orient_sign(sp.solve_relaxed_2way(g)))
+        assert two["partition"] == [sorted(ref.partition[0].members), sorted(ref.partition[1].members)]
+        assert two["ncut"] == pytest.approx(ref.ncut, rel=1e-12, abs=1e-300)
+        assert two["residual"] == pytest.approx(ref.residual, rel=1e-12, abs=1e-300)
 
     def test_two_way_report_included(self, tmp_path, capsys):
         path = write_graph(tmp_path, "w1.txt", w1_text())

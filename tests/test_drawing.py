@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import speclap as sp
-from speclap.errors import DimensionTooLarge, Disconnected, NoNegativeEdges
+from speclap.errors import DimensionTooLarge, NotConnected, NoNegativeEdges
 
 from conftest import (
     G1_BIPARTITION,
@@ -94,7 +94,7 @@ class TestSpectralDrawing:
         assert sp.energy(g, dm) == pytest.approx(1.0, abs=1e-9)
 
     def test_disconnected_rejected(self):
-        with pytest.raises(Disconnected):
+        with pytest.raises(NotConnected):
             sp.spectral_drawing(sp.Graph(np.zeros((3, 3))), 1)
 
     def test_dimension_too_large(self):

@@ -342,7 +342,7 @@ class TestKernelBackends:
         M = rng.standard_normal((6, 4))
         A = M.copy()
         V = np.eye(4)
-        _kernels._jacobi_svd_impl(A, V, 1e-12, 100)
+        _kernels.jacobi_svd(A, V, 1e-12, 100)
         G = A.T @ A
         off = G - np.diag(np.diag(G))
         assert np.max(np.abs(off)) < 1e-9 * np.linalg.norm(M) ** 2

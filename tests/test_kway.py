@@ -5,7 +5,13 @@ import pytest
 
 import speclap as sp
 from speclap import kway
-from speclap.errors import EmptyBlock, RankDeficient, ZeroVector
+from speclap.errors import (
+    EmptyBlock,
+    NegativeWeightInUnsignedMode,
+    NoConvergence,
+    RankDeficient,
+    ZeroVector,
+)
 
 from conftest import (
     G1_BIPARTITION,
@@ -202,6 +208,13 @@ class TestSolveRelaxed:
         Zr = sp.solve_relaxed(g, 3, "rcut").Z
         G = Zr.T @ Zr
         assert np.allclose(G, G[0, 0] * np.eye(3), atol=1e-7 * G[0, 0])
+
+    @pytest.mark.parametrize("mode", ["ncut", "rcut"])
+    def test_unsigned_modes_reject_negative_weights(self, mode):
+        with pytest.raises(NegativeWeightInUnsignedMode, match=f"signed_{mode}"):
+            sp.solve_relaxed(g1_signed(), 2, mode)
+        with pytest.raises(NegativeWeightInUnsignedMode):
+            sp.cluster(g1_signed(), 2, mode=mode)
 
 
 class TestInitRotations:
@@ -515,6 +528,12 @@ class TestCluster:
             res = sp.cluster(g, 3, mode="signed_ncut")
             assert res.objective == pytest.approx(
                 sp.rayleigh_sum(g, res.X, "signed_ncut"), abs=1e-9)
+
+    def test_residual_growth_raises_no_convergence(self):
+        # on this input phi = ||X - ZQ|| grows from round 1 to round 2; the
+        # check raises rather than asserts, so it also holds under python -O
+        with pytest.raises(NoConvergence, match=r"round 2 raised phi .* from [0-9.]+ to [0-9.]+"):
+            sp.cluster(g2_signed(), 3, mode="signed_rcut", rescale="row_sum_ls")
 
     def test_all_rescale_variants_produce_valid_partitions(self, rng):
         g = random_connected(rng, 8)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import speclap as sp
-from speclap.errors import AllOneSide, DegenerateSubset, Disconnected
+from speclap.errors import AllOneSide, DegenerateSubset, NegativeWeightInUnsignedMode, NotConnected
 
-from conftest import W4, path, random_connected, w1_graph
+from conftest import W4, g1_signed, path, random_connected, w1_graph
 
 
 def brute_force_min_ncut(g):
@@ -70,8 +70,22 @@ class TestRelaxation:
         assert pos in (best, frozenset(range(1, 10)) - best)
 
     def test_disconnected_rejected(self):
-        with pytest.raises(Disconnected):
+        with pytest.raises(NotConnected):
             sp.solve_relaxed_2way(sp.Graph(np.zeros((3, 3))))
+
+    def test_signed_graph_rejected(self):
+        with pytest.raises(NegativeWeightInUnsignedMode):
+            sp.solve_relaxed_2way(g1_signed())
+
+    def test_is_unnormalized_second_eigenvector(self, rng):
+        # D^{-1/2} times the unit eigenvector of L_sym for nu_2, so Z^T D Z = 1
+        for _ in range(5):
+            g = random_connected(rng, int(rng.integers(3, 12)))
+            lap = sp.laplacian(g, "sym")
+            _, Y = sp.eigen.smallest_k(lap.M, 2)
+            Z = sp.solve_relaxed_2way(g)
+            assert np.allclose(Z, Y[:, 1] / np.sqrt(lap.degree), rtol=1e-12, atol=1e-12 * np.abs(Z).max())
+            assert Z @ (lap.degree * Z) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestOrientSign:
