@@ -1,10 +1,13 @@
-"""Time speclap's sym_eigen against the numpy.linalg.eigh yardstick.
+"""Time speclap's sym_eigen and svd against the numpy.linalg yardsticks.
 
 Each size n gets the normalized Laplacian of a seeded random graph with four
-planted blocks (the matrix a 4-way `speclap cluster` solves). The script
-reports the best wall time over the repeats for both solvers, their ratio and
-the largest eigenvalue difference. numpy is a yardstick here, never a
-production path: speclap calls no external eigensolver.
+planted blocks (the matrix a 4-way `speclap cluster` solves). The SVD gets
+seeded Gaussian matrices of the shapes the pipeline decomposes: K x K for
+K = 2-5 (Z^T X in the Procrustes step) and N x K (the least-squares rescale
+of Z * Z) for the benchmark's N = 12, 48, 120. The script reports the best
+wall time over the repeats for both, their ratio and the largest eigenvalue
+or singular-value difference. numpy is a yardstick here, never a production
+path: speclap calls no external eigensolver.
 
 Usage: python benchmarks/bench_eigen.py [--sizes 30,60,120,250] [--repeats 3]
 """
@@ -27,12 +30,17 @@ def planted_laplacian(rng, n, blocks=4):
     return sp.laplacian(sp.Graph(W), "sym").M
 
 
-def best_time(fn, S, repeats):
+SVD_SHAPES = ((2, 2), (3, 3), (4, 4), (5, 5), (12, 3), (48, 3), (120, 4))
+
+
+def best_time(fn, S, repeats, number=1):
+    """Best over the repeats of the mean time of `number` calls."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = fn(S)
-        best = min(best, time.perf_counter() - t0)
+        for _ in range(number):
+            out = fn(S)
+        best = min(best, (time.perf_counter() - t0) / number)
     return best, out
 
 
@@ -50,6 +58,14 @@ def main():
         t_ref, ref = best_time(np.linalg.eigh, S, args.repeats)
         err = float(np.max(np.abs(eig.values - ref.eigenvalues)))
         print(f"{n:>5} {t_own * 1e3:>10.2f}ms {t_ref * 1e3:>10.3f}ms {t_own / t_ref:>7.0f}x {err:>10.1e}")
+
+    print(f"\n{'shape':>7} {'svd':>12} {'numpy svd':>12} {'ratio':>8} {'max |dσ|':>10}")
+    for m, n in SVD_SHAPES:
+        M = rng.standard_normal((m, n))
+        t_own, res = best_time(sp.svd, M, args.repeats, number=20)
+        t_ref, ref = best_time(np.linalg.svd, M, args.repeats, number=20)
+        err = float(np.max(np.abs(res.S - ref.S)))
+        print(f"{f'{m}x{n}':>7} {t_own * 1e6:>10.1f}us {t_ref * 1e6:>10.1f}us {t_own / t_ref:>7.0f}x {err:>10.1e}")
 
 
 if __name__ == "__main__":

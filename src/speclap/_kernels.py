@@ -4,11 +4,12 @@ The eigensolver is cyclic Jacobi in the round-robin parallel ordering of
 Brent & Luk (1985): a sweep is a sequence of rounds, each holding up to n/2
 disjoint (p, q) pairs, and all rotations of a round are applied together as
 vectorised numpy row and column updates. The SVD is cyclic one-sided
-Jacobi, rotating one column pair at a time in plain Python loops. Nothing
-is compiled.
+Jacobi: it rotates one column pair at a time, each rotation one numpy
+update of the pair's columns of A and V together. Nothing is compiled.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -92,52 +93,42 @@ def jacobi_eigen(A, V, tol, max_sweeps):
 
 
 def jacobi_svd(A, V, tol, max_sweeps):
-    """One-sided Jacobi SVD on the columns of A (m x n, m >= n), in place.
+    """One-sided cyclic Jacobi SVD on the columns of A (m x n, m >= n), in place.
 
     Columns of A are rotated until pairwise orthogonal; V (n x n, starts as
     identity) accumulates the right rotations so that input = A_out * V^T
-    with A_out having orthogonal columns. Returns sweeps used or -1.
+    with A_out having orthogonal columns. Column p of A and column p of V
+    are row p of one array T = [A^T | V^T], so one two-row update rotates
+    both. Returns sweeps used or -1.
     """
     m, n = A.shape
-    norm = 0.0
-    for i in range(m):
-        for j in range(n):
-            norm += A[i, j] * A[i, j]
+    norm = float((A * A).sum())
     if norm == 0.0 or n == 1:
         return 0
     thresh = tol * tol * norm * norm  # compare against squared quantities
+    T = np.hstack((A.T, V.T))
+    Ta = T[:, :m]
+    sweeps = -1
     for sweep in range(max_sweeps):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
-                alpha = 0.0
-                beta = 0.0
-                gamma = 0.0
-                for k in range(m):
-                    alpha += A[k, p] * A[k, p]
-                    beta += A[k, q] * A[k, q]
-                    gamma += A[k, p] * A[k, q]
+                ap, aq = Ta[p], Ta[q]
+                alpha = float(ap @ ap)
+                beta = float(aq @ aq)
+                gamma = float(ap @ aq)
                 if gamma * gamma <= thresh * 1e-12 or gamma * gamma <= tol * tol * alpha * beta:
                     continue
                 rotated = True
                 zeta = (beta - alpha) / (2.0 * gamma)
-                if zeta >= 0.0:
-                    t = 1.0 / (zeta + np.sqrt(zeta * zeta + 1.0))
-                else:
-                    t = -1.0 / (-zeta + np.sqrt(zeta * zeta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                t = (1.0 if zeta >= 0.0 else -1.0) / (abs(zeta) + math.sqrt(zeta * zeta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                for k in range(m):
-                    akp = A[k, p]
-                    akq = A[k, q]
-                    A[k, p] = c * akp - s * akq
-                    A[k, q] = s * akp + c * akq
-                for k in range(n):
-                    vkp = V[k, p]
-                    vkq = V[k, q]
-                    V[k, p] = c * vkp - s * vkq
-                    V[k, q] = s * vkp + c * vkq
+                Tp, Tq = T[p], T[q]
+                T[p], T[q] = c * Tp - s * Tq, s * Tp + c * Tq
         if not rotated:
-            return sweep
-    return -1
-
+            sweeps = sweep
+            break
+    A[...] = Ta.T
+    V[...] = T[:, m:].T
+    return sweeps

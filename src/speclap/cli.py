@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     SpeclapError,
 )
-from .graph import Graph
+from .graph import Graph, orient
 from .kway import cluster
 from .laplacian import is_balanced, laplacian
 from .ncut2 import orient_sign, round_2way, two_way_vector
@@ -110,11 +110,7 @@ def parse_graph(path):
 
 def serialize_graph(g):
     """Round-trippable edge-list text for a Graph."""
-    lines = [str(g.m)]
-    for i in range(g.m):
-        for j in range(i + 1, g.m):
-            if g.W[i, j] != 0:
-                lines.append(f"{i + 1} {j + 1} {float(g.W[i, j])!r}")
+    lines = [str(g.m)] + [f"{i} {j} {w!r}" for i, j, w in orient(g).edges]
     return "\n".join(lines) + "\n"
 
 

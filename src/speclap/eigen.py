@@ -31,17 +31,45 @@ class SVDResult:
     V: np.ndarray  # n x n orthogonal
 
 
-def _fix_signs(vectors):
-    # deterministic orientation: largest-magnitude component of each column
-    # positive; components within TIE_RTOL of the largest are tied, and the
-    # lowest index among them decides
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        mag = np.abs(col)
-        i = int(np.argmax(mag >= (1.0 - TIE_RTOL) * mag.max()))
-        if col[i] < 0:
-            out[:, k] = -col
+def _column_signs(M):
+    """+1 or -1 per column of M: the sign of its largest-magnitude entry.
+
+    Entries within TIE_RTOL of the largest are tied, and the lowest index
+    among them decides. Multiplying the columns by these signs gives the
+    deterministic orientation every decomposition here returns.
+    """
+    if M.size == 0:
+        return np.ones(M.shape[1])
+    mag = np.abs(M)
+    first = np.argmax(mag >= (1.0 - TIE_RTOL) * mag.max(axis=0), axis=0)
+    return np.where(M[first, np.arange(M.shape[1])] < 0, -1.0, 1.0)
+
+
+def _extend_basis(C, candidates):
+    """The orthonormal columns C (d x k) extended to a d x d orthogonal matrix.
+
+    Gram-Schmidt over the candidate vectors in order, each orthogonalised
+    twice so the basis stays orthonormal to rounding, skipping those with
+    less than 1/(2 sqrt(N)) of their length outside the basis built so far
+    (N candidates). The candidates must satisfy sum r r^T = I, as the rows
+    of a matrix with orthonormal columns do: then the candidates have total
+    squared length d - k >= 1 outside any basis short of d columns, so some
+    candidate has length >= 1/sqrt(N) outside it and d columns are reached.
+    """
+    d, k = C.shape
+    out = np.empty((d, d))
+    out[:, :k] = C
+    floor = 0.5 / np.sqrt(max(len(candidates), 1))
+    for r in candidates:
+        if k == d:
+            break
+        B = out[:, :k]
+        w = r - B @ (B.T @ r)
+        w -= B @ (B.T @ w)
+        nrm = np.linalg.norm(w)
+        if nrm > floor:
+            out[:, k] = w / nrm
+            k += 1
     return out
 
 
@@ -49,23 +77,10 @@ def _canonical_basis(V):
     """Orthonormal basis of span(V) that does not depend on the basis V holds.
 
     Gram-Schmidt over the projections P e_0, P e_1, ... of the unit vectors
-    onto the span (P = V V^T), skipping those with less than 1/(2 sqrt(n))
-    of their length outside the basis built so far; the rows of V span R^m,
-    so m of them always pass. Works on the coordinates (the rows of V) and
-    orthogonalises twice, so the basis stays orthonormal to rounding.
+    onto the span (P = V V^T). It works on the coordinates, the rows of V,
+    which span R^m.
     """
-    n, m = V.shape
-    C = np.empty((m, 0))
-    floor = 0.5 / np.sqrt(n)
-    for r in V:
-        w = r - C @ (C.T @ r)
-        w -= C @ (C.T @ w)
-        nrm = np.linalg.norm(w)
-        if nrm > floor:
-            C = np.column_stack((C, w / nrm))
-            if C.shape[1] == m:
-                break
-    return V @ C
+    return V @ _extend_basis(np.empty((V.shape[1], 0)), V)
 
 
 def sym_eigen(S, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
@@ -97,43 +112,21 @@ def sym_eigen(S, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
             if k - start > 1:
                 vectors[:, start:k] = _canonical_basis(vectors[:, start:k])
             start = k
-    vectors = _fix_signs(vectors)
+    vectors *= _column_signs(vectors)
     return SymmetricEigen(values=values, vectors=vectors)
 
 
-def _complete_basis(Q):
-    # extend the orthonormal columns of Q (m x r) to an m x m orthogonal matrix
-    m, r = Q.shape
-    if r == m:
-        return Q
-    out = np.empty((m, m))
-    out[:, :r] = Q
-    k = r
-    for i in range(m):
-        if k == m:
-            break
-        v = np.zeros(m)
-        v[i] = 1.0
-        for j in range(k):
-            v -= (out[:, j] @ v) * out[:, j]
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            out[:, k] = v / nrm
-            k += 1
-    if k != m:  # pragma: no cover - defensive; cannot happen for orthonormal Q
-        raise NoConvergence("failed to complete orthonormal basis")
-    return out
-
-
 def svd(M, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
-    """One-sided Jacobi SVD. Singular values descending, U-sign convention
-    matching sym_eigen (largest-magnitude entry of each U column positive)."""
+    """Full SVD by one-sided Jacobi: U is m x m, V is n x n, singular values
+    descending. The sign rule of sym_eigen (_column_signs) orients every
+    column of the taller factor (U if m >= n, else V) and the null-space
+    columns of the other; the rest are paired with the taller factor's."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-d array")
     m, n = M.shape
     transposed = m < n
-    A = (M.T if transposed else M).astype(float).copy()
+    A = (M.T if transposed else M).copy()
     rows, cols = A.shape
     V = np.eye(cols)
     sweeps = jacobi_svd(A, V, tol, max_sweeps)
@@ -145,33 +138,18 @@ def svd(M, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     A = A[:, order]
     V = V[:, order]
     scale = norms[0] if norms.size and norms[0] > 0 else 1.0
-    U_cols = []
-    rank = 0
-    for k in range(cols):
-        if norms[k] > 1e-14 * scale:
-            U_cols.append(A[:, k] / norms[k])
-            rank += 1
-        else:
-            norms[k] = 0.0
-    if U_cols:
-        U = _complete_basis(np.column_stack(U_cols))
-    else:
-        U = np.eye(rows)
-    # deterministic signs: largest-magnitude entry of each U column positive;
-    # a flip must hit the paired V column too or U diag(S) V^T changes
-    for k in range(rows):
-        i = int(np.argmax(np.abs(U[:, k])))
-        if U[i, k] < 0:
-            U[:, k] = -U[:, k]
-            if k < rank:
-                V[:, k] = -V[:, k]
-    for k in range(rank, cols):  # null-space columns of V are free
-        i = int(np.argmax(np.abs(V[:, k])))
-        if V[i, k] < 0:
-            V[:, k] = -V[:, k]
+    rank = int(np.count_nonzero(norms > 1e-14 * scale))
+    norms[rank:] = 0.0
+    U = _extend_basis(A[:, :rank] / norms[:rank], np.eye(rows))
+    # a sign flip of a U column must hit the paired V column too or
+    # U diag(S) V^T changes; the null-space columns of V are free
+    signs = _column_signs(U)
+    U *= signs
+    V[:, :rank] *= signs[:rank]
+    V[:, rank:] *= _column_signs(V[:, rank:])
     if transposed:
         U, V = V, U
-    return SVDResult(U=U, S=norms[: min(m, n)].copy(), V=V)
+    return SVDResult(U=U, S=norms, V=V)
 
 
 def rayleigh(S, x):

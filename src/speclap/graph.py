@@ -164,11 +164,9 @@ def connected_components(g):
 def orient(g):
     """Canonical orientation: every edge {i, j} with i < j becomes (i, j),
     listed in lexicographic order."""
-    edges = []
-    for i in range(g.m):
-        for j in range(i + 1, g.m):
-            if g.W[i, j] != 0:
-                edges.append((i + 1, j + 1, float(g.W[i, j])))
+    # row-major order of the upper triangle is the lexicographic order
+    rows, cols = np.nonzero(np.triu(g.W, 1))
+    edges = zip((rows + 1).tolist(), (cols + 1).tolist(), g.W[rows, cols].tolist())
     return OrientedGraph(base=g, edges=tuple(edges))
 
 

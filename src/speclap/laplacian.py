@@ -33,9 +33,9 @@ def laplacian(g, kind="unnormalized"):
     L = np.diag(d) - g.W
     if kind in ("unnormalized", "signed_unnormalized"):
         return LaplacianMatrix(kind=kind, M=L, degree=d)
-    for i in range(g.m):
-        if d[i] <= 0:
-            raise IsolatedVertex(i + 1)
+    isolated = np.flatnonzero(d <= 0)
+    if isolated.size:
+        raise IsolatedVertex(int(isolated[0]) + 1)
     if kind in ("sym", "signed_sym"):
         dm = 1.0 / np.sqrt(d)
         M = dm[:, None] * L * dm[None, :]
@@ -66,6 +66,14 @@ def kernel_dimension(lap, tol=1e-9):
     return int(np.count_nonzero(eig.values < tol * top))
 
 
+def _first_broken_edge(g, s):
+    """The first edge (i, j), 0-based in row-major order, with
+    s_i s_j != sgn(w_ij), or None if the signs s agree with every edge.
+    W is symmetric, so the first one found has i < j."""
+    broken = np.flatnonzero((g.W != 0) & (np.outer(s, s) != np.sign(g.W)))
+    return divmod(int(broken[0]), g.m) if broken.size else None
+
+
 def is_balanced(g):
     """BFS sign propagation over a connected signed graph.
 
@@ -85,10 +93,8 @@ def is_balanced(g):
             if s[j] == 0:
                 s[j] = s[i] * (1 if g.W[i, j] > 0 else -1)
                 q.append(int(j))
-    rows, cols = np.nonzero(g.W)
-    for i, j in zip(rows, cols):
-        if s[i] * s[j] != (1 if g.W[i, j] > 0 else -1):
-            return BalanceReport(balanced=False, bipartition=None)
+    if _first_broken_edge(g, s) is not None:
+        return BalanceReport(balanced=False, bipartition=None)
     return BalanceReport(balanced=True, bipartition=s)
 
 
@@ -98,8 +104,8 @@ def unsign_conjugation(g, bipartition):
     x = np.asarray(bipartition, dtype=int)
     if x.shape != (g.m,) or not np.all(np.abs(x) == 1):
         raise ValueError("bipartition must be a +/-1 vector of length m")
-    rows, cols = np.nonzero(g.W)
-    for i, j in zip(rows, cols):
-        if x[i] * x[j] != (1 if g.W[i, j] > 0 else -1):
-            raise ValueError(f"bipartition inconsistent with the sign of edge ({i + 1}, {j + 1})")
+    broken = _first_broken_edge(g, x)
+    if broken is not None:
+        i, j = broken
+        raise ValueError(f"bipartition inconsistent with the sign of edge ({i + 1}, {j + 1})")
     return Graph(np.abs(g.W)), np.diag(x.astype(float))

@@ -183,3 +183,37 @@ def row_cyclic_jacobi(A, V, tol, max_sweeps):
     n = A.shape[0]
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
     return one_rotation_at_a_time(A, V, tol, max_sweeps, pairs)
+
+
+def scalar_jacobi_svd(A, V, tol, max_sweeps):
+    """Reference one-sided Jacobi SVD: the cyclic (p, q) order, angle formula
+    and skip rule of _kernels.jacobi_svd, with every dot product and column
+    update a scalar loop over the rows. Updates A and V in place; returns
+    the sweep count or -1."""
+    m, n = A.shape
+    norm = sum(A[i, j] * A[i, j] for i in range(m) for j in range(n))
+    if norm == 0.0 or n == 1:
+        return 0
+    thresh = tol * tol * norm * norm
+    for sweep in range(max_sweeps):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                alpha = sum(A[k, p] * A[k, p] for k in range(m))
+                beta = sum(A[k, q] * A[k, q] for k in range(m))
+                gamma = sum(A[k, p] * A[k, q] for k in range(m))
+                if gamma * gamma <= thresh * 1e-12 or gamma * gamma <= tol * tol * alpha * beta:
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = (1.0 if zeta >= 0.0 else -1.0) / (abs(zeta) + np.sqrt(zeta * zeta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                for X in (A, V):
+                    for k in range(X.shape[0]):
+                        xp, xq = X[k, p], X[k, q]
+                        X[k, p] = c * xp - s * xq
+                        X[k, q] = s * xp + c * xq
+        if not rotated:
+            return sweep
+    return -1

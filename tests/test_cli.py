@@ -76,6 +76,12 @@ class TestParseGraph:
         g = cli.parse_graph(write_graph(tmp_path, "c.txt", text))
         assert g.W[0, 1] == -2.5
 
+    def test_serialized_text(self):
+        W = np.zeros((4, 4))
+        W[0, 2] = W[2, 0] = 6.0
+        W[1, 3] = W[3, 1] = -0.1
+        assert cli.serialize_graph(sp.Graph(W)) == "4\n1 3 6.0\n2 4 -0.1\n"
+
     def test_round_trip(self, tmp_path, rng):
         from conftest import random_connected
         for k in range(5):

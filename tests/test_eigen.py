@@ -15,6 +15,7 @@ from conftest import (
     random_orthonormal,
     ring,
     row_cyclic_jacobi,
+    scalar_jacobi_svd,
 )
 
 
@@ -53,6 +54,10 @@ class TestSymEigen:
     def test_matches_numpy(self, rng):
         S = random_symmetric(rng, 15)
         assert np.allclose(sp.sym_eigen(S).values, np.linalg.eigvalsh(S), atol=1e-9)
+
+    def test_empty(self):
+        eig = sp.sym_eigen(np.zeros((0, 0)))
+        assert eig.values.shape == (0,) and eig.vectors.shape == (0, 0)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
@@ -102,9 +107,75 @@ class TestSVD:
             assert np.all(np.diff(res.S) <= 1e-12)
             assert np.all(res.S >= 0)
 
+    @pytest.mark.parametrize("m,n", [(0, 0), (3, 0), (0, 3)])
+    def test_empty(self, m, n):
+        res = sp.svd(np.zeros((m, n)))
+        assert res.U.shape == (m, m) and res.S.shape == (0,) and res.V.shape == (n, n)
+
     def test_matches_numpy_singular_values(self, rng):
         M = rng.standard_normal((8, 5))
         assert np.allclose(sp.svd(M).S, np.linalg.svd(M, compute_uv=False), atol=1e-9)
+
+
+def _svd_oracle_matrices():
+    """(name, M) pairs: the shapes the pipeline uses, incidence matrices and
+    rank-deficient cases."""
+    rng = np.random.default_rng(1601)
+    shapes = [(1, 6), (6, 1), (2, 2), (3, 3), (4, 4), (5, 5), (12, 3), (48, 3), (120, 4), (3, 5)]
+    cases = [(f"random-{m}x{n}", rng.standard_normal((m, n))) for m, n in shapes]
+    for name, g in (("ring12", ring(12)), ("complete12", complete(12))):
+        cases.append((f"incidence-{name}", sp.incidence_matrix(sp.orient(g)).B))
+    # seed 15 leaves the solver's null-space columns with a negative
+    # largest entry, so the sign rule has a flip to make
+    low = np.random.default_rng(15)
+    R2 = low.standard_normal((5, 2)) @ low.standard_normal((2, 4))
+    # column 0 within 1e-6 of e_0: e_0 lies almost in the span of U's first
+    # columns, and completing U with it would lose orthogonality
+    near = rng.standard_normal((12, 3))
+    near[:, 0] = np.concatenate(([1.0], 1e-6 * rng.standard_normal(11)))
+    cases += [
+        ("near-unit-column-12x3", near),
+        ("rank1-4x3", np.outer(rng.standard_normal(4), rng.standard_normal(3))),
+        ("rank2-5x4", R2),
+        ("rank2-4x5", R2.T),
+        ("zero-3x2", np.zeros((3, 2))),
+    ]
+    return cases
+
+
+SVD_ORACLE_CASES = _svd_oracle_matrices()
+
+
+class TestSVDOracle:
+    """svd against numpy.linalg.svd: full U (m x m) and V (n x n), and the
+    sign rule of sym_eigen on the columns that are free to flip."""
+
+    @pytest.mark.parametrize("name,M", SVD_ORACLE_CASES, ids=[c[0] for c in SVD_ORACLE_CASES])
+    def test_against_numpy_svd(self, name, M):
+        m, n = M.shape
+        # one-sided Jacobi stops once every column pair has cosine at most
+        # DEFAULT_TOL, so each figure is off by at most a few such terms;
+        # the columns that complete U are orthogonal to rounding
+        eps = np.finfo(float).eps
+        bound = max(m, n) * (sp.eigen.DEFAULT_TOL + 64 * eps)
+        ortho = sp.eigen.DEFAULT_TOL + 64 * max(m, n) * eps
+        scale = max(np.linalg.norm(M), np.finfo(float).tiny)
+        res = sp.svd(M)
+        ref = np.linalg.svd(M, compute_uv=False)
+        assert res.U.shape == (m, m) and res.V.shape == (n, n)
+        assert np.max(np.abs(res.S - ref)) <= bound * scale
+        S = np.zeros((m, n))
+        S[: min(m, n), : min(m, n)] = np.diag(res.S)
+        assert np.max(np.abs(res.U @ S @ res.V.T - M)) <= bound * scale
+        assert np.max(np.abs(res.U.T @ res.U - np.eye(m))) <= ortho
+        assert np.max(np.abs(res.V.T @ res.V - np.eye(n))) <= ortho
+        # the sign rule orients every column of the taller factor and the
+        # null-space columns of the other; the rest follow their pairs
+        rank = int(np.count_nonzero(res.S))
+        assert rank == np.linalg.matrix_rank(M)
+        tall, other = (res.U, res.V) if m >= n else (res.V, res.U)
+        assert np.all(sp.eigen._column_signs(tall) == 1.0)
+        assert np.all(sp.eigen._column_signs(other[:, rank:]) == 1.0)
 
 
 class TestRayleighSmallestK:
@@ -288,7 +359,7 @@ class TestMultipleEigenvalues:
     def test_sign_ties_go_to_the_lowest_index(self):
         # entries 0 and 1 have the same magnitude up to rounding
         col = np.array([[-0.5], [0.5 + 1e-16], [0.5], [0.5]])
-        assert sp.eigen._fix_signs(col)[0, 0] == 0.5
+        assert (col * sp.eigen._column_signs(col))[0, 0] == 0.5
 
 
 class TestRoundRobinSchedule:
@@ -337,6 +408,29 @@ class TestKernelBackends:
         S = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 1.0], [0.5, 1.0, 3.0]])
         assert _kernels.jacobi_eigen(S.copy(), np.eye(3), 1e-12, 1) == -1
         assert 1 < _kernels.jacobi_eigen(S.copy(), np.eye(3), 1e-12, 100) < 100
+
+    def test_svd_kernel_sweep_count(self):
+        # orthogonal columns need no rotation; one rotation orthogonalizes
+        # two columns, and the sweep after it, which rotates nothing, is
+        # counted (there is no check after the last sweep)
+        assert _kernels.jacobi_svd(np.diag([3.0, 2.0]), np.eye(2), 1e-12, 1) == 0
+        M = np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert _kernels.jacobi_svd(M.copy(), np.eye(2), 1e-12, 1) == -1
+        assert _kernels.jacobi_svd(M.copy(), np.eye(2), 1e-12, 2) == 1
+        S = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 1.0], [0.5, 1.0, 3.0]])
+        assert _kernels.jacobi_svd(S.copy(), np.eye(3), 1e-12, 1) == -1
+        assert 1 < _kernels.jacobi_svd(S.copy(), np.eye(3), 1e-12, 100) < 100
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (5, 5), (6, 4), (12, 3), (48, 3)])
+    def test_svd_kernel_matches_scalar_loops(self, m, n):
+        M = np.random.default_rng(m * n).standard_normal((m, n))
+        A1, V1 = M.copy(), np.eye(n)
+        A2, V2 = M.copy(), np.eye(n)
+        assert _kernels.jacobi_svd(A1, V1, 1e-12, 100) == scalar_jacobi_svd(A2, V2, 1e-12, 100)
+        # same rotations; only the summation order of the dot products differs
+        bound = 64 * m * np.finfo(float).eps
+        assert np.max(np.abs(A1 - A2)) <= bound * np.linalg.norm(M)
+        assert np.max(np.abs(V1 - V2)) <= bound
 
     def test_svd_impl_column_orthogonality(self, rng):
         M = rng.standard_normal((6, 4))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import speclap as sp
-from speclap.errors import SpeclapError
+from speclap.errors import IsolatedVertex, SpeclapError
 
 from conftest import (
     A5,
@@ -40,6 +40,13 @@ class TestLaplacianConstruction:
         W[0, 1] = W[1, 0] = 1.0
         with pytest.raises(SpeclapError):
             sp.laplacian(sp.Graph(W), "sym")
+
+    def test_first_isolated_vertex_is_named(self):
+        W = np.zeros((5, 5))
+        W[1, 2] = W[2, 1] = 1.0  # nodes 1, 4 and 5 are isolated
+        with pytest.raises(IsolatedVertex) as err:
+            sp.laplacian(sp.Graph(W), "rw")
+        assert err.value.node == 1
 
     def test_rows_sum_to_zero_unnormalized(self, rng):
         g = random_connected(rng, 7)
@@ -185,6 +192,13 @@ class TestUnsignConjugation:
         x = np.ones(5)
         x[2] = -1.0
         with pytest.raises((SpeclapError, ValueError)):
+            sp.unsign_conjugation(g, x)
+
+    def test_first_broken_edge_is_named(self):
+        g = g1_signed()
+        x = sp.is_balanced(g).bipartition.copy()
+        x[[4, 7]] *= -1  # breaks ten edges; (2, 5) comes first in row-major order
+        with pytest.raises(ValueError, match=r"sign of edge \(2, 5\)$"):
             sp.unsign_conjugation(g, x)
 
 
