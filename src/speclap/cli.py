@@ -8,8 +8,9 @@ unordered pairs and non-finite weights are rejected.
 Exit codes: 0 success, 1 usage error, 2 domain error. Errors are printed
 to stderr as a single-line JSON object.
 
-The environment variable SPECLAP_TOL overrides the eigensolver tolerance;
-it must be a number with 0 < tol < 1.
+The environment variable SPECLAP_TOL overrides the eigensolver tolerance
+of `draw` (the drawing and its reported eigenvalues) and of `balance`;
+`cluster` does not read it. It must be a number with 0 < tol < 1.
 """
 
 import argparse
@@ -118,16 +119,13 @@ def cmd_draw(args):
     g = parse_graph(args.graph)
     n = args.dim
     if args.signed:
-        dm = signed_drawing(g, n, bipartite=args.bipartite)
-        kind = "signed_unnormalized"
+        dm = signed_drawing(g, n, bipartite=args.bipartite, tol=_tol())
     else:
-        dm = spectral_drawing(g, n)
-        kind = "unnormalized"
-    vals, _ = eigen.smallest_k(laplacian(g, kind).M, min(n + 1, g.m), tol=_tol())
+        dm = spectral_drawing(g, n, tol=_tol())
     report = {
         "dim": n,
         "energy": energy(g, dm, signed=args.signed),
-        "eigenvalues": [float(v) for v in vals],
+        "eigenvalues": [float(v) for v in dm.eigenvalues],
     }
     if args.svg:
         report["svg"] = emit_svg(dm, g, args.svg)

@@ -25,6 +25,7 @@ _RADIUS = 8.0
 class DrawingMatrix:
     R: np.ndarray  # row i = coordinates of node i
     n: int
+    eigenvalues: np.ndarray | None = None  # min(n + 1, m) smallest, from the solve R came from
 
 
 def energy(g, R, signed=False):
@@ -37,45 +38,38 @@ def energy(g, R, signed=False):
     return float(np.trace(R.T @ L @ R))
 
 
-def spectral_drawing(g, n):
+def _drawing(g, kind, n, first, tol):
+    """Eigenvectors u_{first+1}..u_{first+n} of the Laplacian from one solve
+    for the min(n + 1, m) smallest eigenpairs."""
+    if n < 1:
+        raise ValueError(f"drawing dimension must be at least 1, got {n}")
+    if n + first > g.m:
+        raise DimensionTooLarge(f"dimension {n} too large for {g.m} nodes")
+    vals, vecs = eigen.smallest_k(laplacian(g, kind).M, min(n + 1, g.m), tol=tol)
+    return DrawingMatrix(R=vecs[:, first : first + n].copy(), n=n, eigenvalues=vals)
+
+
+def spectral_drawing(g, n, tol=eigen.DEFAULT_TOL):
     """Orthogonal balanced drawing from eigenvectors u_2..u_{n+1} of L."""
     _, c = connected_components(g)
     if c != 1:
         raise NotConnected(f"graph has {c} components")
-    if n + 1 > g.m:
-        raise DimensionTooLarge(f"dimension {n} too large for {g.m} nodes")
-    L = laplacian(g, "unnormalized").M
-    _, vecs = eigen.smallest_k(L, n + 1)
-    return DrawingMatrix(R=vecs[:, 1 : n + 1].copy(), n=n)
+    return _drawing(g, "unnormalized", n, 1, tol)
 
 
-def signed_drawing(g, n, bipartite=False):
+def signed_drawing(g, n, bipartite=False, tol=eigen.DEFAULT_TOL):
     """Drawing of a signed graph from the eigenvectors of Lbar.
 
     Unbalanced graph: u_1..u_n. Balanced graph: u_2..u_{n+1} (nonbipartite
     request), or u_1, u_2 when a 2-d bipartite drawing is asked for.
     """
-    _, c = connected_components(g)
-    if c != 1:
-        raise NotConnected(f"graph has {c} components")
+    report = is_balanced(g)
     if not g.has_negative_edges:
         raise NoNegativeEdges("use spectral_drawing for all-positive graphs")
-    L = laplacian(g, "signed_unnormalized").M
-    report = is_balanced(g)
-    if not report.balanced:
-        if n > g.m:
-            raise DimensionTooLarge(f"dimension {n} too large for {g.m} nodes")
-        _, vecs = eigen.smallest_k(L, n)
-        return DrawingMatrix(R=vecs.copy(), n=n)
-    if bipartite:
-        if n != 2:
-            raise ValueError("the bipartite drawing is only defined for n = 2")
-        _, vecs = eigen.smallest_k(L, 2)
-        return DrawingMatrix(R=vecs.copy(), n=2)
-    if n + 1 > g.m:
-        raise DimensionTooLarge(f"dimension {n} too large for {g.m} nodes")
-    _, vecs = eigen.smallest_k(L, n + 1)
-    return DrawingMatrix(R=vecs[:, 1 : n + 1].copy(), n=n)
+    if report.balanced and bipartite and n != 2:
+        raise ValueError("the bipartite drawing is only defined for n = 2")
+    first = 1 if report.balanced and not bipartite else 0
+    return _drawing(g, "signed_unnormalized", n, first, tol)
 
 
 def _map_to_viewbox(R):

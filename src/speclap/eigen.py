@@ -116,6 +116,24 @@ def sym_eigen(S, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     return SymmetricEigen(values=values, vectors=vectors)
 
 
+def _jacobi_svd_sorted(M, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
+    """One-sided Jacobi on the columns of M: (A, S, V, rank) with M V = A,
+    V orthogonal and the columns of A orthogonal with norms S, sorted by
+    descending S. Columns past the rank count as zero: S is 0 there."""
+    A = np.array(M, dtype=float)
+    V = np.eye(A.shape[1])
+    sweeps = jacobi_svd(A, V, tol, max_sweeps)
+    if sweeps < 0:
+        raise NoConvergence(f"Jacobi SVD did not converge in {max_sweeps} sweeps")
+    norms = np.sqrt((A * A).sum(axis=0))
+    order = np.argsort(-norms, kind="stable")
+    norms = norms[order]
+    scale = norms[0] if norms.size and norms[0] > 0 else 1.0
+    rank = int(np.count_nonzero(norms > 1e-14 * scale))
+    norms[rank:] = 0.0
+    return A[:, order], norms, V[:, order], rank
+
+
 def svd(M, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     """Full SVD by one-sided Jacobi: U is m x m, V is n x n, singular values
     descending. The sign rule of sym_eigen (_column_signs) orients every
@@ -124,23 +142,9 @@ def svd(M, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-d array")
-    m, n = M.shape
-    transposed = m < n
-    A = (M.T if transposed else M).copy()
-    rows, cols = A.shape
-    V = np.eye(cols)
-    sweeps = jacobi_svd(A, V, tol, max_sweeps)
-    if sweeps < 0:
-        raise NoConvergence(f"Jacobi SVD did not converge in {max_sweeps} sweeps")
-    norms = np.sqrt((A * A).sum(axis=0))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    A = A[:, order]
-    V = V[:, order]
-    scale = norms[0] if norms.size and norms[0] > 0 else 1.0
-    rank = int(np.count_nonzero(norms > 1e-14 * scale))
-    norms[rank:] = 0.0
-    U = _extend_basis(A[:, :rank] / norms[:rank], np.eye(rows))
+    transposed = M.shape[0] < M.shape[1]
+    A, norms, V, rank = _jacobi_svd_sorted(M.T if transposed else M, tol, max_sweeps)
+    U = _extend_basis(A[:, :rank] / norms[:rank], np.eye(A.shape[0]))
     # a sign flip of a U column must hit the paired V column too or
     # U diag(S) V^T changes; the null-space columns of V are free
     signs = _column_signs(U)

@@ -142,22 +142,37 @@ def cut(g, A):
     return float(np.abs(g.W[np.ix_(idx, comp)]).sum())
 
 
+def _walk(g):
+    """Breadth-first walk over the edges, one frontier step per level.
+
+    Returns the component labels in first-visit order (1..c), the count c
+    and signs s: +1 at each component's lowest node, then s_j = sgn(w_ij) s_i
+    from the lowest-index frontier node i next to j. On a balanced component
+    every spanning tree gives the same s, so s is its bipartition.
+    """
+    adj = g.W != 0
+    labels = np.zeros(g.m, dtype=int)
+    s = np.zeros(g.m, dtype=int)
+    c = 0
+    while not labels.all():
+        start = int(np.argmin(labels))
+        c += 1
+        labels[start] = c
+        s[start] = 1
+        front = np.array([start])
+        while front.size:
+            reach = adj[front]
+            new = np.flatnonzero(reach.any(axis=0) & (labels == 0))
+            parent = front[np.argmax(reach[:, new], axis=0)]
+            labels[new] = c
+            s[new] = np.where(g.W[parent, new] > 0, s[parent], -s[parent])
+            front = new
+    return labels, c, s
+
+
 def connected_components(g):
     """Component labels in first-visit order (1..c) and the count c."""
-    labels = np.zeros(g.m, dtype=int)
-    c = 0
-    for start in range(g.m):
-        if labels[start]:
-            continue
-        c += 1
-        stack = [start]
-        labels[start] = c
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(g.W[i])[0]:
-                if not labels[j]:
-                    labels[j] = c
-                    stack.append(int(j))
+    labels, c, _ = _walk(g)
     return labels, c
 
 

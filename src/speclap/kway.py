@@ -213,15 +213,10 @@ def rescale_variant(Z, method="row_normalize"):
 
 
 def _pinv(M, tol=1e-10):
-    res = eigen.svd(M)
-    m, n = M.shape
-    r = min(m, n)
-    cutoff = tol * (res.S[0] if res.S.size else 0.0)
-    Sinv = np.zeros((n, m))
-    for i in range(r):
-        if res.S[i] > cutoff:
-            Sinv[i, i] = 1.0 / res.S[i]
-    return res.V @ Sinv @ res.U.T
+    A, S, V, _ = eigen._jacobi_svd_sorted(M)
+    keep = S > tol * S[0]
+    # M = U S V^T with U = A / S, so pinv(M) = V S^-1 U^T
+    return (V[:, keep] / S[keep]) @ (A[:, keep] / S[keep]).T
 
 
 def flip_columns(ZR):
@@ -357,6 +352,8 @@ def cluster(g, K, mode="ncut", rescale="row_normalize", max_iters=100,
             r2_first_row=0):
     """Full pipeline: relaxation, candidate initialization, and the rounding/
     refit alternation. Returns the discrete partition with diagnostics."""
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     sol = solve_relaxed(g, K, mode)
     Z1 = sol.Z
     relax_value = rayleigh_sum(g, Z1, mode)

@@ -1,13 +1,12 @@
 """Laplacian construction, quadratic forms, and balance of signed graphs."""
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import eigen
 from .errors import IsolatedVertex, NotConnected
-from .graph import Graph, connected_components, degree_vector
+from .graph import Graph, _walk, degree_vector
 
 KINDS = ("unnormalized", "sym", "rw", "signed_unnormalized", "signed_sym")
 
@@ -81,18 +80,9 @@ def is_balanced(g):
     the graph is balanced iff every remaining edge agrees. All-positive
     graphs come out balanced with everyone on the +1 side.
     """
-    _, c = connected_components(g)
+    _, c, s = _walk(g)
     if c != 1:
         raise NotConnected(f"graph has {c} components")
-    s = np.zeros(g.m, dtype=int)
-    s[0] = 1
-    q = deque([0])
-    while q:
-        i = q.popleft()
-        for j in np.nonzero(g.W[i])[0]:
-            if s[j] == 0:
-                s[j] = s[i] * (1 if g.W[i, j] > 0 else -1)
-                q.append(int(j))
     if _first_broken_edge(g, s) is not None:
         return BalanceReport(balanced=False, bipartition=None)
     return BalanceReport(balanced=True, bipartition=s)

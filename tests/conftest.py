@@ -1,5 +1,7 @@
 """Shared fixtures: reference matrices and random graph generators."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,58 @@ def scalar_jacobi_svd(A, V, tol, max_sweeps):
         if not rotated:
             return sweep
     return -1
+
+
+def random_sparse(rng, n, p, signs="positive"):
+    """Random graph with edge probability p, so it may be disconnected and
+    have isolated nodes. signs: 'positive', 'balanced' (a positive graph
+    conjugated by random +/-1 node signs) or 'mixed' (each edge negative
+    with probability 0.4)."""
+    W = np.triu(rng.uniform(0.2, 2.0, (n, n)) * (rng.random((n, n)) < p), 1)
+    W = W + W.T
+    if signs == "balanced":
+        x = rng.choice([-1.0, 1.0], size=n)
+        W *= np.outer(x, x)
+    elif signs == "mixed":
+        flip = np.triu(rng.random((n, n)) < 0.4, 1)
+        W *= np.where(flip | flip.T, -1.0, 1.0)
+    return Graph(W)
+
+
+def reference_components(g):
+    """Reference walk: depth-first with a stack, one node at a time.
+    Component labels in first-visit order (1..c) and the count c."""
+    labels = np.zeros(g.m, dtype=int)
+    c = 0
+    for start in range(g.m):
+        if labels[start]:
+            continue
+        c += 1
+        stack = [start]
+        labels[start] = c
+        while stack:
+            i = stack.pop()
+            for j in np.nonzero(g.W[i])[0]:
+                if not labels[j]:
+                    labels[j] = c
+                    stack.append(int(j))
+    return labels, c
+
+
+def reference_balance(g):
+    """Reference balance test for a connected graph: breadth-first sign
+    propagation from node 1 with a deque, then every edge checked one at a
+    time. Returns the bipartition, or None when the graph is unbalanced."""
+    s = np.zeros(g.m, dtype=int)
+    s[0] = 1
+    q = deque([0])
+    while q:
+        i = q.popleft()
+        for j in np.nonzero(g.W[i])[0]:
+            if s[j] == 0:
+                s[j] = s[i] * (1 if g.W[i, j] > 0 else -1)
+                q.append(int(j))
+    for i, j in zip(*np.nonzero(g.W)):
+        if s[i] * s[j] != np.sign(g.W[i, j]):
+            return None
+    return s

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, subcommands, exit codes, JSON reports."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,16 @@ import speclap as sp
 from speclap import cli
 from speclap.errors import DuplicateEdge, IndexOutOfRange, NonFiniteWeight, ParseError
 
-from conftest import G1_BIPARTITION, W1_EDGES, W4, g1_signed, g2_signed, random_connected
+from conftest import (
+    G1_BIPARTITION,
+    W1_EDGES,
+    W4,
+    g1_signed,
+    g2_signed,
+    random_connected,
+    ring,
+    w1_graph,
+)
 
 
 def write_graph(tmp_path, name, text):
@@ -35,6 +45,31 @@ def run(capsys, argv):
     code = cli.main(argv)
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Count full eigensolves (with the tol each receives) and graph walks
+    made through every binding of eigen.sym_eigen and graph._walk."""
+    seen = {"tols": [], "walks": 0}
+    sym_eigen = sp.eigen.sym_eigen
+    walk = sys.modules["speclap.graph"]._walk
+
+    def counting_eigen(S, *args, **kwargs):
+        seen["tols"].append(kwargs.get("tol"))
+        return sym_eigen(S, *args, **kwargs)
+
+    def counting_walk(g):
+        seen["walks"] += 1
+        return walk(g)
+
+    monkeypatch.setattr(sp.eigen, "sym_eigen", counting_eigen)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("speclap."):
+            for attr, value in list(vars(mod).items()):
+                if value is walk:
+                    monkeypatch.setattr(mod, attr, counting_walk)
+    return seen
 
 
 class TestParseGraph:
@@ -127,6 +162,15 @@ class TestDraw:
         assert (tmp_path / "ring.svg").read_text().count("<circle") == 8
         assert (tmp_path / "ring.csv").read_text().startswith("node,x1,x2")
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    @pytest.mark.parametrize("g, flags", [
+        (ring(8), []), (g1_signed(), ["--signed"]), (g2_signed(), ["--signed"])])
+    def test_non_positive_dim_exit_2(self, tmp_path, capsys, dim, g, flags):
+        code, out, err = run(capsys, ["draw", graph_file(tmp_path, "g.txt", g), "--dim", dim, *flags])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_signed_drawing(self, tmp_path, capsys):
         path = graph_file(tmp_path, "g2.txt", g2_signed())
         code, out, _ = run(capsys, ["draw", path, "--signed"])
@@ -189,6 +233,16 @@ class TestCluster:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "NoConvergence"
+
+    @pytest.mark.parametrize("max_iters", ["0", "-3"])
+    def test_non_positive_max_iters_exit_2(self, tmp_path, capsys, max_iters):
+        path = write_graph(tmp_path, "w1.txt", w1_text())
+        code, out, err = run(capsys, ["cluster", path, "--k", "2", "--max-iters", max_iters])
+        assert code == 2
+        assert out == ""
+        report = json.loads(err)
+        assert report["error"] == "ValueError"
+        assert "max_iters" in report["message"]
 
     def test_two_way_solves_the_relaxation_once(self, tmp_path, capsys, monkeypatch):
         path = write_graph(tmp_path, "w1.txt", w1_text())
@@ -262,6 +316,33 @@ class TestBalance:
         assert report["smallest_signed_laplacian_eigenvalue"] == pytest.approx(
             0.5175, abs=5e-4)
 
+    @staticmethod
+    def planted(seed, n, frustrated):
+        """A positive graph conjugated by random node signs (balanced); with
+        frustrated=True one edge of the triangle 1-2-3 flips sign."""
+        rng = np.random.default_rng(seed)
+        W = random_connected(rng, n).W.copy()
+        W[[0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]] = 1.0
+        x = rng.choice([-1.0, 1.0], size=n)
+        W *= np.outer(x, x)
+        if frustrated:
+            W[0, 1] = W[1, 0] = -W[0, 1]
+        return sp.Graph(W)
+
+    def test_balanced_iff_smallest_eigenvalue_zero(self, tmp_path, capsys):
+        cases = [(g1_signed(), True), (g2_signed(), False), (w1_graph(), True),
+                 (sp.Graph(np.abs(g1_signed().W)), True)]
+        cases += [(self.planted(seed, n, frustrated), not frustrated)
+                  for seed, n in ((1, 12), (2, 12), (3, 48), (4, 48))
+                  for frustrated in (False, True)]
+        for g, balanced in cases:
+            code, out, _ = run(capsys, ["balance", graph_file(tmp_path, "g.txt", g)])
+            assert code == 0
+            report = json.loads(out)
+            norm = np.linalg.norm(sp.laplacian(g, "signed_unnormalized").M)
+            zero = abs(report["smallest_signed_laplacian_eigenvalue"]) <= 1e-9 * norm
+            assert report["balanced"] == zero == balanced
+
     def test_positive_triangle(self, tmp_path, capsys):
         path = write_graph(tmp_path, "tri.txt", "3\n1 2 1\n2 3 1\n1 3 1\n")
         code, out, _ = run(capsys, ["balance", path])
@@ -273,6 +354,37 @@ class TestBalance:
         code, _, err = run(capsys, ["balance", path])
         assert code == 2
         json.loads(err)
+
+
+class TestOneSolveOneWalk:
+    @pytest.mark.filterwarnings("ignore:3-d drawing")
+    @pytest.mark.parametrize("name, flags", [
+        ("ring", []),
+        ("g1", ["--signed"]),
+        ("g2", ["--signed"]),
+        ("g1", ["--signed", "--bipartite"]),
+        ("ring", ["--dim", "3", "--svg", "SVG", "--csv", "CSV"]),
+        ("g2", ["--signed", "--dim", "3", "--svg", "SVG", "--csv", "CSV"]),
+    ])
+    def test_draw(self, tmp_path, capsys, counts, name, flags):
+        g = {"ring": ring(12), "g1": g1_signed(), "g2": g2_signed()}[name]
+        path = graph_file(tmp_path, f"{name}.txt", g)
+        flags = [str(tmp_path / f"out.{f.lower()}") if f in ("SVG", "CSV") else f for f in flags]
+        code, out, _ = run(capsys, ["draw", path, *flags])
+        assert code == 0
+        assert len(counts["tols"]) == 1
+        assert counts["walks"] == 1
+        vals = np.linalg.eigvalsh(sp.laplacian(g, "signed_unnormalized" if "--signed" in flags
+                                               else "unnormalized").M)
+        reported = json.loads(out)["eigenvalues"]
+        assert np.allclose(reported, vals[: len(reported)], atol=1e-9)
+
+    @pytest.mark.parametrize("g", [g1_signed(), g2_signed(), ring(12)], ids=["g1", "g2", "ring"])
+    def test_balance(self, tmp_path, capsys, counts, g):
+        code, _, _ = run(capsys, ["balance", graph_file(tmp_path, "g.txt", g)])
+        assert code == 0
+        assert len(counts["tols"]) == 1
+        assert counts["walks"] == 1
 
 
 class TestExitCodes:
@@ -300,13 +412,14 @@ class TestExitCodes:
 
 
 class TestTolEnv:
-    def test_tol_override_used(self, tmp_path, capsys, monkeypatch):
+    def test_tol_override_used(self, tmp_path, capsys, monkeypatch, counts):
         path = write_graph(tmp_path, "ring.txt", ring_text(10))
         monkeypatch.setenv("SPECLAP_TOL", "1e-10")
         code, out, _ = run(capsys, ["draw", path])
         assert code == 0
         assert json.loads(out)["energy"] == pytest.approx(
             2 * (2 - 2 * np.cos(2 * np.pi / 10)), abs=1e-6)
+        assert counts["tols"] == [1e-10]
 
     def test_bad_tol_is_error(self, tmp_path, capsys, monkeypatch):
         path = write_graph(tmp_path, "ring.txt", ring_text(6))

@@ -101,6 +101,19 @@ class TestSpectralDrawing:
         with pytest.raises(DimensionTooLarge):
             sp.spectral_drawing(path(3), 3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_dimension_rejected(self, n):
+        with pytest.raises(ValueError, match=f"dimension.*{n}"):
+            sp.spectral_drawing(path(3), n)
+
+    def test_eigenvalues_of_its_own_solve(self):
+        g = ring(12)
+        vals = sp.sym_eigen(sp.laplacian(g).M).values
+        for n in (1, 2, 11):
+            dm = sp.spectral_drawing(g, n)
+            assert np.array_equal(dm.eigenvalues, vals[: min(n + 1, 12)])
+            assert sp.energy(g, dm) == pytest.approx(vals[1 : n + 1].sum(), abs=1e-9)
+
     def test_optimality_over_random_balanced_drawings(self, rng):
         for _ in range(20):
             n = int(rng.integers(4, 9))
@@ -145,6 +158,23 @@ class TestSignedDrawing:
     def test_positive_graph_rejected(self, rng):
         with pytest.raises(NoNegativeEdges):
             sp.signed_drawing(random_connected(rng, 5), 2)
+
+    def test_disconnected_positive_graph_is_not_connected(self):
+        with pytest.raises(NotConnected):
+            sp.signed_drawing(sp.Graph(np.zeros((3, 3))), 2)
+
+    @pytest.mark.parametrize("g", [g1_signed(), g2_signed()], ids=["balanced", "unbalanced"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_dimension_rejected(self, g, n):
+        with pytest.raises(ValueError, match=f"dimension.*{n}"):
+            sp.signed_drawing(g, n)
+
+    @pytest.mark.parametrize("g, n, bipartite", [
+        (g1_signed(), 2, False), (g1_signed(), 2, True), (g2_signed(), 3, False), (g2_signed(), 9, False)])
+    def test_eigenvalues_of_its_own_solve(self, g, n, bipartite):
+        vals = sp.sym_eigen(sp.laplacian(g, "signed_unnormalized").M).values
+        dm = sp.signed_drawing(g, n, bipartite=bipartite)
+        assert np.array_equal(dm.eigenvalues, vals[: min(n + 1, 9)])
 
     def test_orthogonality(self):
         dm = sp.signed_drawing(negative_cycle(7), 2)

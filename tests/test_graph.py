@@ -7,7 +7,18 @@ from hypothesis import given, settings, strategies as st
 import speclap as sp
 from speclap.errors import NonFiniteWeight, SpeclapError
 
-from conftest import A5, B4, L5, W4, complete, random_connected, ring, w1_graph
+from conftest import (
+    A5,
+    B4,
+    L5,
+    W4,
+    complete,
+    random_connected,
+    random_sparse,
+    reference_components,
+    ring,
+    w1_graph,
+)
 
 
 def g4():
@@ -155,6 +166,21 @@ class TestConnectivity:
         labels, c = sp.connected_components(sp.Graph(W))
         assert c == 2
         assert np.array_equal(labels, [1, 1, 2, 2])
+
+    def test_matches_reference_walk(self, rng):
+        # sparse draws give disconnected graphs and isolated nodes
+        split = isolated = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 30))
+            p = float(rng.choice([0.03, 0.1, 0.3]))
+            g = random_sparse(rng, n, p, str(rng.choice(["positive", "balanced", "mixed"])))
+            labels, c = sp.connected_components(g)
+            ref_labels, ref_c = reference_components(g)
+            assert c == ref_c
+            assert np.array_equal(labels, ref_labels)
+            split += c > 1
+            isolated += bool(np.any(sp.degree_vector(g, signed=True) == 0))
+        assert split > 0 and isolated > 0
 
 
 class TestOrientationIncidence:

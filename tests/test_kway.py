@@ -301,6 +301,20 @@ class TestRescaleVariants:
         Z2, _ = sp.rescale_variant(Z, "row_norm_ls")
         assert np.allclose(np.linalg.norm(Z2, axis=1), 1.0, atol=1e-8)
 
+    @pytest.mark.parametrize("shape", [(12, 3), (48, 3), (120, 4)])
+    def test_pinv_matches_numpy(self, rng, shape):
+        M = rng.standard_normal(shape) ** 2
+        ref = np.linalg.pinv(M, rcond=1e-10)
+        assert np.allclose(kway._pinv(M), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12])
+    def test_pinv_rank_deficient(self, rng, offset):
+        # a repeated column, exactly or within the 1e-10 cutoff
+        M = rng.standard_normal((30, 4)) ** 2
+        M[:, 3] = M[:, 1] + offset * rng.standard_normal(30)
+        ref = np.linalg.pinv(M, rcond=1e-10)
+        assert np.allclose(kway._pinv(M), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
 
 class TestFlipColumns:
     def test_nonnegative_unchanged(self):
@@ -484,6 +498,15 @@ class TestRotationInvarianceSuite:
 
 
 class TestCluster:
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_non_positive_max_iters_rejected_before_solving(self, monkeypatch, max_iters):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("cluster solved before checking max_iters")
+
+        monkeypatch.setattr(sp.eigen, "sym_eigen", no_solve)
+        with pytest.raises(ValueError, match="max_iters"):
+            sp.cluster(w1_graph(), 2, max_iters=max_iters)
+
     def test_nine_node_four_way_partition(self):
         res = sp.cluster(w1_graph(), 4, mode="ncut")
         assert {frozenset(b.members) for b in res.partition} == GOLD_4WAY

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import speclap as sp
-from speclap.errors import IsolatedVertex, SpeclapError
+from speclap.errors import IsolatedVertex, NotConnected, SpeclapError
 
 from conftest import (
     A5,
@@ -16,6 +16,9 @@ from conftest import (
     g1_signed,
     g2_signed,
     random_connected,
+    random_sparse,
+    reference_balance,
+    reference_components,
     w1_graph,
 )
 
@@ -158,6 +161,27 @@ class TestBalance:
                 for j in range(7):
                     if W[i, j] != 0:
                         assert np.sign(W[i, j]) == s[i] * s[j]
+
+    def test_matches_reference_bfs(self, rng):
+        seen = {"disconnected": 0, "balanced": 0, "unbalanced": 0}
+        for _ in range(80):
+            n = int(rng.integers(2, 20))
+            p = float(rng.choice([0.1, 0.3, 0.6]))
+            g = random_sparse(rng, n, p, str(rng.choice(["positive", "balanced", "mixed"])))
+            if reference_components(g)[1] != 1:
+                with pytest.raises(NotConnected):
+                    sp.is_balanced(g)
+                seen["disconnected"] += 1
+                continue
+            report = sp.is_balanced(g)
+            ref = reference_balance(g)
+            assert report.balanced == (ref is not None)
+            if ref is None:
+                assert report.bipartition is None
+            else:
+                assert np.array_equal(report.bipartition, ref)
+            seen["balanced" if report.balanced else "unbalanced"] += 1
+        assert min(seen.values()) > 0
 
     def test_rank_criterion_cross_check(self, rng):
         # balanced connected signed graph <=> incidence rank m - 1
