@@ -56,7 +56,7 @@ def _tol():
         tol = float(raw)
     except ValueError:
         raise ValueError(f"SPECLAP_TOL={raw!r} is not a number") from None
-    if not 0.0 < tol < 1.0:  # also rejects nan
+    if not eigen._valid_tol(tol):
         raise ValueError(f"SPECLAP_TOL={raw!r} must be a finite number with 0 < tol < 1")
     return tol
 

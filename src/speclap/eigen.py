@@ -31,6 +31,17 @@ class SVDResult:
     V: np.ndarray  # n x n orthogonal
 
 
+def _valid_tol(tol):
+    return 0.0 < tol < 1.0  # a finite tolerance in (0, 1); false for nan
+
+
+def _check_solver_args(tol, max_sweeps):
+    if not _valid_tol(tol):
+        raise ValueError(f"tol must be a finite number with 0 < tol < 1, got {tol!r}")
+    if not max_sweeps >= 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
+
+
 def _column_signs(M):
     """+1 or -1 per column of M: the sign of its largest-magnitude entry.
 
@@ -90,6 +101,7 @@ def sym_eigen(S, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     one multiple eigenvalue: its eigenvectors are returned in a canonical
     basis (_canonical_basis), so they do not depend on the rotation order.
     """
+    _check_solver_args(tol, max_sweeps)
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise NotSymmetric("matrix is not square")
@@ -139,6 +151,7 @@ def svd(M, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     descending. The sign rule of sym_eigen (_column_signs) orients every
     column of the taller factor (U if m >= n, else V) and the null-space
     columns of the other; the rest are paired with the taller factor's."""
+    _check_solver_args(tol, max_sweeps)
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-d array")

@@ -16,7 +16,7 @@ from .errors import (
     ZeroVector,
     ZeroVolume,
 )
-from .graph import NodeSubset, connected_components, cut, degree_vector, links, volume
+from .graph import NodeSubset, connected_components, degree_vector
 from .laplacian import laplacian
 
 MODES = ("ncut", "rcut", "signed_ncut", "signed_rcut")
@@ -47,7 +47,7 @@ class IndicatorMatrix:
 class ContinuousSolution:
     Z: np.ndarray
     mode: str
-    frobenius_norm: float
+    eigenvalues: np.ndarray  # the K smallest of the mode's Laplacian, ascending
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,34 @@ class KWayResult:
     constraints_deformed: bool  # True when the init rescale left (*_1)
 
 
-def _partition_blocks(g, partition):
+def _mode_kind(g, mode):
+    """Read a cut mode as (signed, normalized): signed modes use |W| degrees
+    and the signed Laplacian, normalized cuts divide by volume, ratio cuts
+    by block size. The unsigned modes refuse negative weights."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    signed = mode.startswith("signed")
+    if not signed and g.has_negative_edges:
+        raise NegativeWeightInUnsignedMode(
+            f"mode {mode!r} needs nonnegative weights: use signed_{mode} for signed graphs"
+        )
+    return signed, mode.endswith("ncut")
+
+
+def _quadratic_forms(g, X, mode):
+    """Per-column x^T L x and x^T D x of X: L is the mode's unnormalized
+    Laplacian, D its degrees for normalized cuts and I for ratio cuts."""
+    signed, normalized = _mode_kind(g, mode)
+    lap = laplacian(g, "signed_unnormalized" if signed else "unnormalized")
+    XX = X * X
+    return (X * (lap.M @ X)).sum(axis=0), (lap.degree @ XX if normalized else XX.sum(axis=0))
+
+
+def objective(g, partition, mode="ncut"):
+    """Discrete clustering objective of a partition: the Rayleigh sum of its
+    0/1 indicator, sum_j cut'(A_j) / size(A_j) with cut' = cut + 2 * the
+    negative weight inside A_j in signed modes, and size the volume for
+    normalized cuts and the node count for ratio cuts."""
     blocks = [p if isinstance(p, NodeSubset) else NodeSubset(p, m=g.m) for p in partition]
     seen = set()
     for b in blocks:
@@ -84,63 +111,30 @@ def _partition_blocks(g, partition):
         seen |= b.members
     if seen != set(range(1, g.m + 1)):
         raise ValueError("blocks must cover all nodes")
-    return blocks
-
-
-def _mode_kind(mode):
-    """Read a cut mode as (signed, normalized): signed modes use |W| degrees
-    and the signed Laplacian, normalized cuts divide by volume, ratio cuts
-    by block size."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    return mode.startswith("signed"), mode.endswith("ncut")
-
-
-def objective(g, partition, mode="ncut"):
-    """Discrete clustering objective for the given partition."""
-    signed, normalized = _mode_kind(mode)
-    blocks = _partition_blocks(g, partition)
-    total = 0.0
-    for A in blocks:
-        num = cut(g, A)
-        if signed:
-            num += 2.0 * links(g, A, A, "negative_only")
-        if normalized:
-            denom = volume(g, A, signed=signed)
-            if denom <= 0:
-                raise ZeroVolume(f"block {sorted(A.members)} has zero volume")
-        else:
-            denom = float(len(A))
-        total += num / denom
-    return total
+    X = np.zeros((g.m, len(blocks)))
+    for j, b in enumerate(blocks):
+        X[[i - 1 for i in b.members], j] = 1.0
+    num, den = _quadratic_forms(g, X, mode)
+    empty = np.flatnonzero(den <= 0)
+    if empty.size:
+        raise ZeroVolume(f"block {sorted(blocks[empty[0]].members)} has zero volume")
+    return float((num / den).sum())
 
 
 def rayleigh_sum(g, X, mode="ncut"):
-    """Sum of per-column Rayleigh quotients of the indicator columns."""
+    """Sum over the columns x of X of x^T L x / x^T D x (D = I for ratio
+    cuts): on a partition's indicator, its objective; on the relaxed
+    solution, the sum of the K smallest eigenvalues."""
     Xm = X.X if isinstance(X, IndicatorMatrix) else np.asarray(X, dtype=float)
-    L, D = _mode_matrices(g, mode)
-    total = 0.0
-    for j in range(Xm.shape[1]):
-        col = Xm[:, j]
-        total += float(col @ (L @ col)) / float(col @ (D @ col))
-    return total
-
-
-def _mode_matrices(g, mode):
-    signed, normalized = _mode_kind(mode)
-    lap = laplacian(g, "signed_unnormalized" if signed else "unnormalized")
-    return lap.M, (np.diag(lap.degree) if normalized else np.eye(g.m))
+    num, den = _quadratic_forms(g, Xm, mode)
+    return float((num / den).sum())
 
 
 def solve_relaxed(g, K, mode="ncut"):
     """Continuous solution: K smallest eigenvectors of the mode's Laplacian,
     unnormalized by D^{-1/2} where applicable, rescaled to ||Z||_F = 100.
     This is the one place a cut mode is mapped to its eigenproblem."""
-    signed, normalized = _mode_kind(mode)
-    if not signed and g.has_negative_edges:
-        raise NegativeWeightInUnsignedMode(
-            f"mode {mode!r} needs nonnegative weights: use signed_{mode} for signed graphs"
-        )
+    signed, normalized = _mode_kind(g, mode)
     if not 2 <= K <= g.m:
         raise ValueError(f"K={K} out of range")
     prefix = "signed_" if signed else ""
@@ -150,12 +144,12 @@ def solve_relaxed(g, K, mode="ncut"):
             if c != 1:
                 raise NotConnected(f"graph has {c} components")
         lap = laplacian(g, prefix + "sym")
-        _, Y = eigen.smallest_k(lap.M, K)
+        values, Y = eigen.smallest_k(lap.M, K)
         Z = Y / np.sqrt(lap.degree)[:, None]
     else:
-        _, Z = eigen.smallest_k(laplacian(g, prefix + "unnormalized").M, K)
+        values, Z = eigen.smallest_k(laplacian(g, prefix + "unnormalized").M, K)
     Z = Z * (TARGET_FROBENIUS / np.linalg.norm(Z))
-    return ContinuousSolution(Z=Z, mode=mode, frobenius_norm=TARGET_FROBENIUS)
+    return ContinuousSolution(Z=Z, mode=mode, eigenvalues=values)
 
 
 def init_rotation_R1(Z):
@@ -293,7 +287,7 @@ def projective_distance(x, y):
 def first_column_rotation(g, X):
     """Orthogonal R whose first column is (sqrt(vol(A_j)/d))_j, so that the
     first column of X R is constant; completed by Gram-Schmidt over
-    (R^1, e_2, ..., e_K)."""
+    (R^1, e_2, ..., e_K, e_1), each column oriented by eigen's sign rule."""
     Xm = X.X if isinstance(X, IndicatorMatrix) else np.asarray(X, dtype=float)
     N, K = Xm.shape
     D = degree_vector(g)
@@ -314,21 +308,9 @@ def first_column_rotation(g, X):
         elif abs(form - c2) > 1e-8 * max(c2, 1.0):
             raise ValueError("columns must be D-normalized to a common value")
     r1 = np.sqrt(vols / d)
-    cols = [r1]
-    for k in range(1, K):
-        v = np.zeros(K)
-        v[k] = 1.0
-        for u in cols:
-            v -= (u @ v) * u
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            raise ValueError("Gram-Schmidt breakdown")
-        v = v / nrm
-        nz = np.nonzero(np.abs(v) > 1e-12)[0]
-        if nz.size and v[nz[0]] < 0:  # deterministic column orientation
-            v = -v
-        cols.append(v)
-    return TransformQ(R=np.column_stack(cols), Lambda=np.eye(K))
+    # the unit vectors satisfy sum e e^T = I, so the completion reaches K columns
+    R = eigen._extend_basis(r1[:, None], np.roll(np.eye(K), -1, axis=0))
+    return TransformQ(R=R * eigen._column_signs(R), Lambda=np.eye(K))
 
 
 def _as_z(Z):
@@ -354,9 +336,12 @@ def cluster(g, K, mode="ncut", rescale="row_normalize", max_iters=100,
     refit alternation. Returns the discrete partition with diagnostics."""
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if rescale not in RESCALE_METHODS:
+        raise ValueError(f"unknown rescale method {rescale!r}")
+    if not 0 <= r2_first_row < g.m:
+        raise ValueError(f"r2_first_row must be a row index in 0..{g.m - 1}, got {r2_first_row}")
     sol = solve_relaxed(g, K, mode)
     Z1 = sol.Z
-    relax_value = rayleigh_sum(g, Z1, mode)
     R1 = init_rotation_R1(Z1).R
     Z2 = Z1 @ R1
     Zinit1, deformed1 = rescale_variant(Z1, rescale)
@@ -384,8 +369,6 @@ def cluster(g, K, mode="ncut", rescale="row_normalize", max_iters=100,
     Q = TransformQ(R=Q0, Lambda=np.eye(K))
     prev_key = None
     prev_phi = np.inf
-    iterations = 0
-    X = None
     for it in range(1, max_iters + 1):
         X = podx(Z1, Q)
         key = _pattern_key(X)
@@ -395,7 +378,6 @@ def cluster(g, K, mode="ncut", rescale="row_normalize", max_iters=100,
             raise NoConvergence(
                 f"alternation round {it} raised phi = ||X - ZQ|| from {prev_phi!r} to {phi!r}"
             )
-        iterations = it
         if key == prev_key or prev_phi - phi < 1e-12:
             break
         prev_key = key
@@ -408,8 +390,8 @@ def cluster(g, K, mode="ncut", rescale="row_normalize", max_iters=100,
         X=X,
         Z=sol,
         Q=Q,
-        iterations=iterations,
-        residual=float(np.linalg.norm(X.X - Z1 @ Q.Q)),
-        relaxation_value=relax_value,
+        iterations=it,
+        residual=phi,
+        relaxation_value=float(sol.eigenvalues.sum()),
         constraints_deformed=deformed,
     )

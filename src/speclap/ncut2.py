@@ -6,9 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .errors import AllOneSide, DegenerateSubset
-from .graph import NodeSubset, cut, degree_vector, volume
-from .kway import solve_relaxed
+from .errors import AllOneSide, DegenerateSubset, ZeroVolume
+from .graph import NodeSubset, degree_vector
+from .kway import objective, solve_relaxed
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,15 @@ class TwoWayResult:
 
 
 def ncut2_value(g, A):
-    """cut(A) * (1/vol(A) + 1/vol(A-bar))."""
+    """cut(A) * (1/vol(A) + 1/vol(A-bar)): the ncut objective of (A, A-bar)."""
     A = A if isinstance(A, NodeSubset) else NodeSubset(A, m=g.m)
     comp = NodeSubset(set(range(1, g.m + 1)) - A.members, m=g.m)
     if len(A) == 0 or len(comp) == 0:
         raise DegenerateSubset("A must be a nonempty proper subset")
-    va = volume(g, A)
-    vb = volume(g, comp)
-    if va <= 0 or vb <= 0:
-        raise DegenerateSubset("both sides must have positive volume")
-    return cut(g, A) * (1.0 / va + 1.0 / vb)
+    try:
+        return objective(g, (A, comp), "ncut")
+    except ZeroVolume:
+        raise DegenerateSubset("both sides must have positive volume") from None
 
 
 def solve_relaxed_2way(g):

@@ -5,7 +5,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from speclap import Graph
+from speclap import Graph, NodeSubset, cut, links, volume
+from speclap.errors import ZeroVolume
 
 # 5-node example graph: adjacency and unnormalized Laplacian.
 A5 = np.array([
@@ -274,3 +275,23 @@ def reference_balance(g):
         if s[i] * s[j] != np.sign(g.W[i, j]):
             return None
     return s
+
+
+def reference_objective(g, partition, mode="ncut"):
+    """Reference cut objective of a well-formed partition, one block at a
+    time from cut, links and volume."""
+    signed, normalized = mode.startswith("signed"), mode.endswith("ncut")
+    blocks = [NodeSubset(p, m=g.m) for p in partition]
+    total = 0.0
+    for A in blocks:
+        num = cut(g, A)
+        if signed:
+            num += 2.0 * links(g, A, A, "negative_only")
+        if normalized:
+            denom = volume(g, A, signed=signed)
+            if denom <= 0:
+                raise ZeroVolume(f"block {sorted(A.members)} has zero volume")
+        else:
+            denom = float(len(A))
+        total += num / denom
+    return total

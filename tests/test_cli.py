@@ -439,3 +439,14 @@ class TestTolEnv:
             report = json.loads(err)
             assert report["error"] == "ValueError"
             assert "SPECLAP_TOL" in report["message"]
+
+    @pytest.mark.parametrize("raw, value", [("0.5", 0.5), ("1e-300", 1e-300), ("1", None),
+                                            ("0", None), ("nan", None), ("inf", None)])
+    def test_same_range_as_the_solver(self, monkeypatch, raw, value):
+        monkeypatch.setenv("SPECLAP_TOL", raw)
+        if value is None:
+            with pytest.raises(ValueError, match="SPECLAP_TOL"):
+                cli._tol()
+        else:
+            assert cli._tol() == value
+            sp.sym_eigen(np.eye(2), tol=cli._tol())

@@ -72,6 +72,39 @@ class TestSymEigen:
             assert V[np.argmax(np.abs(V[:, k])), k] > 0
 
 
+class TestSolverArguments:
+    """tol must be finite with 0 < tol < 1 and max_sweeps at least 1; both
+    are checked before any work, so a bad value never reaches the kernels."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernels(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a kernel ran before the arguments were checked")
+
+        monkeypatch.setattr(sp.eigen, "jacobi_eigen", no_work)
+        monkeypatch.setattr(sp.eigen, "jacobi_svd", no_work)
+
+    @pytest.mark.parametrize("tol", [2.0, 1.0, 0.0, -1e-12, float("nan"), float("inf")])
+    def test_bad_tol(self, tol):
+        S = sp.laplacian(ring(6), "sym").M
+        with pytest.raises(ValueError, match="tol"):
+            sp.sym_eigen(S, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            sp.smallest_k(S, 2, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            sp.svd(S[:, :4], tol=tol)
+        # checked before the shape, so a bad matrix does not hide it
+        with pytest.raises(ValueError, match="tol"):
+            sp.sym_eigen(np.zeros((2, 3)), tol=tol)
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_bad_max_sweeps(self, max_sweeps):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            sp.sym_eigen(np.eye(3), max_sweeps=max_sweeps)
+        with pytest.raises(ValueError, match="max_sweeps"):
+            sp.svd(np.eye(3), max_sweeps=max_sweeps)
+
+
 class TestSVD:
     def test_diagonal(self):
         res = sp.svd(np.diag([3.0, 2.0]))

@@ -1,5 +1,7 @@
 """K-way clustering: objectives, relaxation, initialization, alternation."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from speclap.errors import (
     NoConvergence,
     RankDeficient,
     ZeroVector,
+    ZeroVolume,
 )
 
 from conftest import (
@@ -21,6 +24,7 @@ from conftest import (
     g2_signed,
     path,
     random_connected,
+    reference_objective,
     ring,
     row_cyclic_jacobi,
     w1_graph,
@@ -170,6 +174,75 @@ class TestRayleighSum:
             part = [(np.nonzero(asg == j)[0] + 1).tolist() for j in range(3)]
             assert sp.rayleigh_sum(g, X, mode) == pytest.approx(
                 sp.objective(g, part, mode), abs=1e-9)
+
+
+def seeded_graph(rng, n, kind):
+    """Random connected graph: 'unsigned', 'balanced' (an unsigned graph
+    conjugated by random +/-1 node signs) or 'unbalanced' (mixed signs)."""
+    g = random_connected(rng, n, signed=kind == "unbalanced")
+    if kind == "balanced":
+        x = rng.choice([-1.0, 1.0], size=n)
+        g = sp.Graph(g.W * np.outer(x, x))
+    return g
+
+
+def random_partition(rng, n, K, singleton):
+    """Random partition of 1..n into K nonempty blocks as lists of nodes;
+    with singleton, the first block has exactly one node."""
+    asg = np.concatenate([np.arange(K), rng.integers(1 if singleton else 0, K, size=n - K)])
+    rng.shuffle(asg)
+    return [(np.flatnonzero(asg == j) + 1).tolist() for j in range(K)]
+
+
+class TestObjectiveOracle:
+    """objective, rayleigh_sum and ncut2_value against the per-block
+    cut/links/volume reference."""
+
+    @pytest.mark.parametrize("kind", ["unsigned", "balanced", "unbalanced"])
+    def test_matches_reference(self, kind):
+        rng = np.random.default_rng(101)
+        for K in range(2, 7):
+            for singleton in (False, True):
+                for _ in range(3):
+                    n = int(rng.integers(K + 1, 13))
+                    g = seeded_graph(rng, n, kind)
+                    part = random_partition(rng, n, K, singleton)
+                    modes = kway.MODES[2:] if g.has_negative_edges else kway.MODES
+                    for mode in modes:
+                        want = reference_objective(g, part, mode)
+                        assert sp.objective(g, part, mode) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_ncut2_value_matches_two_block_reference(self):
+        rng = np.random.default_rng(102)
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            g = random_connected(rng, n)
+            A, Abar = random_partition(rng, n, 2, bool(rng.integers(2)))
+            want = reference_objective(g, [A, Abar], "ncut")
+            assert sp.ncut2_value(g, A) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_empty_block(self):
+        with pytest.raises(EmptyBlock):
+            sp.objective(w1_graph(), [list(range(1, 10)), []], "signed_rcut")
+
+    @pytest.mark.parametrize("mode", ["ncut", "signed_ncut"])
+    def test_isolated_node_block_has_zero_volume(self, mode):
+        W = np.zeros((5, 5))
+        W[:4, :4] = path(4).W
+        g = sp.Graph(W)
+        with pytest.raises(ZeroVolume, match=r"block \[5\]"):
+            sp.objective(g, [[1, 2], [3, 4], [5]], mode)
+        # a ratio cut divides by the node count, so the block is fine there
+        assert sp.objective(g, [[1, 2], [3, 4], [5]], mode.replace("ncut", "rcut")) == 1.0
+
+    @pytest.mark.parametrize("mode", ["ncut", "rcut"])
+    def test_signed_graph_in_unsigned_mode(self, mode):
+        g = g1_signed()
+        part = [sorted(b) for b in G1_BIPARTITION]
+        with pytest.raises(NegativeWeightInUnsignedMode, match=f"signed_{mode}"):
+            sp.objective(g, part, mode)
+        with pytest.raises(NegativeWeightInUnsignedMode, match=f"signed_{mode}"):
+            sp.rayleigh_sum(g, np.ones((9, 2)), mode)
 
 
 class TestSolveRelaxed:
@@ -449,6 +522,29 @@ class TestFirstColumnRotation:
             sp.first_column_rotation(g, X)
 
 
+    def test_orthogonal_and_oriented_for_every_k(self):
+        rng = np.random.default_rng(103)
+        for K in range(2, 7):
+            g = random_connected(rng, 12)
+            X, _ = random_indicator(rng, g, K)
+            R = sp.first_column_rotation(g, X).R
+            assert np.allclose(R.T @ R, np.eye(K), atol=1e-12)
+            assert np.all(sp.eigen._column_signs(R) == 1.0)
+
+    def test_dominant_block_still_completes(self):
+        # block 2 holds 28/30 of the volume, so R^1 lies close to e_2 and the
+        # completion skips e_2 for e_1
+        g = complete(30)
+        X = np.zeros((30, 3))
+        for j, rows in enumerate(([0], range(1, 29), [29])):
+            X[list(rows), j] = 1.0 / np.sqrt(29.0 * len(rows))
+        R = sp.first_column_rotation(g, X).R
+        assert np.allclose(R[:, 0], np.sqrt([1 / 30, 28 / 30, 1 / 30]))
+        assert np.allclose(R.T @ R, np.eye(3), atol=1e-12)
+        XR = X @ R
+        assert np.allclose(XR[:, 0], XR[0, 0])
+
+
 class TestRotationInvarianceSuite:
     def test_transformed_indicator_keeps_constraints(self, rng):
         # conjugation by an orthogonal matrix preserves the quadratic
@@ -506,6 +602,58 @@ class TestCluster:
         monkeypatch.setattr(sp.eigen, "sym_eigen", no_solve)
         with pytest.raises(ValueError, match="max_iters"):
             sp.cluster(w1_graph(), 2, max_iters=max_iters)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"rescale": "bogus"}, "rescale"),
+        ({"r2_first_row": 9}, "r2_first_row"),
+        ({"r2_first_row": -1}, "r2_first_row"),
+    ])
+    def test_bad_arguments_rejected_before_solving(self, monkeypatch, kwargs, name):
+        def no_solve(*args, **kw):
+            raise AssertionError("cluster solved before checking its arguments")
+
+        monkeypatch.setattr(sp.eigen, "sym_eigen", no_solve)
+        with pytest.raises(ValueError, match=name):
+            sp.cluster(w1_graph(), 2, **kwargs)
+
+    def test_last_row_starts_r2(self):
+        res = sp.cluster(w1_graph(), 3, r2_first_row=8)
+        assert sorted(m for b in res.partition for m in b.members) == list(range(1, 10))
+
+    @pytest.mark.parametrize("mode", kway.MODES)
+    def test_reported_values_come_from_the_solve_and_last_round(self, mode):
+        signed = mode.startswith("signed")
+        rng = np.random.default_rng(104)
+        graphs = [g1_signed(), g2_signed()] if signed else [w1_graph()]
+        graphs += [random_connected(rng, 10, signed=signed) for _ in range(3)]
+        for g in graphs:
+            res = sp.cluster(g, 3, mode=mode)
+            assert res.relaxation_value == pytest.approx(
+                sp.rayleigh_sum(g, res.Z.Z, mode), rel=1e-12, abs=0)
+            kind = ("signed_" if signed else "") + ("sym" if mode.endswith("ncut") else "unnormalized")
+            want = np.linalg.eigvalsh(sp.laplacian(g, kind).M)[:3]
+            assert np.allclose(res.Z.eigenvalues, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            assert res.residual == float(np.linalg.norm(res.X.X - res.Z.Z @ res.Q.Q))
+
+    @pytest.mark.parametrize("mode", kway.MODES)
+    def test_two_laplacians_per_call(self, monkeypatch, mode):
+        """One Laplacian for the relaxation, one for the final objective,
+        counted through every binding of laplacian.laplacian."""
+        lap = sys.modules["speclap.laplacian"].laplacian
+        kinds = []
+
+        def counting(g, kind="unnormalized"):
+            kinds.append(kind)
+            return lap(g, kind)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "speclap" or name.startswith("speclap."):
+                for attr, value in list(vars(mod).items()):
+                    if value is lap:
+                        monkeypatch.setattr(mod, attr, counting)
+        g = g2_signed() if mode.startswith("signed") else w1_graph()
+        sp.cluster(g, 3, mode=mode)
+        assert len(kinds) == 2
 
     def test_nine_node_four_way_partition(self):
         res = sp.cluster(w1_graph(), 4, mode="ncut")

@@ -44,6 +44,16 @@ class TestNcutValue:
         with pytest.raises(DegenerateSubset):
             sp.ncut2_value(g, [1, 2, 3, 4])
 
+        # a side made of isolated nodes has zero volume
+        W = np.zeros((3, 3))
+        W[0, 1] = W[1, 0] = 1.0
+        with pytest.raises(DegenerateSubset, match="positive volume"):
+            sp.ncut2_value(sp.Graph(W), [3])
+
+    def test_signed_graph_rejected(self):
+        with pytest.raises(NegativeWeightInUnsignedMode):
+            sp.ncut2_value(g1_signed(), [1, 2, 4, 7, 8])
+
 
 class TestRelaxation:
     def test_single_edge_eigenvector(self):
