@@ -214,10 +214,12 @@ def _build_parser():
     return p
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:

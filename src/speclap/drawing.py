@@ -8,7 +8,7 @@ import numpy as np
 from . import eigen
 from .errors import DimensionTooLarge, NotConnected, NoNegativeEdges
 from .graph import connected_components, orient
-from .laplacian import is_balanced, laplacian
+from .laplacian import is_balanced, laplacian, quadratic_form
 
 # fixed stylesheet: the geometry is the contract, the style is not
 _SVG_STYLE = (
@@ -29,13 +29,10 @@ class DrawingMatrix:
 
 
 def energy(g, R, signed=False):
-    """Spring energy of a drawing, evaluated as tr(R^T L R) (signed: Lbar)."""
-    R = R.R if isinstance(R, DrawingMatrix) else np.asarray(R, dtype=float)
-    if R.shape[0] != g.m:
-        raise ValueError("drawing must have one row per node")
-    kind = "signed_unnormalized" if signed else "unnormalized"
-    L = laplacian(g, kind).M
-    return float(np.trace(R.T @ L @ R))
+    """Spring energy tr(R^T L R) (signed: Lbar) of a drawing: the sum of the
+    quadratic forms of its axes. A vector is a one-axis drawing."""
+    R = R.R if isinstance(R, DrawingMatrix) else R
+    return float(np.sum(quadratic_form(g, R, signed)))
 
 
 def _drawing(g, kind, n, first, tol):

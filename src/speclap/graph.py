@@ -117,18 +117,18 @@ def links(g, A, B, sign_filter="all"):
     sign_filter 'positive_only' keeps w_ij > 0 terms, 'negative_only' sums
     -w_ij over w_ij < 0 terms (a nonnegative quantity), 'all' sums w_ij.
     """
+    if sign_filter not in ("all", "positive_only", "negative_only"):
+        raise ValueError(f"unknown sign_filter {sign_filter!r}")
     A = _as_subset(g, A)
     B = _as_subset(g, B)
     if len(A) == 0 or len(B) == 0:
         return 0.0
     block = g.W[np.ix_(A.indices0(), B.indices0())]
-    if sign_filter == "all":
-        return float(block.sum())
     if sign_filter == "positive_only":
         return float(block[block > 0].sum())
     if sign_filter == "negative_only":
         return float(-block[block < 0].sum())
-    raise ValueError(f"unknown sign_filter {sign_filter!r}")
+    return float(block.sum())
 
 
 def cut(g, A):

@@ -17,7 +17,7 @@ from .errors import (
     ZeroVolume,
 )
 from .graph import NodeSubset, connected_components, degree_vector
-from .laplacian import laplacian
+from .laplacian import laplacian, quadratic_form
 
 MODES = ("ncut", "rcut", "signed_ncut", "signed_rcut")
 TIE = eigen.TIE_RTOL
@@ -28,7 +28,6 @@ RESCALE_METHODS = ("row_sum_ls", "row_norm_ls", "row_normalize")
 @dataclass(frozen=True)
 class IndicatorMatrix:
     X: np.ndarray  # N x K, one nonzero per row, no zero column
-    scales: np.ndarray  # per-column nonzero value
 
     @property
     def assignment(self):
@@ -91,9 +90,9 @@ def _quadratic_forms(g, X, mode):
     """Per-column x^T L x and x^T D x of X: L is the mode's unnormalized
     Laplacian, D its degrees for normalized cuts and I for ratio cuts."""
     signed, normalized = _mode_kind(g, mode)
-    lap = laplacian(g, "signed_unnormalized" if signed else "unnormalized")
     XX = X * X
-    return (X * (lap.M @ X)).sum(axis=0), (lap.degree @ XX if normalized else XX.sum(axis=0))
+    den = degree_vector(g, signed) @ XX if normalized else XX.sum(axis=0)
+    return quadratic_form(g, X, signed), den
 
 
 def objective(g, partition, mode="ncut"):
@@ -127,6 +126,9 @@ def rayleigh_sum(g, X, mode="ncut"):
     solution, the sum of the K smallest eigenvalues."""
     Xm = X.X if isinstance(X, IndicatorMatrix) else np.asarray(X, dtype=float)
     num, den = _quadratic_forms(g, Xm, mode)
+    zero = np.flatnonzero(den <= 0)
+    if zero.size:
+        raise ZeroVector(f"column {zero[0] + 1} of X has x^T D x <= 0")
     return float((num / den).sum())
 
 
@@ -247,7 +249,7 @@ def podx(Z, Q=None):
         counts[k_from] -= 1
         counts[k_to] += 1
     a = float(np.linalg.norm(Z) / np.sqrt(N))
-    return IndicatorMatrix(X=pattern * a, scales=np.full(K, a))
+    return IndicatorMatrix(X=pattern * a)
 
 
 def podr(X, Z):

@@ -45,17 +45,14 @@ def laplacian(g, kind="unnormalized"):
 
 
 def quadratic_form(g, x, signed=False):
-    """Edge-sum form of x^T L x (signed: x^T Lbar x), computed without
-    building the Laplacian."""
+    """x^T L x (signed: x^T Lbar x) as sum_i d_i x_i^2 - x^T W x, without
+    building the Laplacian: a float for a vector, one value per column for
+    an m x k matrix."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (g.m,):
-        raise ValueError("vector length must equal the node count")
-    W = g.W
-    if signed:
-        diff = x[:, None] - np.sign(W) * x[None, :]
-        return float(0.5 * (np.abs(W) * diff * diff).sum())
-    diff = x[:, None] - x[None, :]
-    return float(0.5 * (W * diff * diff).sum())
+    if x.ndim not in (1, 2) or x.shape[0] != g.m:
+        raise ValueError("x must be a vector or matrix with one row per node")
+    q = degree_vector(g, signed) @ (x * x) - (x * (g.W @ x)).sum(axis=0)
+    return float(q) if x.ndim == 1 else q
 
 
 def kernel_dimension(lap, tol=1e-9):

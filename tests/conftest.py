@@ -295,3 +295,17 @@ def reference_objective(g, partition, mode="ncut"):
             denom = float(len(A))
         total += num / denom
     return total
+
+
+def edge_sum_form(g, x, signed=False):
+    """Reference x^T L x (signed: x^T Lbar x) of a vector x as the edge sum
+    1/2 sum_ij |w_ij| (x_i - sgn(w_ij) x_j)^2."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (g.m,):
+        raise ValueError("vector length must equal the node count")
+    W = g.W
+    if signed:
+        diff = x[:, None] - np.sign(W) * x[None, :]
+        return float(0.5 * (np.abs(W) * diff * diff).sum())
+    diff = x[:, None] - x[None, :]
+    return float(0.5 * (W * diff * diff).sum())

@@ -49,11 +49,13 @@ def run(capsys, argv):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count full eigensolves (with the tol each receives) and graph walks
-    made through every binding of eigen.sym_eigen and graph._walk."""
-    seen = {"tols": [], "walks": 0}
+    """Count full eigensolves (with the tol each receives), graph walks and
+    Laplacian builds made through every binding of eigen.sym_eigen,
+    graph._walk and laplacian.laplacian."""
+    seen = {"tols": [], "walks": 0, "laplacians": 0}
     sym_eigen = sp.eigen.sym_eigen
     walk = sys.modules["speclap.graph"]._walk
+    lap = sys.modules["speclap.laplacian"].laplacian
 
     def counting_eigen(S, *args, **kwargs):
         seen["tols"].append(kwargs.get("tol"))
@@ -63,12 +65,17 @@ def counts(monkeypatch):
         seen["walks"] += 1
         return walk(g)
 
+    def counting_laplacian(g, *args, **kwargs):
+        seen["laplacians"] += 1
+        return lap(g, *args, **kwargs)
+
     monkeypatch.setattr(sp.eigen, "sym_eigen", counting_eigen)
     for name, mod in list(sys.modules.items()):
-        if name.startswith("speclap."):
+        if name == "speclap" or name.startswith("speclap."):
             for attr, value in list(vars(mod).items()):
-                if value is walk:
-                    monkeypatch.setattr(mod, attr, counting_walk)
+                for fn, wrapper in ((walk, counting_walk), (lap, counting_laplacian)):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
     return seen
 
 
@@ -374,6 +381,7 @@ class TestOneSolveOneWalk:
         assert code == 0
         assert len(counts["tols"]) == 1
         assert counts["walks"] == 1
+        assert counts["laplacians"] == 1
         vals = np.linalg.eigvalsh(sp.laplacian(g, "signed_unnormalized" if "--signed" in flags
                                                else "unnormalized").M)
         reported = json.loads(out)["eigenvalues"]
@@ -385,6 +393,17 @@ class TestOneSolveOneWalk:
         assert code == 0
         assert len(counts["tols"]) == 1
         assert counts["walks"] == 1
+        assert counts["laplacians"] == 1
+
+    @pytest.mark.parametrize("k, mode", [(3, "ncut"), (3, "rcut"), (3, "sncut"), (3, "srcut"),
+                                         (2, "ncut")])
+    def test_cluster(self, tmp_path, capsys, counts, k, mode):
+        g = g2_signed() if mode.startswith("s") else w1_graph()
+        code, out, _ = run(capsys, ["cluster", graph_file(tmp_path, "g.txt", g),
+                                    "--k", str(k), "--mode", mode])
+        assert code == 0
+        assert ("two_way" in json.loads(out)) == (k == 2 and mode == "ncut")
+        assert counts["laplacians"] == 1
 
 
 class TestExitCodes:

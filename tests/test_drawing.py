@@ -8,6 +8,7 @@ from speclap.errors import DimensionTooLarge, NotConnected, NoNegativeEdges
 
 from conftest import (
     G1_BIPARTITION,
+    edge_sum_form,
     g1_signed,
     g2_signed,
     random_connected,
@@ -50,8 +51,9 @@ class TestEnergy:
 
     def test_dimension_mismatch(self, rng):
         g = random_connected(rng, 5)
-        with pytest.raises(ValueError):
-            sp.energy(g, np.zeros((4, 2)))
+        for shape in [(4, 2), (5, 2, 1)]:
+            with pytest.raises(ValueError):
+                sp.energy(g, np.zeros(shape))
 
     def test_trace_equals_edge_sum(self, rng):
         for _ in range(100):
@@ -64,8 +66,17 @@ class TestEnergy:
             e = sp.energy(g, R, signed=signed)
             assert e == pytest.approx(float(np.trace(R.T @ L @ R)), rel=1e-10, abs=1e-10)
             # the edge-sum form, one drawing axis at a time
-            edge_sum = sum(sp.quadratic_form(g, R[:, j], signed=signed) for j in range(2))
+            edge_sum = sum(edge_sum_form(g, R[:, j], signed=signed) for j in range(2))
             assert abs(e - edge_sum) <= 1e-10 * max(abs(e), abs(edge_sum), 1.0)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_one_axis_drawing(self, signed):
+        rng = np.random.default_rng(105)
+        g = random_connected(rng, 8, signed=signed)
+        x = rng.standard_normal(8)
+        e = sp.energy(g, x, signed=signed)
+        assert e == sp.quadratic_form(g, x, signed=signed)
+        assert e == pytest.approx(sp.energy(g, x[:, None], signed=signed), rel=1e-12, abs=0)
 
     def test_rotation_invariance(self, rng):
         g = random_connected(rng, 7)

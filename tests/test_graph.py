@@ -117,6 +117,12 @@ class TestLinksCut:
         A = sp.NodeSubset([1, 2], m=2)
         assert sp.links(g, A, A, "negative_only") == 6  # both ordered pairs
 
+    @pytest.mark.parametrize("A, B", [([1], [2]), ([], [2]), ([1], []), ([], [])])
+    def test_links_unknown_filter_rejected(self, A, B):
+        g = g4()
+        with pytest.raises(ValueError, match="sign_filter"):
+            sp.links(g, sp.NodeSubset(A, m=4), sp.NodeSubset(B, m=4), "x")
+
     def test_cut_whole_graph(self):
         assert sp.cut(g4(), sp.NodeSubset([1, 2, 3, 4], m=4)) == 0
 

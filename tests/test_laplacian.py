@@ -13,6 +13,7 @@ from conftest import (
     L2BAR,
     L5,
     W4,
+    edge_sum_form,
     g1_signed,
     g2_signed,
     random_connected,
@@ -93,6 +94,29 @@ class TestQuadraticForm:
             expect = float(x @ M @ x)
             got = sp.quadratic_form(g, x, signed=signed)
             assert got == pytest.approx(expect, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_matrix_matches_columns_dense_and_edge_sum(self, signed):
+        rng = np.random.default_rng(106)
+        for _ in range(20):
+            n = int(rng.integers(2, 13))
+            k = int(rng.integers(1, 5))
+            g = random_connected(rng, n, signed=signed)
+            X = rng.standard_normal((n, k))
+            got = sp.quadratic_form(g, X, signed=signed)
+            assert got.shape == (k,)
+            scale = np.abs(X).max() ** 2 * np.abs(g.W).sum()
+            cols = [sp.quadratic_form(g, X[:, j], signed=signed) for j in range(k)]
+            assert np.allclose(got, cols, rtol=0, atol=1e-14 * scale)
+            L = sp.laplacian(g, "signed_unnormalized" if signed else "unnormalized").M
+            assert np.allclose(got, np.diag(X.T @ L @ X), rtol=0, atol=1e-13 * scale)
+            edge = [edge_sum_form(g, X[:, j], signed=signed) for j in range(k)]
+            assert np.allclose(got, edge, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2), (3, 4, 2), (4, 2, 1), ()])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="one row per node"):
+            sp.quadratic_form(sp.Graph(W4), np.zeros(shape))
 
     def test_signed_form_nonnegative(self, rng):
         for _ in range(10):
