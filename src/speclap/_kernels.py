@@ -1,11 +1,18 @@
-"""Hot numerical kernels: round-robin Jacobi eigensolver and one-sided Jacobi SVD.
+"""Hot numerical kernels: round-robin Jacobi, one-sided Jacobi SVD, and the
+tridiagonal path for a few eigenpairs.
 
-The eigensolver is cyclic Jacobi in the round-robin parallel ordering of
-Brent & Luk (1985): a sweep is a sequence of rounds, each holding up to n/2
-disjoint (p, q) pairs, and all rotations of a round are applied together as
-vectorised numpy row and column updates. The SVD is cyclic one-sided
+The full eigensolver is cyclic Jacobi in the round-robin parallel ordering
+of Brent & Luk (1985): a sweep is a sequence of rounds, each holding up to
+n/2 disjoint (p, q) pairs, and all rotations of a round are applied together
+as vectorised numpy row and column updates. The SVD is cyclic one-sided
 Jacobi: it rotates one column pair at a time, each rotation one numpy
-update of the pair's columns of A and V together. Nothing is compiled.
+update of the pair's columns of A and V together.
+
+The k smallest eigenpairs take four stages (Golub & Van Loan ch. 8, after
+LAPACK dsytrd, dstebz and dstein): Householder tridiagonalisation with the
+reflectors stored, Sturm-count multisection for the eigenvalues, inverse
+iteration on the tridiagonal matrix for the vectors, all shifts at once, and
+back-transformation by the reflectors. Nothing is compiled.
 """
 
 import functools
@@ -132,3 +139,222 @@ def jacobi_svd(A, V, tol, max_sweeps):
     A[...] = Ta.T
     V[...] = T[:, m:].T
     return sweeps
+
+
+def tridiagonalize(A):
+    """Householder reduction Q^T A Q = T of the symmetric A, in place.
+
+    Returns (d, e, V, tau): the diagonal and subdiagonal of T, and the
+    reflectors H_j = I - tau_j v_j v_j^T with Q = H_0 H_1 ... H_{n-3}; row j
+    of V holds v_j, which is zero in columns 0..j and 1 in column j + 1.
+    Each column costs one matrix-vector product and one symmetric rank-2
+    update of the trailing block (Golub & Van Loan 8.3.1, LAPACK dsytd2).
+    A column whose entries below the subdiagonal are at most eps ||A||_F
+    long is taken as reduced (tau = 0): dropping them is within the
+    reduction's rounding, and no reflector mixes rows of unrelated size.
+    """
+    n = A.shape[0]
+    negligible = np.finfo(float).eps * np.linalg.norm(A)
+    d = np.empty(n)
+    e = np.zeros(max(n - 1, 0))
+    V = np.zeros((max(n - 2, 0), n))
+    tau = np.zeros(max(n - 2, 0))
+    work = np.empty(max(n - 1, 0) ** 2)  # the rank-2 updates, not one n^2 temporary each
+    for j in range(n - 2):
+        d[j] = A[j, j]
+        x = A[j, j + 1 :]  # row j is column j: A stays symmetric
+        alpha = float(x[0])
+        xnorm = math.sqrt(float(x[1:] @ x[1:]))
+        if xnorm <= negligible:
+            e[j] = alpha
+            continue
+        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+        t = (beta - alpha) / beta
+        v = x / (alpha - beta)
+        v[0] = 1.0
+        B = A[j + 1 :, j + 1 :]
+        p = t * (B @ v)
+        w = p - (0.5 * t * float(p @ v)) * v
+        m = n - j - 1
+        B -= np.matmul(np.stack((v, w), axis=1), np.stack((w, v)), out=work[: m * m].reshape(m, m))
+        e[j], tau[j] = beta, t
+        V[j, j + 1 :] = v
+    if n >= 2:
+        d[n - 2], e[n - 2] = A[n - 2, n - 2], A[n - 2, n - 1]
+    if n >= 1:
+        d[n - 1] = A[n - 1, n - 1]
+    return d, e, V, tau
+
+
+def back_transform(V, tau, Z):
+    """Q Z for the Q = H_0 ... H_{n-3} of tridiagonalize, in place on Z."""
+    for j in range(len(tau) - 1, -1, -1):
+        if tau[j]:
+            v = V[j, j + 1 :]
+            Zj = Z[j + 1 :]
+            Zj -= (tau[j] * v)[:, None] * (v @ Zj)
+    return Z
+
+
+def sturm_counts(d, e2, x, pivmin):
+    """Number of eigenvalues of the tridiagonal T = (d, e) below each shift
+    in x: the negative pivots of the LDL^T factorisation of T - x I, all
+    shifts in one pass of the recurrence.
+
+    The pivots first run unguarded. In IEEE arithmetic a zero pivot makes
+    the next one infinite and the count still right, provided a signed
+    zero counts by its sign. Only 0/0, a zero pivot over a zero e_i, gives
+    a NaN; then the pass is redone with dstebz's guard, which takes a pivot
+    below pivmin in magnitude as -pivmin (LAPACK dlaneg, dlaebz).
+    """
+    q = d[:, None] - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(1, len(d)):
+            np.subtract(q[i], e2[i - 1] / q[i - 1], out=q[i])
+    if not np.isnan(q[-1]).any():
+        return np.signbit(q).sum(axis=0)
+    q = d[:, None] - x
+    for i in range(len(d)):
+        if i:
+            q[i] -= e2[i - 1] / q[i - 1]
+        q[i][np.abs(q[i]) < pivmin] = -pivmin
+    return np.signbit(q).sum(axis=0)
+
+
+MULTISECTION = 16  # Sturm-count shifts per open eigenvalue and pass
+
+
+def tridiagonal_eigenvalues(d, e, first, stop):
+    """Eigenvalues first..stop-1 (0-based, ascending) of the tridiagonal
+    T = (d, e) by Sturm-count multisection (LAPACK dstebz).
+
+    Every eigenvalue starts in T's Gershgorin interval. A pass evaluates
+    MULTISECTION shifts per open eigenvalue, spread evenly over the distinct
+    open intervals, in one run of the recurrence, and every eigenvalue then
+    narrows to the tightest pair of shifts that still brackets it. An
+    interval is closed once its width is below 4 eps ||T||; the eigenvalue
+    is its midpoint.
+    """
+    n = len(d)
+    eps = np.finfo(float).eps
+    e2 = e * e
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    r = np.zeros(n)
+    r[:-1] += np.abs(e)
+    r[1:] += np.abs(e)
+    gl, gu = float((d - r).min()), float((d + r).max())
+    tnorm = max(abs(gl), abs(gu))
+    fudge = 2.1 * (n * eps * tnorm + 2.0 * pivmin)
+    width = 4.0 * eps * tnorm + 2.0 * pivmin
+    index = np.arange(first, stop)[:, None]
+    lo = np.full(stop - first, gl - fudge)
+    hi = np.full(stop - first, gu + fudge)
+    while True:
+        live = hi - lo > width
+        if not live.any():
+            return 0.5 * (lo + hi)
+        # eigenvalues sharing an interval share its shifts
+        first_of = live.copy()
+        first_of[1:] &= (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        a, b = lo[first_of], hi[first_of]
+        m = MULTISECTION * int(live.sum()) // len(a)
+        x = (a[:, None] + (b - a)[:, None] * (np.arange(1, m + 1) / (m + 1))).ravel()
+        below = sturm_counts(d, e2, x, pivmin) <= index  # x <= eigenvalue j
+        lo = np.maximum(lo, np.where(below, x, -np.inf).max(axis=1))
+        hi = np.minimum(hi, np.where(below, np.inf, x).min(axis=1))
+
+
+INVERSE_ITERATIONS = 5  # at most, per eigenvector (LAPACK dstein's MAXITS)
+EXTRA_ITERATIONS = 2  # run after the growth test first passes (dstein's EXTRA)
+
+
+def _start_vectors(n, m):
+    """Deterministic start vectors: a Weyl sequence in (-1, 1), n x m."""
+    i = np.arange(1, n * m + 1).reshape(m, n).T
+    return 2.0 * (i * 0.6180339887498949 % 1.0) - 1.0
+
+
+def _factor_shifted(d, e, lam, pivot_floor):
+    """T - lam_j I = P_j L_j U_j for every shift at once, by Gaussian
+    elimination with partial pivoting (LAPACK dlagtf). Returns (a, b, c,
+    mult, swap): the diagonal and two superdiagonals of U, the multipliers
+    of L and the row interchanges, one column per shift. Pivots below
+    pivot_floor in magnitude are raised to it, keeping their sign."""
+    n, m = len(d), len(lam)
+    a = d[:, None] - lam
+    b = np.repeat(e[:, None], m, axis=1)
+    c = np.zeros((max(n - 2, 0), m))
+    mult = np.empty((max(n - 1, 0), m))
+    swap = np.empty((max(n - 1, 0), m), dtype=bool)
+    for k in range(n - 1):
+        # pivot between row k (a_k, b_k, 0) and row k + 1 (e_k, a_k+1, e_k+1)
+        ak, bk, ak1 = a[k], b[k], a[k + 1]
+        s = abs(e[k]) > np.abs(ak)
+        piv = np.where(s, e[k], ak)
+        mk = np.where(s, ak, e[k]) / np.where(piv == 0.0, 1.0, piv)
+        bk_new = np.where(s, ak1, bk)
+        a[k + 1] = np.where(s, bk, ak1) - mk * bk_new
+        a[k], b[k] = piv, bk_new
+        if k < n - 2:
+            c[k] = np.where(s, e[k + 1], 0.0)
+            b[k + 1] = np.where(s, -mk * e[k + 1], e[k + 1])
+        mult[k], swap[k] = mk, s
+    small = np.abs(a) < pivot_floor
+    a[small] = np.where(a[small] < 0.0, -pivot_floor, pivot_floor)
+    return a, b, c, mult, swap
+
+
+def _solve_shifted(factors, y):
+    """Solve (T - lam_j I) x_j = y_j for every column j, in place on y
+    (LAPACK dlagts)."""
+    a, b, c, mult, swap = factors
+    n = len(a)
+    for k in range(n - 1):
+        s, yk, yk1 = swap[k], y[k], y[k + 1]
+        top = np.where(s, yk1, yk)
+        y[k + 1] = np.where(s, yk, yk1) - mult[k] * top
+        y[k] = top
+    y[n - 1] /= a[n - 1]
+    if n >= 2:
+        y[n - 2] = (y[n - 2] - b[n - 2] * y[n - 1]) / a[n - 2]
+    for k in range(n - 3, -1, -1):
+        y[k] = (y[k] - b[k] * y[k + 1] - c[k] * y[k + 2]) / a[k]
+    return y
+
+
+def tridiagonal_eigenvectors(d, e, lam):
+    """Unit eigenvectors of the tridiagonal T = (d, e) for the ascending
+    eigenvalues lam, by inverse iteration on T - lam_j I for all j at once
+    (LAPACK dstein).
+
+    Each iteration scales the right-hand side to n ||T||_1 max(eps, |u_nn|)
+    and solves; once the solution's largest entry reaches sqrt(0.1 / n) the
+    vector has converged, and EXTRA_ITERATIONS more follow. Eigenvalues
+    closer than 1e-3 ||T||_1 form a cluster, and each iterate is
+    orthogonalised against the lower ones of its cluster. Pivots are kept
+    at least eps ||T||_1 in magnitude. Returns the n x len(lam) vectors, or
+    None if some vector never converged.
+    """
+    n, m = len(d), len(lam)
+    eps = np.finfo(float).eps
+    onenrm = float((np.abs(d) + np.r_[0.0, np.abs(e)] + np.r_[np.abs(e), 0.0]).max())
+    factors = _factor_shifted(d, e, lam, eps * onenrm)
+    rhs_scale = n * onenrm * np.maximum(eps, np.abs(factors[0][n - 1]))
+    breaks = np.flatnonzero(np.diff(lam) > 1e-3 * onenrm) + 1
+    clusters = [(s, t) for s, t in zip(np.r_[0, breaks], np.r_[breaks, m]) if t - s > 1]
+    X = _start_vectors(n, m)
+    passed = np.zeros(m, dtype=np.intp)
+    for _ in range(INVERSE_ITERATIONS):
+        X *= rhs_scale / np.abs(X).max(axis=0)
+        _solve_shifted(factors, X)
+        for s, t in clusters:
+            for i in range(s + 1, t):
+                B = X[:, s:i]
+                for _ in range(2):
+                    X[:, i] -= B @ ((B.T @ X[:, i]) / (B * B).sum(axis=0))
+        passed += np.abs(X).max(axis=0) >= math.sqrt(0.1 / n)
+        if (passed > EXTRA_ITERATIONS).all():
+            break
+    if not passed.all():
+        return None
+    return X / np.sqrt((X * X).sum(axis=0))

@@ -1,14 +1,27 @@
-"""Dense symmetric eigendecomposition and SVD built on Jacobi rotations.
+"""Dense symmetric eigensolvers and SVD.
 
-Every spectral computation in the library goes through this module; nothing
-else calls an external eigensolver.
+`smallest_k`, the solve of every n x n Laplacian, reduces to tridiagonal
+form by Householder reflections, finds the k smallest eigenvalues by Sturm
+multisection and their vectors by inverse iteration. `sym_eigen`, for full
+decompositions (the K x K solve of the rounding, `kernel_dimension`), and
+`svd` run Jacobi rotations. Both eigensolvers return multiple eigenvalues'
+vectors in one canonical basis and under one sign rule. Every spectral
+computation in the library goes through this module; nothing else calls an
+external eigensolver.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import jacobi_eigen, jacobi_svd
+from ._kernels import (
+    back_transform,
+    jacobi_eigen,
+    jacobi_svd,
+    tridiagonal_eigenvalues,
+    tridiagonal_eigenvectors,
+    tridiagonalize,
+)
 from .errors import NoConvergence, NotSymmetric, ZeroVector
 
 DEFAULT_TOL = 1e-12
@@ -35,9 +48,13 @@ def _valid_tol(tol):
     return 0.0 < tol < 1.0  # a finite tolerance in (0, 1); false for nan
 
 
-def _check_solver_args(tol, max_sweeps):
+def _check_tol(tol):
     if not _valid_tol(tol):
         raise ValueError(f"tol must be a finite number with 0 < tol < 1, got {tol!r}")
+
+
+def _check_solver_args(tol, max_sweeps):
+    _check_tol(tol)
     if not max_sweeps >= 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
 
@@ -94,6 +111,41 @@ def _canonical_basis(V):
     return V @ _extend_basis(np.empty((V.shape[1], 0)), V)
 
 
+def _symmetric_input(S):
+    """S as a float array, checked finite, square and symmetric to 1e-12 of
+    its norm, then symmetrised exactly; and ||S||_F."""
+    S = np.asarray(S, dtype=float)
+    if not np.isfinite(S).all():
+        raise ValueError("matrix has non-finite entries")
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise NotSymmetric("matrix is not square")
+    scale = np.linalg.norm(S)
+    if np.linalg.norm(S - S.T) > 1e-12 * max(scale, 1.0):
+        raise NotSymmetric("matrix is not symmetric")
+    return 0.5 * (S + S.T), scale
+
+
+def _tie_groups(values, thresh):
+    """(start, end) of each run of the ascending values that lie within
+    thresh of the run's first value: the multiple eigenvalues."""
+    groups, start = [], 0
+    for k in range(1, len(values) + 1):
+        if k == len(values) or values[k] - values[start] > thresh:
+            groups.append((start, k))
+            start = k
+    return groups
+
+
+def _canonicalise(vectors, groups):
+    """In place: each multiple eigenvalue's eigenvectors in the canonical
+    basis (_canonical_basis), then every column oriented by _column_signs."""
+    for start, end in groups:
+        if end - start > 1:
+            vectors[:, start:end] = _canonical_basis(vectors[:, start:end])
+    vectors *= _column_signs(vectors)
+    return vectors
+
+
 def sym_eigen(S, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     """Full eigendecomposition of a symmetric matrix by round-robin Jacobi.
 
@@ -102,29 +154,15 @@ def sym_eigen(S, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     basis (_canonical_basis), so they do not depend on the rotation order.
     """
     _check_solver_args(tol, max_sweeps)
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise NotSymmetric("matrix is not square")
-    scale = np.linalg.norm(S)
-    if np.linalg.norm(S - S.T) > 1e-12 * max(scale, 1.0):
-        raise NotSymmetric("matrix is not symmetric")
-    n = S.shape[0]
-    A = 0.5 * (S + S.T)  # kill roundoff asymmetry before rotating
-    V = np.eye(n)
+    A, scale = _symmetric_input(S)
+    V = np.eye(A.shape[0])
     sweeps = jacobi_eigen(A, V, tol, max_sweeps)
     if sweeps < 0:
         raise NoConvergence(f"Jacobi eigen did not converge in {max_sweeps} sweeps")
     values = np.diag(A).copy()
     order = np.argsort(values, kind="stable")
     values = values[order]
-    vectors = V[:, order]
-    start = 0
-    for k in range(1, n + 1):
-        if k == n or values[k] - values[start] > tol * scale:
-            if k - start > 1:
-                vectors[:, start:k] = _canonical_basis(vectors[:, start:k])
-            start = k
-    vectors *= _column_signs(vectors)
+    vectors = _canonicalise(V[:, order], _tie_groups(values, tol * scale))
     return SymmetricEigen(values=values, vectors=vectors)
 
 
@@ -153,6 +191,8 @@ def svd(M, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     columns of the other; the rest are paired with the taller factor's."""
     _check_solver_args(tol, max_sweeps)
     M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
     if M.ndim != 2:
         raise ValueError("expected a 2-d array")
     transposed = M.shape[0] < M.shape[1]
@@ -180,10 +220,39 @@ def rayleigh(S, x):
 
 
 def smallest_k(S, k, tol=DEFAULT_TOL):
-    """The k smallest eigenvalues and their eigenvectors."""
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
+    """The k smallest eigenvalues and their eigenvectors, without a full
+    decomposition (Golub & Van Loan ch. 8; LAPACK dsytrd, dstebz, dstein).
+
+    Householder reduction to a tridiagonal T, Sturm-count multisection for
+    the eigenvalues, inverse iteration on T for their vectors, and the
+    stored reflectors to carry those back. Multiple eigenvalues and signs
+    follow sym_eigen's rules (tie groups at tol * ||S||_F, canonical basis,
+    sign rule); a tie group that k cuts is computed whole before the cut,
+    so the result is sym_eigen's first k columns to rounding.
+    """
+    _check_tol(tol)
+    A, scale = _symmetric_input(S)
+    n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
-    eig = sym_eigen(S, tol=tol)
-    return eig.values[:k].copy(), eig.vectors[:, :k].copy()
+    if not A.any():
+        return np.zeros(k), np.eye(n)[:, :k]
+    # the kernels work at unit scale: dividing by a power of two (exact)
+    # brings the largest entry into [0.5, 1), where no floor or scale
+    # they derive from ||T|| falls into subnormal or overflowing range
+    unit = np.ldexp(1.0, np.frexp(np.abs(A).max())[1])
+    d, e, V, tau = tridiagonalize(A / unit)
+    values = unit * tridiagonal_eigenvalues(d, e, 0, min(k + 1, n))
+    while True:
+        groups = _tie_groups(values, tol * scale)
+        end = next(t for _, t in groups if t >= k)  # of the group holding k - 1
+        if end < len(values) or len(values) == n:
+            break
+        more = unit * tridiagonal_eigenvalues(d, e, len(values), min(2 * len(values), n))
+        values = np.concatenate((values, more))
+    values = values[:end]
+    Z = tridiagonal_eigenvectors(d, e, values / unit)
+    if Z is None:
+        raise NoConvergence("inverse iteration did not converge")
+    vectors = _canonicalise(back_transform(V, tau, Z), [g for g in groups if g[1] <= end])
+    return values[:k].copy(), vectors[:, :k].copy()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from speclap import Graph, NodeSubset, cut, links, volume
+from speclap.eigen import DEFAULT_TOL, sym_eigen
 from speclap.errors import ZeroVolume
 
 # 5-node example graph: adjacency and unnormalized Laplacian.
@@ -186,6 +187,13 @@ def row_cyclic_jacobi(A, V, tol, max_sweeps):
     n = A.shape[0]
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
     return one_rotation_at_a_time(A, V, tol, max_sweeps, pairs)
+
+
+def jacobi_smallest_k(S, k, tol=DEFAULT_TOL):
+    """Reference smallest_k: the full round-robin Jacobi decomposition of
+    sym_eigen, sliced to the k smallest eigenpairs."""
+    eig = sym_eigen(S, tol=tol)
+    return eig.values[:k].copy(), eig.vectors[:, :k].copy()
 
 
 def scalar_jacobi_svd(A, V, tol, max_sweeps):

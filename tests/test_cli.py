@@ -49,13 +49,17 @@ def run(capsys, argv):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count full eigensolves (with the tol each receives), graph walks and
-    Laplacian builds made through every binding of eigen.sym_eigen,
-    graph._walk and laplacian.laplacian."""
+    """Count eigensolves (with the tol each receives), graph walks and
+    Laplacian builds made through every binding of eigen.smallest_k,
+    eigen.sym_eigen, graph._walk and laplacian.laplacian."""
     seen = {"tols": [], "walks": 0, "laplacians": 0}
-    sym_eigen = sp.eigen.sym_eigen
+    smallest_k, sym_eigen = sp.eigen.smallest_k, sp.eigen.sym_eigen
     walk = sys.modules["speclap.graph"]._walk
     lap = sys.modules["speclap.laplacian"].laplacian
+
+    def counting_smallest_k(S, k, *args, **kwargs):
+        seen["tols"].append(kwargs.get("tol"))
+        return smallest_k(S, k, *args, **kwargs)
 
     def counting_eigen(S, *args, **kwargs):
         seen["tols"].append(kwargs.get("tol"))
@@ -69,11 +73,12 @@ def counts(monkeypatch):
         seen["laplacians"] += 1
         return lap(g, *args, **kwargs)
 
-    monkeypatch.setattr(sp.eigen, "sym_eigen", counting_eigen)
+    wrappers = ((smallest_k, counting_smallest_k), (sym_eigen, counting_eigen),
+                (walk, counting_walk), (lap, counting_laplacian))
     for name, mod in list(sys.modules.items()):
         if name == "speclap" or name.startswith("speclap."):
             for attr, value in list(vars(mod).items()):
-                for fn, wrapper in ((walk, counting_walk), (lap, counting_laplacian)):
+                for fn, wrapper in wrappers:
                     if value is fn:
                         monkeypatch.setattr(mod, attr, wrapper)
     return seen
@@ -254,13 +259,15 @@ class TestCluster:
     def test_two_way_solves_the_relaxation_once(self, tmp_path, capsys, monkeypatch):
         path = write_graph(tmp_path, "w1.txt", w1_text())
         sizes = []
-        sym_eigen = sp.eigen.sym_eigen
+        for name in ("smallest_k", "sym_eigen"):
+            solve = getattr(sp.eigen, name)
 
-        def counting(S, *args, **kwargs):
-            sizes.append(np.shape(S)[0])
-            return sym_eigen(S, *args, **kwargs)
+            def counting(S, *args, _solve=solve, **kwargs):
+                sizes.append(np.shape(S)[0])
+                return _solve(S, *args, **kwargs)
 
-        monkeypatch.setattr(sp.eigen, "sym_eigen", counting)
+            for mod in (sp, sp.eigen):
+                monkeypatch.setattr(mod, name, counting)
         code, out, _ = run(capsys, ["cluster", path, "--k", "2", "--mode", "ncut"])
         assert code == 0
         assert "two_way" in json.loads(out)
@@ -349,6 +356,22 @@ class TestBalance:
             norm = np.linalg.norm(sp.laplacian(g, "signed_unnormalized").M)
             zero = abs(report["smallest_signed_laplacian_eigenvalue"]) <= 1e-9 * norm
             assert report["balanced"] == zero == balanced
+
+    def test_fields_agree_on_random_signed_graphs(self, tmp_path, capsys):
+        # no planted truth: random signs leave a graph balanced only by
+        # chance (trees and sparse graphs), so both outcomes occur
+        rng = np.random.default_rng(1601)
+        seen = set()
+        for _ in range(40):
+            n = int(rng.integers(3, 25))
+            g = random_connected(rng, n, signed=True, extra_edge_prob=float(rng.choice([0.0, 0.05, 0.3])))
+            code, out, _ = run(capsys, ["balance", graph_file(tmp_path, "g.txt", g)])
+            assert code == 0
+            report = json.loads(out)
+            norm = np.linalg.norm(sp.laplacian(g, "signed_unnormalized").M)
+            assert report["balanced"] == (report["smallest_signed_laplacian_eigenvalue"] <= 1e-9 * norm)
+            seen.add(report["balanced"])
+        assert seen == {True, False}
 
     def test_positive_triangle(self, tmp_path, capsys):
         path = write_graph(tmp_path, "tri.txt", "3\n1 2 1\n2 3 1\n1 3 1\n")

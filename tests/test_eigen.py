@@ -1,4 +1,7 @@
-"""Jacobi eigendecomposition / SVD and the variational property suite."""
+"""Eigensolvers (Jacobi, and the tridiagonal smallest_k), SVD and the
+variational property suite."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +86,7 @@ class TestSolverArguments:
 
         monkeypatch.setattr(sp.eigen, "jacobi_eigen", no_work)
         monkeypatch.setattr(sp.eigen, "jacobi_svd", no_work)
+        monkeypatch.setattr(sp.eigen, "tridiagonalize", no_work)
 
     @pytest.mark.parametrize("tol", [2.0, 1.0, 0.0, -1e-12, float("nan"), float("inf")])
     def test_bad_tol(self, tol):
@@ -103,6 +107,33 @@ class TestSolverArguments:
             sp.sym_eigen(np.eye(3), max_sweeps=max_sweeps)
         with pytest.raises(ValueError, match="max_sweeps"):
             sp.svd(np.eye(3), max_sweeps=max_sweeps)
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite entry is refused with a ValueError before any work,
+    and without a numpy RuntimeWarning on the way."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernels(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a kernel ran on a non-finite matrix")
+
+        for name in ("jacobi_eigen", "jacobi_svd", "tridiagonalize"):
+            monkeypatch.setattr(sp.eigen, name, no_work)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_rejected(self, bad, symmetric):
+        S = sp.laplacian(ring(6), "sym").M.copy()
+        S[1, 2] = bad
+        if symmetric:
+            S[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solves = (sp.sym_eigen, lambda M: sp.smallest_k(M, 2), sp.svd, lambda M: sp.svd(M[:, :4]))
+            for solve in solves:
+                with pytest.raises(ValueError, match="non-finite"):
+                    solve(S)
 
 
 class TestSVD:
@@ -337,6 +368,13 @@ def _oracle_matrices():
 
 
 ORACLE_CASES = _oracle_matrices()
+_SYM_EIGEN = {}  # name -> sym_eigen(S): one Jacobi solve per oracle matrix
+
+
+def _sym_eigen_of(name, S):
+    if name not in _SYM_EIGEN:
+        _SYM_EIGEN[name] = sp.sym_eigen(S)
+    return _SYM_EIGEN[name]
 
 
 class TestNumpyOracle:
@@ -351,13 +389,130 @@ class TestNumpyOracle:
         # times that (Weyl).
         scale = max(np.linalg.norm(S), np.finfo(float).tiny)
         bound = n * (sp.eigen.DEFAULT_TOL + 64 * np.finfo(float).eps) * scale
-        eig = sp.sym_eigen(S)
+        eig = _sym_eigen_of(name, S)
         ref = np.linalg.eigh(S).eigenvalues
         assert np.max(np.abs(eig.values - ref)) <= bound
         residual = np.linalg.norm(S @ eig.vectors - eig.vectors * eig.values, axis=0)
         assert np.max(residual) <= bound
         ortho = np.max(np.abs(eig.vectors.T @ eig.vectors - np.eye(n)))
         assert ortho <= 64 * n * np.finfo(float).eps
+
+
+SMALLEST_K_CASES = [
+    (name, S, k) for name, S in ORACLE_CASES for k in sorted({1, min(2, len(S)), min(5, len(S))})
+]
+
+
+def planted_laplacian(rng, n, blocks=4):
+    """Normalised Laplacian of a seeded connected graph with planted blocks
+    (the matrix of benchmarks/bench_eigen.py)."""
+    labels = np.arange(n) * blocks // n
+    same = labels[:, None] == labels[None, :]
+    W = np.where(rng.random((n, n)) < np.where(same, 0.5, 0.05), rng.uniform(0.5, 1.5, (n, n)), 0.0)
+    W = np.triu(W, 1)
+    W = W + W.T
+    W[np.arange(n - 1), np.arange(1, n)] = W[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return sp.laplacian(sp.Graph(W), "sym").M
+
+
+def _check_against_eigh(S, vals, vecs):
+    """TestNumpyOracle's bounds: eigenvalues and residuals within
+    n (DEFAULT_TOL + 64 eps) ||S||_F, orthogonality within 64 n eps."""
+    n, k = vecs.shape
+    eps = np.finfo(float).eps
+    scale = max(np.linalg.norm(S), np.finfo(float).tiny)
+    bound = n * (sp.eigen.DEFAULT_TOL + 64 * eps) * scale
+    ref = np.linalg.eigh(S)
+    assert vals.shape == (k,)
+    assert np.max(np.abs(vals - ref.eigenvalues[:k])) <= bound
+    assert np.max(np.linalg.norm(S @ vecs - vecs * vals, axis=0)) <= bound
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) <= 64 * n * eps
+    return ref
+
+
+class TestSmallestKOracle:
+    """smallest_k (Householder, Sturm multisection, inverse iteration)
+    against numpy.linalg.eigh and against sym_eigen's first k columns."""
+
+    @pytest.mark.parametrize("name,S,k", SMALLEST_K_CASES, ids=[f"{c[0]}-k{c[2]}" for c in SMALLEST_K_CASES])
+    def test_against_eigh_and_sym_eigen(self, name, S, k):
+        vals, vecs = sp.smallest_k(S, k)
+        ref = _check_against_eigh(S, vals, vecs)
+        if name == "clustered-48":
+            # its lowest 12 eigenvalues lie 1e-10 ||S|| apart: not a tie,
+            # yet too close for any solver to pin a vector better than
+            # eps ||S|| / 1e-10 ~ 1e-5. Their span is pinned (the next
+            # eigenvalue is 1.5 away), so the vectors must lie in it.
+            C = ref.eigenvectors[:, :12]
+            assert np.max(np.abs(vecs - C @ (C.T @ vecs))) <= 1e-10
+        else:
+            assert np.max(np.abs(vecs - _sym_eigen_of(name, S).vectors[:, :k])) <= 1e-10
+
+    @pytest.mark.parametrize("name,k", [("complete12-sym", 2), ("ring12", 2), ("ring12", 3)])
+    def test_tie_group_cut_by_k(self, name, k):
+        # k = 2 cuts a multiple eigenvalue (ring12: a pair, complete12: 11
+        # copies); ring12 at k = 3 ends exactly where the pair does
+        S = dict(ORACLE_CASES)[name]
+        full = sp.sym_eigen(S)
+        tie = sp.eigen.DEFAULT_TOL * np.linalg.norm(S)
+        assert full.values[k - 1] - full.values[1] <= tie
+        assert (full.values[k] - full.values[1] <= tie) == (k == 2)
+        vals, vecs = sp.smallest_k(S, k)
+        assert np.max(np.abs(vals - full.values[:k])) <= tie
+        assert np.max(np.abs(vecs - full.vectors[:, :k])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_planted_large(self, n):
+        S = planted_laplacian(np.random.default_rng(n), n)
+        vals, vecs = sp.smallest_k(S, 5)
+        ref = _check_against_eigh(S, vals, vecs)
+        # the lowest five are simple: eigh's vectors under the sign rule
+        V = ref.eigenvectors[:, :5]
+        assert np.max(np.abs(vecs - V * sp.eigen._column_signs(V))) <= 1e-10
+
+
+class TestTridiagonalKernels:
+    def test_sturm_counts_against_eigvalsh(self):
+        rng = np.random.default_rng(7)
+        d, e = rng.standard_normal(9), rng.standard_normal(8)
+        lam = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        x = np.linspace(lam[0] - 1.0, lam[-1] + 1.0, 101)
+        counts = _kernels.sturm_counts(d, e * e, x, np.finfo(float).tiny)
+        assert counts.tolist() == [int(np.count_nonzero(lam < xi)) for xi in x]
+
+    @pytest.mark.parametrize("d, e, x, low, high", [
+        # a zero pivot over a nonzero e_i: the next pivot is -inf
+        ([1.0, 1.0, 1.0], [1.0, 1.0], [1.0], [1], [2]),
+        # a zero pivot over a zero e_i: 0/0, so the guarded pass runs
+        ([1.0, 1.0, 3.0], [0.0, 0.0], [0.5, 1.0, 2.0, 4.0], [0, 0, 2, 3], [0, 2, 2, 3]),
+    ])
+    def test_sturm_counts_zero_pivots(self, d, e, x, low, high):
+        # a shift on an eigenvalue may count it or not; any other is exact
+        d, e, x = np.array(d), np.array(e), np.array(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = _kernels.sturm_counts(d, e * e, x, np.finfo(float).tiny)
+        assert np.all(counts >= low) and np.all(counts <= high)
+
+    def test_tridiagonalize_reconstructs(self, rng):
+        S = random_symmetric(rng, 9)
+        d, e, V, tau = _kernels.tridiagonalize(S.copy())
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        Q = _kernels.back_transform(V, tau, np.eye(9))
+        assert np.max(np.abs(Q.T @ Q - np.eye(9))) <= 64 * 9 * np.finfo(float).eps
+        assert np.max(np.abs(Q @ T @ Q.T - S)) <= 64 * 9 * np.finfo(float).eps * np.linalg.norm(S)
+
+    def test_tiny_and_huge_scales(self):
+        # the solve runs on the matrix scaled by a power of two
+        for unit in (1e-300, 1e-150, 1e150):
+            S = unit * _with_spectrum(np.random.default_rng(3), np.array([1.0, 2.0, 2.0, 5.0]))
+            vals, vecs = sp.smallest_k(S, 3)
+            assert np.allclose(vals / unit, [1.0, 2.0, 2.0], atol=1e-13)
+            assert np.max(np.abs(S @ vecs - vecs * vals)) <= 1e-13 * unit * 5.0
+
+    def test_zero_matrix(self):
+        vals, vecs = sp.smallest_k(np.zeros((4, 4)), 2)
+        assert np.array_equal(vals, np.zeros(2)) and np.array_equal(vecs, np.eye(4)[:, :2])
 
 
 DEGENERATE_CASES = [c for c in ORACLE_CASES if c[0] in ("ring12", "complete12-sym", "block-repeated-12")]

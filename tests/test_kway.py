@@ -22,6 +22,7 @@ from conftest import (
     complete,
     g1_signed,
     g2_signed,
+    jacobi_smallest_k,
     path,
     random_connected,
     reference_objective,
@@ -618,6 +619,7 @@ class TestCluster:
             raise AssertionError("cluster solved before checking max_iters")
 
         monkeypatch.setattr(sp.eigen, "sym_eigen", no_solve)
+        monkeypatch.setattr(sp.eigen, "smallest_k", no_solve)
         with pytest.raises(ValueError, match="max_iters"):
             sp.cluster(w1_graph(), 2, max_iters=max_iters)
 
@@ -631,6 +633,7 @@ class TestCluster:
             raise AssertionError("cluster solved before checking its arguments")
 
         monkeypatch.setattr(sp.eigen, "sym_eigen", no_solve)
+        monkeypatch.setattr(sp.eigen, "smallest_k", no_solve)
         with pytest.raises(ValueError, match=name):
             sp.cluster(w1_graph(), 2, **kwargs)
 
@@ -791,6 +794,29 @@ class TestRotationOrderIndependence:
         g = GOLDEN_GRAPHS[name]()
         part = sp.round_2way(g, sp.orient_sign(sp.solve_relaxed_2way(g))).partition
         monkeypatch.setattr(sp.eigen, "jacobi_eigen", row_cyclic_jacobi)
+        assert sp.round_2way(g, sp.orient_sign(sp.solve_relaxed_2way(g))).partition == part
+
+
+class TestSolverIndependence:
+    """The relaxation's n x n solve by Householder, Sturm multisection and
+    inverse iteration, or by a full Jacobi decomposition sliced to K: the
+    two differ by rounding only, which must not change a partition, a block
+    label, a round count or an error."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+    def test_cluster_same_under_jacobi_smallest_k(self, name, monkeypatch):
+        g = GOLDEN_GRAPHS[name]()
+        outcomes, objectives = _all_clusterings(g)
+        monkeypatch.setattr(sp.eigen, "smallest_k", jacobi_smallest_k)
+        other_outcomes, other_objectives = _all_clusterings(g)
+        assert other_outcomes == outcomes
+        assert np.allclose(other_objectives, objectives, rtol=1e-9)
+
+    @pytest.mark.parametrize("name", ["ring12", "complete12"])
+    def test_two_way_same_under_jacobi_smallest_k(self, name, monkeypatch):
+        g = GOLDEN_GRAPHS[name]()
+        part = sp.round_2way(g, sp.orient_sign(sp.solve_relaxed_2way(g))).partition
+        monkeypatch.setattr(sp.eigen, "smallest_k", jacobi_smallest_k)
         assert sp.round_2way(g, sp.orient_sign(sp.solve_relaxed_2way(g))).partition == part
 
 
