@@ -8,15 +8,13 @@ unordered pairs and non-finite weights are rejected.
 Exit codes: 0 success, 1 usage error, 2 domain error. Errors are printed
 to stderr as a single-line JSON object.
 
-The environment variable SPECLAP_TOL overrides the eigensolver tolerance
-of `draw` (the drawing and its reported eigenvalues) and of `balance`;
-`cluster` does not read it. It must be a number with 0 < tol < 1.
+Every command solves with the eigen module's one tolerance
+(eigen.DEFAULT_TOL); no option or environment variable changes it.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -48,19 +46,6 @@ _RESCALE_MAP = {
 }
 
 
-def _tol():
-    raw = os.environ.get("SPECLAP_TOL", "")
-    if not raw.strip():
-        return eigen.DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ValueError(f"SPECLAP_TOL={raw!r} is not a number") from None
-    if not eigen._valid_tol(tol):
-        raise ValueError(f"SPECLAP_TOL={raw!r} must be a finite number with 0 < tol < 1")
-    return tol
-
-
 def parse_graph(path):
     with open(path, "r", encoding="utf-8") as f:
         lines = f.readlines()
@@ -81,7 +66,10 @@ def parse_graph(path):
                 raise ParseError(line_no, f"bad node count {fields[0]!r}") from None
             if n < 1:
                 raise ParseError(line_no, "node count must be >= 1")
-            W = np.zeros((n, n))
+            try:
+                W = np.zeros((n, n))
+            except (MemoryError, ValueError):  # n * n floats do not fit
+                raise ParseError(line_no, f"node count {n} is too large") from None
             continue
         if len(fields) != 3:
             raise ParseError(line_no, "expected 'i j w'")
@@ -119,9 +107,9 @@ def cmd_draw(args):
     g = parse_graph(args.graph)
     n = args.dim
     if args.signed:
-        dm = signed_drawing(g, n, bipartite=args.bipartite, tol=_tol())
+        dm = signed_drawing(g, n, bipartite=args.bipartite)
     else:
-        dm = spectral_drawing(g, n, tol=_tol())
+        dm = spectral_drawing(g, n)
     report = {
         "dim": n,
         "energy": energy(g, dm, signed=args.signed),
@@ -175,7 +163,7 @@ def cmd_cluster(args):
 def cmd_balance(args):
     g = parse_graph(args.graph)
     report = is_balanced(g)
-    vals, _ = eigen.smallest_k(laplacian(g, "signed_unnormalized").M, 1, tol=_tol())
+    vals, _ = eigen.smallest_k(laplacian(g, "signed_unnormalized").M, 1)
     out = {
         "balanced": report.balanced,
         "smallest_signed_laplacian_eigenvalue": float(vals[0]),

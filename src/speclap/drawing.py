@@ -35,26 +35,26 @@ def energy(g, R, signed=False):
     return float(np.sum(quadratic_form(g, R, signed)))
 
 
-def _drawing(g, kind, n, first, tol):
+def _drawing(g, kind, n, first):
     """Eigenvectors u_{first+1}..u_{first+n} of the Laplacian from one solve
     for the min(n + 1, m) smallest eigenpairs."""
     if n < 1:
         raise ValueError(f"drawing dimension must be at least 1, got {n}")
     if n + first > g.m:
         raise DimensionTooLarge(f"dimension {n} too large for {g.m} nodes")
-    vals, vecs = eigen.smallest_k(laplacian(g, kind).M, min(n + 1, g.m), tol=tol)
+    vals, vecs = eigen.smallest_k(laplacian(g, kind).M, min(n + 1, g.m))
     return DrawingMatrix(R=vecs[:, first : first + n].copy(), n=n, eigenvalues=vals)
 
 
-def spectral_drawing(g, n, tol=eigen.DEFAULT_TOL):
+def spectral_drawing(g, n):
     """Orthogonal balanced drawing from eigenvectors u_2..u_{n+1} of L."""
     _, c = connected_components(g)
     if c != 1:
         raise NotConnected(f"graph has {c} components")
-    return _drawing(g, "unnormalized", n, 1, tol)
+    return _drawing(g, "unnormalized", n, 1)
 
 
-def signed_drawing(g, n, bipartite=False, tol=eigen.DEFAULT_TOL):
+def signed_drawing(g, n, bipartite=False):
     """Drawing of a signed graph from the eigenvectors of Lbar.
 
     Unbalanced graph: u_1..u_n. Balanced graph: u_2..u_{n+1} (nonbipartite
@@ -66,7 +66,7 @@ def signed_drawing(g, n, bipartite=False, tol=eigen.DEFAULT_TOL):
     if report.balanced and bipartite and n != 2:
         raise ValueError("the bipartite drawing is only defined for n = 2")
     first = 1 if report.balanced and not bipartite else 0
-    return _drawing(g, "signed_unnormalized", n, first, tol)
+    return _drawing(g, "signed_unnormalized", n, first)
 
 
 def _map_to_viewbox(R):

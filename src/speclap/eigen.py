@@ -24,6 +24,9 @@ from ._kernels import (
 )
 from .errors import NoConvergence, NotSymmetric, ZeroVector
 
+# the one tolerance and sweep limit: the stopping rule of both Jacobi
+# kernels, and eigenvalues within DEFAULT_TOL * ||S||_F of each other count
+# as one multiple eigenvalue in every eigensolve
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
 # relative gap under which two computed quantities count as equal: far above
@@ -42,21 +45,6 @@ class SVDResult:
     U: np.ndarray  # m x m orthogonal
     S: np.ndarray  # min(m, n) singular values, descending
     V: np.ndarray  # n x n orthogonal
-
-
-def _valid_tol(tol):
-    return 0.0 < tol < 1.0  # a finite tolerance in (0, 1); false for nan
-
-
-def _check_tol(tol):
-    if not _valid_tol(tol):
-        raise ValueError(f"tol must be a finite number with 0 < tol < 1, got {tol!r}")
-
-
-def _check_solver_args(tol, max_sweeps):
-    _check_tol(tol)
-    if not max_sweeps >= 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
 
 
 def _column_signs(M):
@@ -146,35 +134,35 @@ def _canonicalise(vectors, groups):
     return vectors
 
 
-def sym_eigen(S, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
+def sym_eigen(S):
     """Full eigendecomposition of a symmetric matrix by round-robin Jacobi.
 
-    Eigenvalues that agree to tol * ||S||_F, the solver's own accuracy, are
-    one multiple eigenvalue: its eigenvectors are returned in a canonical
-    basis (_canonical_basis), so they do not depend on the rotation order.
+    Eigenvalues that agree to DEFAULT_TOL * ||S||_F, the solver's own
+    accuracy, are one multiple eigenvalue: its eigenvectors are returned in
+    a canonical basis (_canonical_basis), so they do not depend on the
+    rotation order.
     """
-    _check_solver_args(tol, max_sweeps)
     A, scale = _symmetric_input(S)
     V = np.eye(A.shape[0])
-    sweeps = jacobi_eigen(A, V, tol, max_sweeps)
+    sweeps = jacobi_eigen(A, V, DEFAULT_TOL, MAX_SWEEPS)
     if sweeps < 0:
-        raise NoConvergence(f"Jacobi eigen did not converge in {max_sweeps} sweeps")
+        raise NoConvergence(f"Jacobi eigen did not converge in {MAX_SWEEPS} sweeps")
     values = np.diag(A).copy()
     order = np.argsort(values, kind="stable")
     values = values[order]
-    vectors = _canonicalise(V[:, order], _tie_groups(values, tol * scale))
+    vectors = _canonicalise(V[:, order], _tie_groups(values, DEFAULT_TOL * scale))
     return SymmetricEigen(values=values, vectors=vectors)
 
 
-def _jacobi_svd_sorted(M, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
+def _jacobi_svd_sorted(M):
     """One-sided Jacobi on the columns of M: (A, S, V, rank) with M V = A,
     V orthogonal and the columns of A orthogonal with norms S, sorted by
     descending S. Columns past the rank count as zero: S is 0 there."""
     A = np.array(M, dtype=float)
     V = np.eye(A.shape[1])
-    sweeps = jacobi_svd(A, V, tol, max_sweeps)
+    sweeps = jacobi_svd(A, V, DEFAULT_TOL, MAX_SWEEPS)
     if sweeps < 0:
-        raise NoConvergence(f"Jacobi SVD did not converge in {max_sweeps} sweeps")
+        raise NoConvergence(f"Jacobi SVD did not converge in {MAX_SWEEPS} sweeps")
     norms = np.sqrt((A * A).sum(axis=0))
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]
@@ -184,19 +172,18 @@ def _jacobi_svd_sorted(M, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     return A[:, order], norms, V[:, order], rank
 
 
-def svd(M, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
+def svd(M):
     """Full SVD by one-sided Jacobi: U is m x m, V is n x n, singular values
     descending. The sign rule of sym_eigen (_column_signs) orients every
     column of the taller factor (U if m >= n, else V) and the null-space
     columns of the other; the rest are paired with the taller factor's."""
-    _check_solver_args(tol, max_sweeps)
     M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     if M.ndim != 2:
         raise ValueError("expected a 2-d array")
     transposed = M.shape[0] < M.shape[1]
-    A, norms, V, rank = _jacobi_svd_sorted(M.T if transposed else M, tol, max_sweeps)
+    A, norms, V, rank = _jacobi_svd_sorted(M.T if transposed else M)
     U = _extend_basis(A[:, :rank] / norms[:rank], np.eye(A.shape[0]))
     # a sign flip of a U column must hit the paired V column too or
     # U diag(S) V^T changes; the null-space columns of V are free
@@ -219,18 +206,17 @@ def rayleigh(S, x):
     return float(x @ (S @ x) / denom)
 
 
-def smallest_k(S, k, tol=DEFAULT_TOL):
+def smallest_k(S, k):
     """The k smallest eigenvalues and their eigenvectors, without a full
     decomposition (Golub & Van Loan ch. 8; LAPACK dsytrd, dstebz, dstein).
 
     Householder reduction to a tridiagonal T, Sturm-count multisection for
     the eigenvalues, inverse iteration on T for their vectors, and the
     stored reflectors to carry those back. Multiple eigenvalues and signs
-    follow sym_eigen's rules (tie groups at tol * ||S||_F, canonical basis,
-    sign rule); a tie group that k cuts is computed whole before the cut,
-    so the result is sym_eigen's first k columns to rounding.
+    follow sym_eigen's rules (tie groups at DEFAULT_TOL * ||S||_F, canonical
+    basis, sign rule); a tie group that k cuts is computed whole before the
+    cut, so the result is sym_eigen's first k columns to rounding.
     """
-    _check_tol(tol)
     A, scale = _symmetric_input(S)
     n = A.shape[0]
     if not 1 <= k <= n:
@@ -244,7 +230,7 @@ def smallest_k(S, k, tol=DEFAULT_TOL):
     d, e, V, tau = tridiagonalize(A / unit)
     values = unit * tridiagonal_eigenvalues(d, e, 0, min(k + 1, n))
     while True:
-        groups = _tie_groups(values, tol * scale)
+        groups = _tie_groups(values, DEFAULT_TOL * scale)
         end = next(t for _, t in groups if t >= k)  # of the group holding k - 1
         if end < len(values) or len(values) == n:
             break

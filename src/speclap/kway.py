@@ -165,14 +165,14 @@ def init_rotation_R1(Z):
     return TransformQ(R=eig.vectors, Lambda=np.eye(Z.shape[1]))
 
 
-def init_rotation_R2(Z, first_row=0):
+def init_rotation_R2(Z):
     """Greedy pick of K rows of Z that are as mutually orthogonal as
-    possible; the chosen rows, unit-normalized, become the columns of R."""
+    possible, starting from row 0; the chosen rows, unit-normalized, become
+    the columns of R."""
     Z = _as_z(Z)
     N, K = Z.shape
-    available = list(range(N))
-    cols = [Z[first_row].copy()]
-    available.remove(first_row)
+    available = list(range(1, N))
+    cols = [Z[0].copy()]
     c = np.zeros(N)
     for _ in range(1, K):
         c = c + np.abs(Z @ cols[-1])
@@ -208,9 +208,9 @@ def rescale_variant(Z, method="row_normalize"):
     raise ValueError(f"unknown rescale method {method!r}")
 
 
-def _pinv(M, tol=1e-10):
+def _pinv(M):
     A, S, V, _ = eigen._jacobi_svd_sorted(M)
-    keep = S > tol * S[0]
+    keep = S > 1e-10 * S[0]
     # M = U S V^T with U = A / S, so pinv(M) = V S^-1 U^T
     return (V[:, keep] / S[keep]) @ (A[:, keep] / S[keep]).T
 
@@ -332,16 +332,13 @@ def _pattern_key(X):
     return tuple(int(v) for v in X.assignment)
 
 
-def cluster(g, K, mode="ncut", rescale="row_normalize", max_iters=100,
-            r2_first_row=0):
+def cluster(g, K, mode="ncut", rescale="row_normalize", max_iters=100):
     """Full pipeline: relaxation, candidate initialization, and the rounding/
     refit alternation. Returns the discrete partition with diagnostics."""
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if rescale not in RESCALE_METHODS:
         raise ValueError(f"unknown rescale method {rescale!r}")
-    if not 0 <= r2_first_row < g.m:
-        raise ValueError(f"r2_first_row must be a row index in 0..{g.m - 1}, got {r2_first_row}")
     sol = solve_relaxed(g, K, mode)
     Z1 = sol.Z
     R1 = init_rotation_R1(Z1).R
@@ -354,7 +351,7 @@ def cluster(g, K, mode="ncut", rescale="row_normalize", max_iters=100,
     # iteration proper always runs on the undeformed relaxed solution
     candidates = []
     for Zc, base_R in ((Zinit1, np.eye(K)), (Zinit2, R1)):
-        for Rc in (np.eye(K), init_rotation_R2(Zc, first_row=r2_first_row).R):
+        for Rc in (np.eye(K), init_rotation_R2(Zc).R):
             ZR = Zc @ Rc
             X_plain = podx(Zc, Rc)
             res_plain = float(np.linalg.norm(X_plain.X - ZR))

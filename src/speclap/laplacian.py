@@ -55,11 +55,17 @@ def quadratic_form(g, x, signed=False):
     return float(q) if x.ndim == 1 else q
 
 
-def kernel_dimension(lap, tol=1e-9):
-    """Number of eigenvalues below tol relative to the largest eigenvalue."""
-    eig = eigen.sym_eigen(lap.M)
+def kernel_dimension(lap):
+    """Number of eigenvalues below 1e-9 relative to the largest eigenvalue.
+    The rw Laplacian D^-1 L is counted on D^1/2 (D^-1 L) D^-1/2, the
+    symmetric matrix it is similar to."""
+    M = lap.M
+    if lap.kind == "rw":
+        root = np.sqrt(lap.degree)
+        M = root[:, None] * M / root[None, :]
+    eig = eigen.sym_eigen(M)
     top = max(abs(eig.values[-1]), 1.0e-300)
-    return int(np.count_nonzero(eig.values < tol * top))
+    return int(np.count_nonzero(eig.values < 1e-9 * top))
 
 
 def _first_broken_edge(g, s):

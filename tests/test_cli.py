@@ -49,21 +49,21 @@ def run(capsys, argv):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count eigensolves (with the tol each receives), graph walks and
-    Laplacian builds made through every binding of eigen.smallest_k,
-    eigen.sym_eigen, graph._walk and laplacian.laplacian."""
-    seen = {"tols": [], "walks": 0, "laplacians": 0}
+    """Count eigensolves, graph walks and Laplacian builds made through
+    every binding of eigen.smallest_k, eigen.sym_eigen, graph._walk and
+    laplacian.laplacian."""
+    seen = {"solves": 0, "walks": 0, "laplacians": 0}
     smallest_k, sym_eigen = sp.eigen.smallest_k, sp.eigen.sym_eigen
     walk = sys.modules["speclap.graph"]._walk
     lap = sys.modules["speclap.laplacian"].laplacian
 
-    def counting_smallest_k(S, k, *args, **kwargs):
-        seen["tols"].append(kwargs.get("tol"))
-        return smallest_k(S, k, *args, **kwargs)
+    def counting_smallest_k(S, k):
+        seen["solves"] += 1
+        return smallest_k(S, k)
 
-    def counting_eigen(S, *args, **kwargs):
-        seen["tols"].append(kwargs.get("tol"))
-        return sym_eigen(S, *args, **kwargs)
+    def counting_eigen(S):
+        seen["solves"] += 1
+        return sym_eigen(S)
 
     def counting_walk(g):
         seen["walks"] += 1
@@ -136,6 +136,17 @@ class TestParseGraph:
             path = write_graph(tmp_path, f"rt{k}.txt", cli.serialize_graph(g))
             g2 = cli.parse_graph(path)
             assert np.array_equal(g.W, g2.W)
+
+    @pytest.mark.parametrize("n", [10**9, 10**10])
+    def test_node_count_too_large(self, tmp_path, capsys, n):
+        path = write_graph(tmp_path, "huge.txt", f"# header\n{n}\n1 2 1.0\n")
+        with pytest.raises(ParseError, match=f"line 2: node count {n} is too large"):
+            cli.parse_graph(path)
+        code, out, err = run(capsys, ["balance", path])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ParseError",
+                                   "message": f"line 2: node count {n} is too large"}
 
 
 class TestDraw:
@@ -402,7 +413,7 @@ class TestOneSolveOneWalk:
         flags = [str(tmp_path / f"out.{f.lower()}") if f in ("SVG", "CSV") else f for f in flags]
         code, out, _ = run(capsys, ["draw", path, *flags])
         assert code == 0
-        assert len(counts["tols"]) == 1
+        assert counts["solves"] == 1
         assert counts["walks"] == 1
         assert counts["laplacians"] == 1
         vals = np.linalg.eigvalsh(sp.laplacian(g, "signed_unnormalized" if "--signed" in flags
@@ -414,7 +425,7 @@ class TestOneSolveOneWalk:
     def test_balance(self, tmp_path, capsys, counts, g):
         code, _, _ = run(capsys, ["balance", graph_file(tmp_path, "g.txt", g)])
         assert code == 0
-        assert len(counts["tols"]) == 1
+        assert counts["solves"] == 1
         assert counts["walks"] == 1
         assert counts["laplacians"] == 1
 
@@ -453,42 +464,33 @@ class TestExitCodes:
             assert json.loads(err)["error"] == "NonFiniteWeight"
 
 
-class TestTolEnv:
-    def test_tol_override_used(self, tmp_path, capsys, monkeypatch, counts):
-        path = write_graph(tmp_path, "ring.txt", ring_text(10))
-        monkeypatch.setenv("SPECLAP_TOL", "1e-10")
-        code, out, _ = run(capsys, ["draw", path])
-        assert code == 0
-        assert json.loads(out)["energy"] == pytest.approx(
-            2 * (2 - 2 * np.cos(2 * np.pi / 10)), abs=1e-6)
-        assert counts["tols"] == [1e-10]
+class TestNoTolEnv:
+    """SPECLAP_TOL is not read: whatever it holds, every command exits and
+    prints exactly as with the variable unset."""
 
-    def test_bad_tol_is_error(self, tmp_path, capsys, monkeypatch):
-        path = write_graph(tmp_path, "ring.txt", ring_text(6))
-        monkeypatch.setenv("SPECLAP_TOL", "not-a-number")
-        code, _, err = run(capsys, ["draw", path])
-        assert code == 2
-        json.loads(err)
+    @pytest.mark.filterwarnings("ignore:3-d drawing")
+    @pytest.mark.parametrize("raw", ["not-a-number", "0", "1e-3"])
+    def test_output_ignores_speclap_tol(self, tmp_path, capsys, monkeypatch, raw):
+        W = ring(12).W.copy()
+        W[0, 1] = W[1, 0] = 1.0001  # lambda_2 and lambda_3 are 4.5e-6 apart
+        near_tie = graph_file(tmp_path, "near_tie.txt", sp.Graph(W))
+        g2 = graph_file(tmp_path, "g2.txt", g2_signed())
+        w1 = graph_file(tmp_path, "w1.txt", w1_graph())
+        csv = str(tmp_path / "out.csv")
+        calls = [["draw", near_tie, "--csv", csv], ["draw", near_tie, "--dim", "3", "--csv", csv],
+                 ["draw", g2, "--signed", "--csv", csv], ["balance", g2],
+                 ["cluster", w1, "--k", "3"], ["cluster", g2, "--k", "2", "--mode", "sncut"]]
 
-    @pytest.mark.parametrize("raw", ["-1e-12", "0", "1", "2.5", "nan", "inf", "-inf", "1e400"])
-    def test_out_of_range_tol_is_error(self, tmp_path, capsys, monkeypatch, raw):
-        path = write_graph(tmp_path, "ring.txt", ring_text(6))
+        def outputs():
+            seen = []
+            for argv in calls:
+                code, out, err = run(capsys, argv)
+                text = open(csv).read() if "--csv" in argv else None
+                seen.append((code, out, err, text))
+            return seen
+
+        monkeypatch.delenv("SPECLAP_TOL", raising=False)
+        unset = outputs()
+        assert all(code == 0 for code, *_ in unset)
         monkeypatch.setenv("SPECLAP_TOL", raw)
-        for argv in (["draw", path], ["balance", path]):
-            code, out, err = run(capsys, argv)
-            assert code == 2
-            assert out == ""
-            report = json.loads(err)
-            assert report["error"] == "ValueError"
-            assert "SPECLAP_TOL" in report["message"]
-
-    @pytest.mark.parametrize("raw, value", [("0.5", 0.5), ("1e-300", 1e-300), ("1", None),
-                                            ("0", None), ("nan", None), ("inf", None)])
-    def test_same_range_as_the_solver(self, monkeypatch, raw, value):
-        monkeypatch.setenv("SPECLAP_TOL", raw)
-        if value is None:
-            with pytest.raises(ValueError, match="SPECLAP_TOL"):
-                cli._tol()
-        else:
-            assert cli._tol() == value
-            sp.sym_eigen(np.eye(2), tol=cli._tol())
+        assert outputs() == unset

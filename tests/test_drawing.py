@@ -123,7 +123,7 @@ class TestSpectralDrawing:
         vals = sp.sym_eigen(L).values
         for n in (1, 2, 11):
             dm = sp.spectral_drawing(g, n)
-            own, _ = sp.smallest_k(L, min(n + 1, 12), sp.eigen.DEFAULT_TOL)
+            own, _ = sp.smallest_k(L, min(n + 1, 12))
             assert np.array_equal(dm.eigenvalues, own)
             assert np.max(np.abs(dm.eigenvalues - vals[: min(n + 1, 12)])) <= 1e-12 * np.linalg.norm(L)
             assert sp.energy(g, dm) == pytest.approx(vals[1 : n + 1].sum(), abs=1e-9)
@@ -189,7 +189,7 @@ class TestSignedDrawing:
         L = sp.laplacian(g, "signed_unnormalized").M
         vals = sp.sym_eigen(L).values
         dm = sp.signed_drawing(g, n, bipartite=bipartite)
-        own, _ = sp.smallest_k(L, min(n + 1, 9), sp.eigen.DEFAULT_TOL)
+        own, _ = sp.smallest_k(L, min(n + 1, 9))
         assert np.array_equal(dm.eigenvalues, own)
         assert np.max(np.abs(dm.eigenvalues - vals[: min(n + 1, 9)])) <= 1e-12 * np.linalg.norm(L)
 

@@ -625,8 +625,6 @@ class TestCluster:
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"rescale": "bogus"}, "rescale"),
-        ({"r2_first_row": 9}, "r2_first_row"),
-        ({"r2_first_row": -1}, "r2_first_row"),
     ])
     def test_bad_arguments_rejected_before_solving(self, monkeypatch, kwargs, name):
         def no_solve(*args, **kw):
@@ -636,10 +634,6 @@ class TestCluster:
         monkeypatch.setattr(sp.eigen, "smallest_k", no_solve)
         with pytest.raises(ValueError, match=name):
             sp.cluster(w1_graph(), 2, **kwargs)
-
-    def test_last_row_starts_r2(self):
-        res = sp.cluster(w1_graph(), 3, r2_first_row=8)
-        assert sorted(m for b in res.partition for m in b.members) == list(range(1, 10))
 
     @pytest.mark.parametrize("mode", kway.MODES)
     def test_reported_values_come_from_the_solve_and_last_round(self, mode):

@@ -5,6 +5,7 @@ import pytest
 
 import speclap as sp
 from speclap.errors import IsolatedVertex, NotConnected, SpeclapError
+from speclap.laplacian import KINDS
 
 from conftest import (
     A5,
@@ -126,10 +127,13 @@ class TestQuadraticForm:
 
 
 class TestKernelDimension:
+    """Every kind counts as its unnormalised kind: the normalised Laplacians,
+    rw (not symmetric) included, are similar to D^-1/2 L D^-1/2."""
+
     def test_connected_graph(self, rng):
         g = random_connected(rng, 7)
-        assert sp.kernel_dimension(sp.laplacian(g, "unnormalized")) == 1
-        assert sp.kernel_dimension(sp.laplacian(g, "sym")) == 1
+        for kind in KINDS:
+            assert sp.kernel_dimension(sp.laplacian(g, kind)) == 1, kind
 
     def test_two_components(self, rng):
         g = random_connected(rng, 4)
@@ -137,15 +141,16 @@ class TestKernelDimension:
         W[:4, :4] = g.W
         W[4:, 4:] = g.W
         g2 = sp.Graph(W)
-        assert sp.kernel_dimension(sp.laplacian(g2, "unnormalized")) == 2
+        for kind in KINDS:
+            assert sp.kernel_dimension(sp.laplacian(g2, kind)) == 2, kind
 
     def test_unbalanced_graph_trivial_kernel(self):
-        lap = sp.laplacian(g2_signed(), "signed_unnormalized")
-        assert sp.kernel_dimension(lap) == 0
+        for kind in ("signed_unnormalized", "signed_sym"):
+            assert sp.kernel_dimension(sp.laplacian(g2_signed(), kind)) == 0, kind
 
     def test_balanced_graph_one_dim_kernel(self):
-        lap = sp.laplacian(g1_signed(), "signed_unnormalized")
-        assert sp.kernel_dimension(lap) == 1
+        for kind in ("signed_unnormalized", "signed_sym"):
+            assert sp.kernel_dimension(sp.laplacian(g1_signed(), kind)) == 1, kind
 
 
 class TestBalance:
