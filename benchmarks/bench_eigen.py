@@ -2,17 +2,21 @@
 
 Each size n gets the normalized Laplacian of a seeded random graph with four
 planted blocks (the matrix a 4-way `speclap cluster` solves). The table
-gives the best wall time over the repeats of smallest_k(S, 5) (Householder,
-Sturm multisection, inverse iteration), of the full Jacobi sym_eigen (skipped
-above n = 250, where one call takes half a minute and more) and of numpy's
-eigh, with the largest eigenvalue difference of the five smallest against
-eigh. The SVD gets seeded Gaussian matrices of the shapes the pipeline
-decomposes: K x K for K = 2-5 (Z^T X in the Procrustes step) and N x K (the
-least-squares rescale of Z * Z) for the benchmark's N = 12, 48, 120. numpy
-is a yardstick here, never a production path: speclap calls no external
-eigensolver.
+gives the best wall time over the repeats of smallest_k(S, 5), then of each
+of its four stages run on their own as smallest_k runs them (Householder
+`tridiagonalize`, the six lowest eigenvalues by Sturm multisection in
+`tridiagonal_eigenvalues`, five vectors by inverse iteration in
+`tridiagonal_eigenvectors`, and `back_transform`), of the full Jacobi
+sym_eigen (skipped above n = 250, where one call takes half a minute and
+more) and of numpy's eigh, with the largest eigenvalue difference of the
+five smallest against eigh. The default sizes include n = 12 and 48, the
+sizes the perfbench workloads solve besides 120. The SVD gets seeded
+Gaussian matrices of the shapes the pipeline decomposes: K x K for K = 2-5
+(Z^T X in the Procrustes step) and N x K (the least-squares rescale of
+Z * Z) for the benchmark's N = 12, 48, 120. numpy is a yardstick here, never
+a production path: speclap calls no external eigensolver.
 
-Usage: python benchmarks/bench_eigen.py [--sizes 30,60,120,250,500,1000] [--repeats 3]
+Usage: python benchmarks/bench_eigen.py [--sizes 12,30,48,60,120,250,500,1000] [--repeats 3]
 """
 
 import argparse
@@ -21,6 +25,7 @@ import time
 import numpy as np
 
 import speclap as sp
+from speclap import _kernels
 
 
 def planted_laplacian(rng, n, blocks=4):
@@ -48,17 +53,31 @@ def best_time(fn, S, repeats, number=1):
     return best, out
 
 
+def stage_times(S, repeats, k=5):
+    """Best times of smallest_k(S, k)'s four stages, each on the output of
+    the one before, at the unit scale smallest_k runs them at."""
+    unit = np.ldexp(1.0, np.frexp(np.abs(S).max())[1])
+    t_tri, (d, e, V, tau) = best_time(lambda M: _kernels.tridiagonalize(M / unit), S, repeats)
+    t_val, lam = best_time(lambda _: _kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, len(d))), S, repeats)
+    t_vec, Z = best_time(lambda _: _kernels.tridiagonal_eigenvectors(d, e, lam[:k]), S, repeats)
+    t_back, _ = best_time(lambda _: _kernels.back_transform(V, tau, Z.copy()), S, repeats)
+    return t_tri, t_val, t_vec, t_back
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--sizes", default="30,60,120,250,500,1000")
+    ap.add_argument("--sizes", default="12,30,48,60,120,250,500,1000")
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     rng = np.random.default_rng(0)
 
-    print(f"{'n':>5} {'smallest_k 5':>13} {'sym_eigen':>12} {'numpy eigh':>12} {'max |dλ|':>10}")
+    stages = ("tridiag", "eigvals", "eigvecs", "back")
+    print(f"{'n':>5} {'smallest_k 5':>13} " + " ".join(f"{s:>9}" for s in stages)
+          + f" {'sym_eigen':>12} {'numpy eigh':>12} {'max |dλ|':>10}")
     for n in (int(s) for s in args.sizes.split(",")):
         S = planted_laplacian(rng, n)
         t_k, (vals, _) = best_time(lambda M: sp.smallest_k(M, 5), S, args.repeats)
+        split = " ".join(f"{t * 1e3:>7.2f}ms" for t in stage_times(S, args.repeats))
         t_ref, ref = best_time(np.linalg.eigh, S, args.repeats)
         err = float(np.max(np.abs(vals - ref.eigenvalues[:5])))
         if n <= SYM_EIGEN_MAX_N:
@@ -67,7 +86,7 @@ def main():
             full = f"{t_full * 1e3:>10.2f}ms"
         else:
             full = f"{'-':>12}"
-        print(f"{n:>5} {t_k * 1e3:>11.2f}ms {full} {t_ref * 1e3:>10.3f}ms {err:>10.1e}")
+        print(f"{n:>5} {t_k * 1e3:>11.2f}ms {split} {full} {t_ref * 1e3:>10.3f}ms {err:>10.1e}")
 
     print(f"\n{'shape':>7} {'svd':>12} {'numpy svd':>12} {'ratio':>8} {'max |dσ|':>10}")
     for m, n in SVD_SHAPES:

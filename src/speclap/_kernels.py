@@ -11,8 +11,14 @@ update of the pair's columns of A and V together.
 The k smallest eigenpairs take four stages (Golub & Van Loan ch. 8, after
 LAPACK dsytrd, dstebz and dstein): Householder tridiagonalisation with the
 reflectors stored, Sturm-count multisection for the eigenvalues, inverse
-iteration on the tridiagonal matrix for the vectors, all shifts at once, and
-back-transformation by the reflectors. Nothing is compiled.
+iteration on the tridiagonal matrix for the vectors, and back-transformation
+by the reflectors. Inverse iteration runs its O(n) recurrences (the shifted
+factorisation and each solve) one vector at a time on Python floats: a solve
+needs at most K + 1 vectors, and across so few, one numpy call per row and
+step costs more in call overhead than the arithmetic. That cost grows with
+the number of vectors: at n = 120 the two forms break even near 40 vectors,
+and for all n vectors the per-vector loops take about three times as long.
+Nothing is compiled.
 """
 
 import functools
@@ -160,6 +166,8 @@ def tridiagonalize(A):
     V = np.zeros((max(n - 2, 0), n))
     tau = np.zeros(max(n - 2, 0))
     work = np.empty(max(n - 1, 0) ** 2)  # the rank-2 updates, not one n^2 temporary each
+    # the factors [v w] (m x 2) and [w; v] (2 x m) of each update
+    left, right = np.empty(2 * max(n - 1, 0)), np.empty(2 * max(n - 1, 0))
     for j in range(n - 2):
         d[j] = A[j, j]
         x = A[j, j + 1 :]  # row j is column j: A stays symmetric
@@ -176,7 +184,10 @@ def tridiagonalize(A):
         p = t * (B @ v)
         w = p - (0.5 * t * float(p @ v)) * v
         m = n - j - 1
-        B -= np.matmul(np.stack((v, w), axis=1), np.stack((w, v)), out=work[: m * m].reshape(m, m))
+        vw, wv = left[: 2 * m].reshape(m, 2), right[: 2 * m].reshape(2, m)
+        vw[:, 0] = wv[1] = v
+        vw[:, 1] = wv[0] = w
+        B -= np.matmul(vw, wv, out=work[: m * m].reshape(m, m))
         e[j], tau[j] = beta, t
         V[j, j + 1 :] = v
     if n >= 2:
@@ -208,9 +219,11 @@ def sturm_counts(d, e2, x, pivmin):
     below pivmin in magnitude as -pivmin (LAPACK dlaneg, dlaebz).
     """
     q = d[:, None] - x
+    rows = list(q)
+    quotient = np.empty(len(x))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(1, len(d)):
-            np.subtract(q[i], e2[i - 1] / q[i - 1], out=q[i])
+        for e2i, prev, row in zip(e2.tolist(), rows, rows[1:]):
+            np.subtract(row, np.divide(e2i, prev, out=quotient), out=row)
     if not np.isnan(q[-1]).any():
         return np.signbit(q).sum(axis=0)
     q = d[:, None] - x
@@ -275,57 +288,61 @@ def _start_vectors(n, m):
 
 
 def _factor_shifted(d, e, lam, pivot_floor):
-    """T - lam_j I = P_j L_j U_j for every shift at once, by Gaussian
-    elimination with partial pivoting (LAPACK dlagtf). Returns (a, b, c,
-    mult, swap): the diagonal and two superdiagonals of U, the multipliers
-    of L and the row interchanges, one column per shift. Pivots below
-    pivot_floor in magnitude are raised to it, keeping their sign."""
-    n, m = len(d), len(lam)
-    a = d[:, None] - lam
-    b = np.repeat(e[:, None], m, axis=1)
-    c = np.zeros((max(n - 2, 0), m))
-    mult = np.empty((max(n - 1, 0), m))
-    swap = np.empty((max(n - 1, 0), m), dtype=bool)
+    """T - lam I = P L U for one shift, by Gaussian elimination with partial
+    pivoting (LAPACK dlagtf), on Python floats: d and e are lists. Returns
+    (a, b, c, mult, swap): the diagonal and two superdiagonals of U, the
+    multipliers of L and the row interchanges. A zero pivot divides as 1;
+    pivots below pivot_floor in magnitude are then raised to it, keeping
+    their sign, and a NaN stays NaN."""
+    n = len(d)
+    a = [x - lam for x in d]
+    b = list(e)
+    c = [0.0] * max(n - 2, 0)
+    mult = [0.0] * max(n - 1, 0)
+    swap = [False] * max(n - 1, 0)
     for k in range(n - 1):
         # pivot between row k (a_k, b_k, 0) and row k + 1 (e_k, a_k+1, e_k+1)
-        ak, bk, ak1 = a[k], b[k], a[k + 1]
-        s = abs(e[k]) > np.abs(ak)
-        piv = np.where(s, e[k], ak)
-        mk = np.where(s, ak, e[k]) / np.where(piv == 0.0, 1.0, piv)
-        bk_new = np.where(s, ak1, bk)
-        a[k + 1] = np.where(s, bk, ak1) - mk * bk_new
-        a[k], b[k] = piv, bk_new
-        if k < n - 2:
-            c[k] = np.where(s, e[k + 1], 0.0)
-            b[k + 1] = np.where(s, -mk * e[k + 1], e[k + 1])
-        mult[k], swap[k] = mk, s
-    small = np.abs(a) < pivot_floor
-    a[small] = np.where(a[small] < 0.0, -pivot_floor, pivot_floor)
+        ek, ak = e[k], a[k]
+        if abs(ek) > abs(ak):
+            mk = ak / ek
+            a[k], b[k], a[k + 1] = ek, a[k + 1], b[k] - mk * a[k + 1]
+            if k < n - 2:
+                c[k], b[k + 1] = e[k + 1], -mk * e[k + 1]
+            swap[k] = True
+        else:
+            mk = ek / (ak if ak != 0.0 else 1.0)
+            a[k + 1] -= mk * b[k]
+        mult[k] = mk
+    for k, x in enumerate(a):
+        if abs(x) < pivot_floor:
+            a[k] = -pivot_floor if x < 0.0 else pivot_floor
     return a, b, c, mult, swap
 
 
 def _solve_shifted(factors, y):
-    """Solve (T - lam_j I) x_j = y_j for every column j, in place on y
-    (LAPACK dlagts)."""
+    """Solve (T - lam I) x = y with the factors of _factor_shifted, in place
+    on the list y (LAPACK dlagts)."""
     a, b, c, mult, swap = factors
     n = len(a)
+    yk = y[0]  # row k after the eliminations so far
     for k in range(n - 1):
-        s, yk, yk1 = swap[k], y[k], y[k + 1]
-        top = np.where(s, yk1, yk)
-        y[k + 1] = np.where(s, yk, yk1) - mult[k] * top
-        y[k] = top
-    y[n - 1] /= a[n - 1]
+        yk1 = y[k + 1]
+        if swap[k]:
+            y[k], yk = yk1, yk - mult[k] * yk1
+        else:
+            y[k], yk = yk, yk1 - mult[k] * yk
+    y[n - 1] = x1 = yk / a[n - 1]
     if n >= 2:
-        y[n - 2] = (y[n - 2] - b[n - 2] * y[n - 1]) / a[n - 2]
-    for k in range(n - 3, -1, -1):
-        y[k] = (y[k] - b[k] * y[k + 1] - c[k] * y[k + 2]) / a[k]
+        y[n - 2] = x0 = (y[n - 2] - b[n - 2] * x1) / a[n - 2]
+        for k in range(n - 3, -1, -1):
+            x0, x1 = (y[k] - b[k] * x0 - c[k] * x1) / a[k], x0
+            y[k] = x0
     return y
 
 
 def tridiagonal_eigenvectors(d, e, lam):
     """Unit eigenvectors of the tridiagonal T = (d, e) for the ascending
-    eigenvalues lam, by inverse iteration on T - lam_j I for all j at once
-    (LAPACK dstein).
+    eigenvalues lam, by inverse iteration on T - lam_j I (LAPACK dstein).
 
     Each iteration scales the right-hand side to n ||T||_1 max(eps, |u_nn|)
     and solves; once the solution's largest entry reaches sqrt(0.1 / n) the
@@ -334,19 +351,31 @@ def tridiagonal_eigenvectors(d, e, lam):
     orthogonalised against the lower ones of its cluster. Pivots are kept
     at least eps ||T||_1 in magnitude. Returns the n x len(lam) vectors, or
     None if some vector never converged.
+
+    The factorisation and the solves are O(n) recurrences, run one vector
+    at a time on Python floats: with at most K + 1 vectors, one numpy call
+    per row and step across all vectors cost more in call overhead than the
+    arithmetic. Their cost grows with the number of vectors (at n = 120 the
+    break-even is near 40), so many vectors run slower this way. Scaling,
+    the re-orthogonalisation, the growth test and the normalisation stay
+    numpy calls over all vectors.
     """
     n, m = len(d), len(lam)
     eps = np.finfo(float).eps
     onenrm = float((np.abs(d) + np.r_[0.0, np.abs(e)] + np.r_[np.abs(e), 0.0]).max())
-    factors = _factor_shifted(d, e, lam, eps * onenrm)
-    rhs_scale = n * onenrm * np.maximum(eps, np.abs(factors[0][n - 1]))
+    dl, el, floor = d.tolist(), e.tolist(), float(eps * onenrm)
+    factors = [_factor_shifted(dl, el, x, floor) for x in lam.tolist()]
+    rhs_scale = n * onenrm * np.maximum(eps, np.abs([a[n - 1] for a, *_ in factors]))
     breaks = np.flatnonzero(np.diff(lam) > 1e-3 * onenrm) + 1
     clusters = [(s, t) for s, t in zip(np.r_[0, breaks], np.r_[breaks, m]) if t - s > 1]
     X = _start_vectors(n, m)
     passed = np.zeros(m, dtype=np.intp)
     for _ in range(INVERSE_ITERATIONS):
         X *= rhs_scale / np.abs(X).max(axis=0)
-        _solve_shifted(factors, X)
+        # column-major, as the start vectors are: a row-major X would change
+        # the order in which (X * X).sum(axis=0) and the cluster products
+        # add up, and with it the last bits of the vectors
+        X = np.array([_solve_shifted(f, y) for f, y in zip(factors, X.T.tolist())]).T
         for s, t in clusters:
             for i in range(s + 1, t):
                 B = X[:, s:i]

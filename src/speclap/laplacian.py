@@ -56,16 +56,17 @@ def quadratic_form(g, x, signed=False):
 
 
 def kernel_dimension(lap):
-    """Number of eigenvalues below 1e-9 relative to the largest eigenvalue.
-    The rw Laplacian D^-1 L is counted on D^1/2 (D^-1 L) D^-1/2, the
+    """Number of eigenvalues with |lambda| at most 1e-9 max |lambda|: zero
+    to rounding, on either side, so the negative eigenvalues of a signed
+    graph's unsigned Laplacian do not count. The rw Laplacian D^-1 L is counted on D^1/2 (D^-1 L) D^-1/2, the
     symmetric matrix it is similar to."""
     M = lap.M
     if lap.kind == "rw":
         root = np.sqrt(lap.degree)
         M = root[:, None] * M / root[None, :]
     eig = eigen.sym_eigen(M)
-    top = max(abs(eig.values[-1]), 1.0e-300)
-    return int(np.count_nonzero(eig.values < 1e-9 * top))
+    size = np.abs(eig.values)
+    return int(np.count_nonzero(size <= 1e-9 * max(size.max(), 1.0e-300)))
 
 
 def _first_broken_edge(g, s):

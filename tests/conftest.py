@@ -1,11 +1,12 @@
 """Shared fixtures: reference matrices and random graph generators."""
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
 
-from speclap import Graph, NodeSubset, cut, links, volume
+from speclap import Graph, NodeSubset, _kernels, cut, links, volume
 from speclap.eigen import sym_eigen
 from speclap.errors import ZeroVolume
 
@@ -317,3 +318,131 @@ def edge_sum_form(g, x, signed=False):
         return float(0.5 * (np.abs(W) * diff * diff).sum())
     diff = x[:, None] - x[None, :]
     return float(0.5 * (W * diff * diff).sum())
+
+
+
+def reference_tridiagonalize(A):
+    """Reference Householder tridiagonalisation: _kernels.tridiagonalize
+    with each rank-2 update's two factors built by np.stack. Same (d, e, V,
+    tau) contract, in place on A."""
+    n = A.shape[0]
+    negligible = np.finfo(float).eps * np.linalg.norm(A)
+    d = np.empty(n)
+    e = np.zeros(max(n - 1, 0))
+    V = np.zeros((max(n - 2, 0), n))
+    tau = np.zeros(max(n - 2, 0))
+    work = np.empty(max(n - 1, 0) ** 2)  # the rank-2 updates, not one n^2 temporary each
+    for j in range(n - 2):
+        d[j] = A[j, j]
+        x = A[j, j + 1 :]  # row j is column j: A stays symmetric
+        alpha = float(x[0])
+        xnorm = math.sqrt(float(x[1:] @ x[1:]))
+        if xnorm <= negligible:
+            e[j] = alpha
+            continue
+        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+        t = (beta - alpha) / beta
+        v = x / (alpha - beta)
+        v[0] = 1.0
+        B = A[j + 1 :, j + 1 :]
+        p = t * (B @ v)
+        w = p - (0.5 * t * float(p @ v)) * v
+        m = n - j - 1
+        B -= np.matmul(np.stack((v, w), axis=1), np.stack((w, v)), out=work[: m * m].reshape(m, m))
+        e[j], tau[j] = beta, t
+        V[j, j + 1 :] = v
+    if n >= 2:
+        d[n - 2], e[n - 2] = A[n - 2, n - 2], A[n - 2, n - 1]
+    if n >= 1:
+        d[n - 1] = A[n - 1, n - 1]
+    return d, e, V, tau
+
+
+def reference_sturm_counts(d, e2, x, pivmin):
+    """Reference Sturm counts: _kernels.sturm_counts indexing q row by row
+    and allocating each quotient."""
+    q = d[:, None] - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(1, len(d)):
+            np.subtract(q[i], e2[i - 1] / q[i - 1], out=q[i])
+    if not np.isnan(q[-1]).any():
+        return np.signbit(q).sum(axis=0)
+    q = d[:, None] - x
+    for i in range(len(d)):
+        if i:
+            q[i] -= e2[i - 1] / q[i - 1]
+        q[i][np.abs(q[i]) < pivmin] = -pivmin
+    return np.signbit(q).sum(axis=0)
+
+
+def _reference_factor_shifted(d, e, lam, pivot_floor):
+    """dlagtf for every shift at once: one numpy column per shift."""
+    n, m = len(d), len(lam)
+    a = d[:, None] - lam
+    b = np.repeat(e[:, None], m, axis=1)
+    c = np.zeros((max(n - 2, 0), m))
+    mult = np.empty((max(n - 1, 0), m))
+    swap = np.empty((max(n - 1, 0), m), dtype=bool)
+    for k in range(n - 1):
+        # pivot between row k (a_k, b_k, 0) and row k + 1 (e_k, a_k+1, e_k+1)
+        ak, bk, ak1 = a[k], b[k], a[k + 1]
+        s = abs(e[k]) > np.abs(ak)
+        piv = np.where(s, e[k], ak)
+        mk = np.where(s, ak, e[k]) / np.where(piv == 0.0, 1.0, piv)
+        bk_new = np.where(s, ak1, bk)
+        a[k + 1] = np.where(s, bk, ak1) - mk * bk_new
+        a[k], b[k] = piv, bk_new
+        if k < n - 2:
+            c[k] = np.where(s, e[k + 1], 0.0)
+            b[k + 1] = np.where(s, -mk * e[k + 1], e[k + 1])
+        mult[k], swap[k] = mk, s
+    small = np.abs(a) < pivot_floor
+    a[small] = np.where(a[small] < 0.0, -pivot_floor, pivot_floor)
+    return a, b, c, mult, swap
+
+
+def _reference_solve_shifted(factors, y):
+    """dlagts for every column of y at once, in place on y."""
+    a, b, c, mult, swap = factors
+    n = len(a)
+    for k in range(n - 1):
+        s, yk, yk1 = swap[k], y[k], y[k + 1]
+        top = np.where(s, yk1, yk)
+        y[k + 1] = np.where(s, yk, yk1) - mult[k] * top
+        y[k] = top
+    y[n - 1] /= a[n - 1]
+    if n >= 2:
+        y[n - 2] = (y[n - 2] - b[n - 2] * y[n - 1]) / a[n - 2]
+    for k in range(n - 3, -1, -1):
+        y[k] = (y[k] - b[k] * y[k + 1] - c[k] * y[k + 2]) / a[k]
+    return y
+
+
+def reference_tridiagonal_eigenvectors(d, e, lam):
+    """Reference inverse iteration: _kernels.tridiagonal_eigenvectors with
+    the factorisation and solves vectorised over all shifts at once, one
+    numpy call per row and step. Same start vectors, iteration counts,
+    clusters and pivot floor."""
+    n, m = len(d), len(lam)
+    eps = np.finfo(float).eps
+    onenrm = float((np.abs(d) + np.r_[0.0, np.abs(e)] + np.r_[np.abs(e), 0.0]).max())
+    factors = _reference_factor_shifted(d, e, lam, eps * onenrm)
+    rhs_scale = n * onenrm * np.maximum(eps, np.abs(factors[0][n - 1]))
+    breaks = np.flatnonzero(np.diff(lam) > 1e-3 * onenrm) + 1
+    clusters = [(s, t) for s, t in zip(np.r_[0, breaks], np.r_[breaks, m]) if t - s > 1]
+    X = _kernels._start_vectors(n, m)
+    passed = np.zeros(m, dtype=np.intp)
+    for _ in range(_kernels.INVERSE_ITERATIONS):
+        X *= rhs_scale / np.abs(X).max(axis=0)
+        _reference_solve_shifted(factors, X)
+        for s, t in clusters:
+            for i in range(s + 1, t):
+                B = X[:, s:i]
+                for _ in range(2):
+                    X[:, i] -= B @ ((B.T @ X[:, i]) / (B * B).sum(axis=0))
+        passed += np.abs(X).max(axis=0) >= math.sqrt(0.1 / n)
+        if (passed > _kernels.EXTRA_ITERATIONS).all():
+            break
+    if not passed.all():
+        return None
+    return X / np.sqrt((X * X).sum(axis=0))

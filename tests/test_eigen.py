@@ -13,9 +13,13 @@ from speclap.errors import NoConvergence, NotSymmetric, ZeroVector
 from conftest import (
     L1BAR,
     L1BAR_EIGENVALUES,
+    _reference_factor_shifted,
     complete,
     one_rotation_at_a_time,
     random_orthonormal,
+    reference_sturm_counts,
+    reference_tridiagonal_eigenvectors,
+    reference_tridiagonalize,
     ring,
     row_cyclic_jacobi,
     scalar_jacobi_svd,
@@ -437,7 +441,87 @@ class TestSmallestKOracle:
         assert np.max(np.abs(vecs - V * sp.eigen._column_signs(V))) <= 1e-10
 
 
+def _tridiagonal_case(kind, n, m):
+    """(d, e, lam): a seeded tridiagonal T and m ascending shifts on its
+    spectrum. split: e_i = 0 mid-way; zero-pivot: e_0 = 0 and a shift
+    exactly on d_0, so the first pivot is 0; cluster: every eigenvalue
+    within 1e-4 of 1 while ||T|| is about 1."""
+    rng = np.random.default_rng(1000 * n + m)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    if kind == "split":
+        e[n // 2] = 0.0
+    elif kind == "zero-pivot":
+        e[0] = 0.0
+    elif kind == "cluster":
+        d, e = 1.0 + 1e-5 * rng.random(n), 1e-6 * e
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    if kind == "zero-pivot":
+        # T splits after row 0, so d_0 is an eigenvalue exactly
+        return d, e, np.sort(np.r_[d[0], np.linalg.eigvalsh(T[1:, 1:])[: m - 1]])
+    return d, e, np.linalg.eigvalsh(T)[:m]
+
+
+TRIDIAGONAL_CASES = (
+    [("random", n, n) for n in (1, 2, 3)]
+    + [("random", 12, m) for m in range(1, 9)]
+    + [("random", 120, m) for m in (1, 5, 8)]
+    + [("split", 12, 4), ("split", 120, 6), ("zero-pivot", 12, 3), ("zero-pivot", 48, 1)]
+    + [("cluster", 12, 6), ("cluster", 120, 8)]
+)
+
+
 class TestTridiagonalKernels:
+    @pytest.mark.parametrize("kind,n,m", TRIDIAGONAL_CASES, ids=[f"{k}-n{n}-m{m}" for k, n, m in TRIDIAGONAL_CASES])
+    def test_eigenvectors_match_vectorised_reference(self, kind, n, m):
+        # the per-vector recurrences run the reference's operations in its
+        # order, so the vectors agree to the bit
+        d, e, lam = _tridiagonal_case(kind, n, m)
+        if kind == "zero-pivot":
+            assert e[0] == 0.0 and lam[np.searchsorted(lam, d[0])] == d[0]
+        if kind == "cluster":
+            assert np.ptp(lam) < 1e-3 * np.abs(d).max()
+        ref = reference_tridiagonal_eigenvectors(d, e, lam)
+        assert ref is not None
+        assert np.array_equal(_kernels.tridiagonal_eigenvectors(d, e, lam), ref)
+
+    @pytest.mark.parametrize("d0, e0", [(0.0, 0.0), (-0.0, 0.0), (np.nan, 0.5), (-1e-20, 0.0), (1e-20, 1e-30)])
+    def test_pivot_rules_match_reference(self, d0, e0):
+        # a zero or -0 pivot divides as 1, a pivot below the floor becomes
+        # the floor with its sign, and a NaN pivot stays NaN
+        d, e = np.array([d0, 1.0, 2.0, 0.5]), np.array([e0, 0.5, 0.25])
+        got = _kernels._factor_shifted(d.tolist(), e.tolist(), 0.0, 1e-3)
+        ref = _reference_factor_shifted(d, e, np.zeros(1), 1e-3)
+        for g, r in zip(got, ref):
+            g, r = np.array(g, dtype=float), r[:, 0].astype(float)
+            assert np.array_equal(g, r, equal_nan=True) and np.array_equal(np.signbit(g), np.signbit(r))
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 120])
+    def test_sturm_counts_match_reference(self, n):
+        rng = np.random.default_rng(n)
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        e2 = e * e
+        pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+        x = np.r_[np.sort(rng.uniform(-4.0, 4.0, 3 * n + 5)), d[0]]
+        assert np.array_equal(_kernels.sturm_counts(d, e2, x, pivmin), reference_sturm_counts(d, e2, x, pivmin))
+
+    def test_sturm_counts_guarded_pass_matches_reference(self):
+        # a zero pivot over a zero e_i: 0/0, so both redo the pass guarded
+        d, e2, x = np.array([1.0, 1.0, 3.0]), np.zeros(2), np.array([0.5, 1.0, 2.0, 4.0])
+        tiny = np.finfo(float).tiny
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.array_equal(_kernels.sturm_counts(d, e2, x, tiny), reference_sturm_counts(d, e2, x, tiny))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 120])
+    def test_tridiagonalize_matches_reference(self, n):
+        rng = np.random.default_rng(n)
+        # a random matrix, and a block-diagonal one: the last column of
+        # each block is already reduced (tau = 0)
+        for S in (random_symmetric(rng, n), np.kron(np.eye(3), random_symmetric(rng, -(-n // 3)))):
+            A, B = S.copy(), S.copy()
+            got, ref = _kernels.tridiagonalize(A), reference_tridiagonalize(B)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+            assert np.array_equal(A, B)
+
     def test_sturm_counts_against_eigvalsh(self):
         rng = np.random.default_rng(7)
         d, e = rng.standard_normal(9), rng.standard_normal(8)

@@ -152,6 +152,12 @@ class TestKernelDimension:
         for kind in ("signed_unnormalized", "signed_sym"):
             assert sp.kernel_dimension(sp.laplacian(g1_signed(), kind)) == 1, kind
 
+    @pytest.mark.parametrize("graph", [g1_signed, g2_signed])
+    def test_signed_graph_unsigned_laplacian(self, graph):
+        # D - W of a signed graph is indefinite (G1: -3.62, -0.06, 0, ...;
+        # G2: -2.70, -0.74, 0, ...): only the zero eigenvalue is kernel
+        assert sp.kernel_dimension(sp.laplacian(graph(), "unnormalized")) == 1
+
 
 class TestBalance:
     def test_balanced_nine_node(self):
