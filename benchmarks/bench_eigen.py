@@ -1,4 +1,4 @@
-"""Time speclap's smallest_k, sym_eigen and svd against the numpy.linalg yardsticks.
+"""Time speclap's smallest_k, sym_eigen, svd and init_rotation_R1 against the numpy.linalg yardsticks.
 
 Each size n gets the normalized Laplacian of a seeded random graph with four
 planted blocks (the matrix a 4-way `speclap cluster` solves). The table
@@ -6,15 +6,19 @@ gives the best wall time over the repeats of smallest_k(S, 5), then of each
 of its four stages run on their own as smallest_k runs them (Householder
 `tridiagonalize`, the six lowest eigenvalues by Sturm multisection in
 `tridiagonal_eigenvalues`, five vectors by inverse iteration in
-`tridiagonal_eigenvectors`, and `back_transform`), of the full Jacobi
-sym_eigen (skipped above n = 250, where one call takes half a minute and
-more) and of numpy's eigh, with the largest eigenvalue difference of the
-five smallest against eigh. The default sizes include n = 12 and 48, the
-sizes the perfbench workloads solve besides 120. The SVD gets seeded
-Gaussian matrices of the shapes the pipeline decomposes: K x K for K = 2-5
-(Z^T X in the Procrustes step) and N x K (the least-squares rescale of
-Z * Z) for the benchmark's N = 12, 48, 120. numpy is a yardstick here, never
-a production path: speclap calls no external eigensolver.
+`tridiagonal_eigenvectors`, and `back_transform`), of the full
+decomposition sym_eigen, which is smallest_k(S, n) (skipped above n = 500,
+where the per-vector inverse iteration over all n vectors takes seconds),
+and of numpy's eigh, with the largest eigenvalue difference against eigh
+(the five smallest, and every eigenvalue where sym_eigen ran). The default
+sizes include n = 12 and 48, the sizes the perfbench workloads solve besides
+120. The SVD gets seeded Gaussian matrices of the shapes the pipeline
+decomposes: K x K for K = 2-5 (Z^T X in the Procrustes step) and N x K (the
+least-squares rescale of Z * Z, and the relaxed Z) for the benchmark's
+N = 12, 48, 120. Next to each SVD row, init_rotation_R1 on the same matrix
+taken as Z: its K x K eigensolve of Z^T Z runs as the SVD of Z. numpy is a
+yardstick here, never a production path: speclap calls no external
+eigensolver.
 
 Usage: python benchmarks/bench_eigen.py [--sizes 12,30,48,60,120,250,500,1000] [--repeats 3]
 """
@@ -38,7 +42,7 @@ def planted_laplacian(rng, n, blocks=4):
     return sp.laplacian(sp.Graph(W), "sym").M
 
 
-SYM_EIGEN_MAX_N = 250  # a full Jacobi solve takes 27 s at n = 500
+SYM_EIGEN_MAX_N = 500  # a full solve takes about 1 s at n = 500
 SVD_SHAPES = ((2, 2), (3, 3), (4, 4), (5, 5), (12, 3), (48, 3), (120, 4))
 
 
@@ -88,13 +92,15 @@ def main():
             full = f"{'-':>12}"
         print(f"{n:>5} {t_k * 1e3:>11.2f}ms {split} {full} {t_ref * 1e3:>10.3f}ms {err:>10.1e}")
 
-    print(f"\n{'shape':>7} {'svd':>12} {'numpy svd':>12} {'ratio':>8} {'max |dσ|':>10}")
+    print(f"\n{'shape':>7} {'svd':>12} {'numpy svd':>12} {'ratio':>8} {'max |dσ|':>10} {'init_R1':>12}")
     for m, n in SVD_SHAPES:
         M = rng.standard_normal((m, n))
         t_own, res = best_time(sp.svd, M, args.repeats, number=20)
         t_ref, ref = best_time(np.linalg.svd, M, args.repeats, number=20)
+        t_r1, _ = best_time(sp.init_rotation_R1, M, args.repeats, number=20)
         err = float(np.max(np.abs(res.S - ref.S)))
-        print(f"{f'{m}x{n}':>7} {t_own * 1e6:>10.1f}us {t_ref * 1e6:>10.1f}us {t_own / t_ref:>7.0f}x {err:>10.1e}")
+        print(f"{f'{m}x{n}':>7} {t_own * 1e6:>10.1f}us {t_ref * 1e6:>10.1f}us {t_own / t_ref:>7.0f}x {err:>10.1e}"
+              f" {t_r1 * 1e6:>10.1f}us")
 
 
 if __name__ == "__main__":

@@ -1,24 +1,26 @@
-"""Hot numerical kernels: round-robin Jacobi, one-sided Jacobi SVD, and the
-tridiagonal path for a few eigenpairs.
+"""Hot numerical kernels: the tridiagonal eigensolver path and the one-sided
+Jacobi SVD.
 
-The full eigensolver is cyclic Jacobi in the round-robin parallel ordering
-of Brent & Luk (1985): a sweep is a sequence of rounds, each holding up to
-n/2 disjoint (p, q) pairs, and all rotations of a round are applied together
-as vectorised numpy row and column updates. The SVD is cyclic one-sided
-Jacobi: it rotates one column pair at a time, each rotation one numpy
-update of the pair's columns of A and V together.
+The SVD is cyclic one-sided Jacobi: it rotates one column pair at a time,
+each rotation one numpy update of the pair's columns of A and V together.
 
-The k smallest eigenpairs take four stages (Golub & Van Loan ch. 8, after
-LAPACK dsytrd, dstebz and dstein): Householder tridiagonalisation with the
-reflectors stored, Sturm-count multisection for the eigenvalues, inverse
-iteration on the tridiagonal matrix for the vectors, and back-transformation
-by the reflectors. Inverse iteration runs its O(n) recurrences (the shifted
-factorisation and each solve) one vector at a time on Python floats: a solve
-needs at most K + 1 vectors, and across so few, one numpy call per row and
-step costs more in call overhead than the arithmetic. That cost grows with
-the number of vectors: at n = 120 the two forms break even near 40 vectors,
-and for all n vectors the per-vector loops take about three times as long.
+Every symmetric eigensolve, full or partial, takes four stages (Golub &
+Van Loan ch. 8, after LAPACK dsytrd, dstebz and dstein): Householder
+tridiagonalisation with the reflectors stored, Sturm-count multisection for
+the eigenvalues, inverse iteration on the tridiagonal matrix for the
+vectors, and back-transformation by the reflectors. Inverse iteration runs
+its O(n) recurrences (the shifted factorisation and each solve) one vector
+at a time on Python floats: a Laplacian solve needs at most K + 1 vectors,
+and across so few, one numpy call per row and step costs more in call
+overhead than the arithmetic. That cost grows with the number of vectors:
+at n = 120 the two forms break even near 40 vectors, and for all n vectors
+(a full decomposition) the per-vector loops take about three times as long.
 Nothing is compiled.
+
+Round-robin Jacobi (`jacobi_eigen`, with `round_robin_schedule` and
+`_max_off_diagonal`) is not called by the library. It stays because
+perfbench/spans.py traces it by name (its TARGETS list), and the tests use
+it as their independent full eigensolver; it goes once that entry does.
 """
 
 import functools
@@ -26,8 +28,8 @@ import math
 
 import numpy as np
 
-# nothing is compiled; the flag stays only because perfbench/run.py records
-# it with every run, and goes when that line does
+# nothing is compiled; the flag stays only because perfbench/run.py looks it
+# up by name and records it with every run, and goes when that line does
 USE_NUMBA = False
 
 
@@ -64,7 +66,10 @@ def jacobi_eigen(A, V, tol, max_sweeps):
 
     V accumulates the rotations (must start as the identity). Returns the
     number of sweeps used, or -1 if the largest off-diagonal entry did not
-    drop below tol * ||A||_F within max_sweeps.
+    drop below tol * ||A||_F within max_sweeps. No library code calls it:
+    it is the tests' independent full-decomposition reference, and
+    perfbench/spans.py traces it by name (TARGETS), so it stays until that
+    entry goes.
     """
     n = A.shape[0]
     norm = np.sqrt((A * A).sum())

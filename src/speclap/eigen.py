@@ -1,13 +1,14 @@
-"""Dense symmetric eigensolvers and SVD.
+"""Dense symmetric eigensolver and SVD.
 
-`smallest_k`, the solve of every n x n Laplacian, reduces to tridiagonal
-form by Householder reflections, finds the k smallest eigenvalues by Sturm
-multisection and their vectors by inverse iteration. `sym_eigen`, for full
-decompositions (the K x K solve of the rounding, `kernel_dimension`), and
-`svd` run Jacobi rotations. Both eigensolvers return multiple eigenvalues'
-vectors in one canonical basis and under one sign rule. Every spectral
-computation in the library goes through this module; nothing else calls an
-external eigensolver.
+Every symmetric eigensolve takes one path, `smallest_k`: Householder
+reduction to tridiagonal form, Sturm multisection for the k smallest
+eigenvalues and inverse iteration for their vectors. `sym_eigen`, the full
+decomposition (`kernel_dimension`), is `smallest_k` with k = n. `svd` runs
+one-sided Jacobi rotations, and the K x K eigenproblem of the rounding,
+Z^T Z, is solved as the SVD of Z (`_gram_eigen`). Multiple eigenvalues'
+vectors come back in one canonical basis and under one sign rule. Every
+spectral computation in the library goes through this module; nothing else
+calls an external eigensolver.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ import numpy as np
 
 from ._kernels import (
     back_transform,
-    jacobi_eigen,
     jacobi_svd,
     tridiagonal_eigenvalues,
     tridiagonal_eigenvectors,
@@ -24,9 +24,9 @@ from ._kernels import (
 )
 from .errors import NoConvergence, NotSymmetric, ZeroVector
 
-# the one tolerance and sweep limit: the stopping rule of both Jacobi
-# kernels, and eigenvalues within DEFAULT_TOL * ||S||_F of each other count
-# as one multiple eigenvalue in every eigensolve
+# the one tolerance and sweep limit: the stopping rule of the Jacobi SVD,
+# and eigenvalues within DEFAULT_TOL * ||S||_F of each other count as one
+# multiple eigenvalue in every eigensolve
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
 # relative gap under which two computed quantities count as equal: far above
@@ -135,22 +135,16 @@ def _canonicalise(vectors, groups):
 
 
 def sym_eigen(S):
-    """Full eigendecomposition of a symmetric matrix by round-robin Jacobi.
+    """Full eigendecomposition of a symmetric matrix: smallest_k(S, n).
 
-    Eigenvalues that agree to DEFAULT_TOL * ||S||_F, the solver's own
-    accuracy, are one multiple eigenvalue: its eigenvectors are returned in
-    a canonical basis (_canonical_basis), so they do not depend on the
-    rotation order.
+    Eigenvalues that agree to DEFAULT_TOL * ||S||_F are one multiple
+    eigenvalue: its eigenvectors are returned in a canonical basis
+    (_canonical_basis), so they do not depend on the solver's internals.
     """
-    A, scale = _symmetric_input(S)
-    V = np.eye(A.shape[0])
-    sweeps = jacobi_eigen(A, V, DEFAULT_TOL, MAX_SWEEPS)
-    if sweeps < 0:
-        raise NoConvergence(f"Jacobi eigen did not converge in {MAX_SWEEPS} sweeps")
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = _canonicalise(V[:, order], _tie_groups(values, DEFAULT_TOL * scale))
+    S = np.asarray(S, dtype=float)
+    if S.shape == (0, 0):
+        return SymmetricEigen(values=np.zeros(0), vectors=np.zeros((0, 0)))
+    values, vectors = smallest_k(S, S.shape[0] if S.ndim else 1)
     return SymmetricEigen(values=values, vectors=vectors)
 
 
@@ -172,9 +166,23 @@ def _jacobi_svd_sorted(M):
     return A[:, order], norms, V[:, order], rank
 
 
+def _gram_eigen(Z):
+    """Eigendecomposition of G = Z^T Z without forming G: its eigenvectors
+    are the right singular vectors of Z and its eigenvalues their squared
+    singular values, so G's condition number is never squared into the
+    solve. Ascending, with smallest_k's tie groups (at DEFAULT_TOL *
+    ||G||_F), canonical basis and sign rule."""
+    if not np.isfinite(Z).all():
+        raise ValueError("matrix has non-finite entries")
+    _, norms, V, _ = _jacobi_svd_sorted(Z)
+    values = norms[::-1] ** 2
+    groups = _tie_groups(values, DEFAULT_TOL * np.linalg.norm(values))
+    return SymmetricEigen(values=values, vectors=_canonicalise(V[:, ::-1].copy(), groups))
+
+
 def svd(M):
     """Full SVD by one-sided Jacobi: U is m x m, V is n x n, singular values
-    descending. The sign rule of sym_eigen (_column_signs) orients every
+    descending. The eigensolver's sign rule (_column_signs) orients every
     column of the taller factor (U if m >= n, else V) and the null-space
     columns of the other; the rest are paired with the taller factor's."""
     M = np.asarray(M, dtype=float)
@@ -212,10 +220,12 @@ def smallest_k(S, k):
 
     Householder reduction to a tridiagonal T, Sturm-count multisection for
     the eigenvalues, inverse iteration on T for their vectors, and the
-    stored reflectors to carry those back. Multiple eigenvalues and signs
-    follow sym_eigen's rules (tie groups at DEFAULT_TOL * ||S||_F, canonical
-    basis, sign rule); a tie group that k cuts is computed whole before the
-    cut, so the result is sym_eigen's first k columns to rounding.
+    stored reflectors to carry those back. Eigenvalues within
+    DEFAULT_TOL * ||S||_F of each other are one multiple eigenvalue, whose
+    eigenvectors come back in the canonical basis (_canonical_basis); every
+    column is oriented by _column_signs. A tie group that k cuts is computed
+    whole before the cut, so the result is the first k columns of
+    sym_eigen(S) = smallest_k(S, n) to rounding.
     """
     A, scale = _symmetric_input(S)
     n = A.shape[0]

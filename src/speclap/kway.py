@@ -156,10 +156,10 @@ def solve_relaxed(g, K, mode="ncut"):
 
 def init_rotation_R1(Z):
     """Rotation making the columns of Z R1 simultaneously orthogonal and
-    D-orthogonal: the eigenvector matrix of Z^T Z."""
+    D-orthogonal: the eigenvector matrix of Z^T Z, taken as the right
+    singular vectors of Z (eigen._gram_eigen), ascending."""
     Z = _as_z(Z)
-    G = Z.T @ Z
-    eig = eigen.sym_eigen(G)
+    eig = eigen._gram_eigen(Z)
     if eig.values[0] <= 1e-12 * max(eig.values[-1], 1e-300):
         raise RankDeficient("Z does not have full column rank")
     return TransformQ(R=eig.vectors, Lambda=np.eye(Z.shape[1]))

@@ -6,8 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from speclap import Graph, NodeSubset, _kernels, cut, links, volume
-from speclap.eigen import sym_eigen
+from speclap import Graph, NodeSubset, _kernels, cut, eigen, links, volume
 from speclap.errors import ZeroVolume
 
 # 5-node example graph: adjacency and unnormalized Laplacian.
@@ -149,8 +148,10 @@ def random_orthonormal(rng, m, n):
     return Q[:, :n]
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test, so no test's data depends on which tests
+    ran before it."""
     return np.random.default_rng(20260824)
 
 
@@ -190,11 +191,32 @@ def row_cyclic_jacobi(A, V, tol, max_sweeps):
     return one_rotation_at_a_time(A, V, tol, max_sweeps, pairs)
 
 
-def jacobi_smallest_k(S, k):
-    """Reference smallest_k: the full round-robin Jacobi decomposition of
-    sym_eigen, sliced to the k smallest eigenpairs."""
-    eig = sym_eigen(S)
+def jacobi_sym_eigen(S, rotate=_kernels.jacobi_eigen):
+    """Reference full eigendecomposition, independent of the tridiagonal
+    path: Jacobi rotations (round-robin _kernels.jacobi_eigen, or a drop-in
+    such as row_cyclic_jacobi), then the library's tie groups, canonical
+    basis and sign rule. This was sym_eigen before it became smallest_k(S, n)."""
+    A, scale = eigen._symmetric_input(S)
+    V = np.eye(A.shape[0])
+    assert rotate(A, V, eigen.DEFAULT_TOL, eigen.MAX_SWEEPS) >= 0, "reference Jacobi did not converge"
+    values = np.diag(A).copy()
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    vectors = eigen._canonicalise(V[:, order], eigen._tie_groups(values, eigen.DEFAULT_TOL * scale))
+    return eigen.SymmetricEigen(values=values, vectors=vectors)
+
+
+def jacobi_smallest_k(S, k, rotate=_kernels.jacobi_eigen):
+    """Reference smallest_k: jacobi_sym_eigen sliced to the k smallest
+    eigenpairs."""
+    eig = jacobi_sym_eigen(S, rotate)
     return eig.values[:k].copy(), eig.vectors[:, :k].copy()
+
+
+def jacobi_gram_eigen(Z, rotate=_kernels.jacobi_eigen):
+    """Reference eigen._gram_eigen: jacobi_sym_eigen on the formed Z^T Z,
+    the R1 solve before it came from the SVD of Z."""
+    return jacobi_sym_eigen(Z.T @ Z, rotate)
 
 
 def scalar_jacobi_svd(A, V, tol, max_sweeps):

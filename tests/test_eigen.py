@@ -1,5 +1,6 @@
-"""Eigensolvers (Jacobi, and the tridiagonal smallest_k), SVD and the
-variational property suite."""
+"""The eigensolver (the tridiagonal smallest_k, and sym_eigen on top of it),
+the Gram eigensolve of the rounding, SVD and the variational property
+suite."""
 
 import warnings
 
@@ -15,7 +16,10 @@ from conftest import (
     L1BAR_EIGENVALUES,
     _reference_factor_shifted,
     complete,
+    jacobi_gram_eigen,
+    jacobi_sym_eigen,
     one_rotation_at_a_time,
+    random_connected,
     random_orthonormal,
     reference_sturm_counts,
     reference_tridiagonal_eigenvectors,
@@ -88,7 +92,7 @@ class TestNonFiniteInput:
         def no_work(*args):
             raise AssertionError("a kernel ran on a non-finite matrix")
 
-        for name in ("jacobi_eigen", "jacobi_svd", "tridiagonalize"):
+        for name in ("jacobi_svd", "tridiagonalize"):
             monkeypatch.setattr(sp.eigen, name, no_work)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -100,7 +104,8 @@ class TestNonFiniteInput:
             S[2, 1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            solves = (sp.sym_eigen, lambda M: sp.smallest_k(M, 2), sp.svd, lambda M: sp.svd(M[:, :4]))
+            solves = (sp.sym_eigen, lambda M: sp.smallest_k(M, 2), sp.svd, lambda M: sp.svd(M[:, :4]),
+                      lambda M: sp.init_rotation_R1(M[:, :3]))
             for solve in solves:
                 with pytest.raises(ValueError, match="non-finite"):
                     solve(S)
@@ -234,7 +239,7 @@ class TestRayleighSmallestK:
     def test_smallest_k_full(self, rng):
         S = random_symmetric(rng, 5)
         vals, vecs = sp.smallest_k(S, 5)
-        eig = sp.sym_eigen(S)
+        eig = jacobi_sym_eigen(S)
         assert np.allclose(vals, eig.values)
         assert np.allclose(vecs, eig.vectors)
 
@@ -322,6 +327,8 @@ def _oracle_matrices():
     cases = [
         ("ring12", sp.laplacian(ring(12), "unnormalized").M),
         ("complete12-sym", sp.laplacian(complete(12), "sym").M),
+        # one eigenvalue 119 times over: a tie group of more than 11 vectors
+        ("complete120-sym", sp.laplacian(complete(120), "sym").M),
         # Z^T Z of an rcut relaxation: a scaled identity
         ("scaled-identity-3", (1e4 / 3) * np.eye(3)),
         ("scaled-identity-4", 2500.0 * np.eye(4)),
@@ -338,13 +345,13 @@ def _oracle_matrices():
 
 
 ORACLE_CASES = _oracle_matrices()
-_SYM_EIGEN = {}  # name -> sym_eigen(S): one Jacobi solve per oracle matrix
+_SOLVES = {}  # (solver, name) -> solver(S): one solve per solver and oracle matrix
 
 
-def _sym_eigen_of(name, S):
-    if name not in _SYM_EIGEN:
-        _SYM_EIGEN[name] = sp.sym_eigen(S)
-    return _SYM_EIGEN[name]
+def _solved(solver, name, S):
+    if (solver, name) not in _SOLVES:
+        _SOLVES[solver, name] = solver(S)
+    return _SOLVES[solver, name]
 
 
 class TestNumpyOracle:
@@ -353,13 +360,12 @@ class TestNumpyOracle:
     @pytest.mark.parametrize("name,S", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
     def test_against_eigh(self, name, S):
         n = S.shape[0]
-        # Jacobi is backward stable: errors of a few ulps of ||S|| per
-        # index, and the solver stops once every off-diagonal entry is at
-        # most DEFAULT_TOL * ||S||_F, which moves eigenvalues by at most n
-        # times that (Weyl).
+        # the solve is backward stable: errors of a few ulps of ||S|| per
+        # index. The bound also admits DEFAULT_TOL * ||S||_F per index, the
+        # accuracy the tie groups assume of any solver here (Weyl).
         scale = max(np.linalg.norm(S), np.finfo(float).tiny)
         bound = n * (sp.eigen.DEFAULT_TOL + 64 * np.finfo(float).eps) * scale
-        eig = _sym_eigen_of(name, S)
+        eig = _solved(sp.sym_eigen, name, S)
         ref = np.linalg.eigh(S).eigenvalues
         assert np.max(np.abs(eig.values - ref)) <= bound
         residual = np.linalg.norm(S @ eig.vectors - eig.vectors * eig.values, axis=0)
@@ -402,7 +408,10 @@ def _check_against_eigh(S, vals, vecs):
 
 class TestSmallestKOracle:
     """smallest_k (Householder, Sturm multisection, inverse iteration)
-    against numpy.linalg.eigh and against sym_eigen's first k columns."""
+    against numpy.linalg.eigh, against the first k columns of sym_eigen
+    (smallest_k with k = n) and against those of the Jacobi reference, a
+    solver that shares nothing with the tridiagonal path but the tie groups,
+    canonical basis and sign rule."""
 
     @pytest.mark.parametrize("name,S,k", SMALLEST_K_CASES, ids=[f"{c[0]}-k{c[2]}" for c in SMALLEST_K_CASES])
     def test_against_eigh_and_sym_eigen(self, name, S, k):
@@ -416,7 +425,8 @@ class TestSmallestKOracle:
             C = ref.eigenvectors[:, :12]
             assert np.max(np.abs(vecs - C @ (C.T @ vecs))) <= 1e-10
         else:
-            assert np.max(np.abs(vecs - _sym_eigen_of(name, S).vectors[:, :k])) <= 1e-10
+            for full in (_solved(sp.sym_eigen, name, S), _solved(jacobi_sym_eigen, name, S)):
+                assert np.max(np.abs(vecs - full.vectors[:, :k])) <= 1e-10
 
     @pytest.mark.parametrize("name,k", [("complete12-sym", 2), ("ring12", 2), ("ring12", 3)])
     def test_tie_group_cut_by_k(self, name, k):
@@ -570,21 +580,24 @@ DEGENERATE_CASES = [c for c in ORACLE_CASES if c[0] in ("ring12", "complete12-sy
 
 class TestMultipleEigenvalues:
     """A multiple eigenvalue's eigenvectors come back in a canonical basis,
-    so they do not depend on the order the rotations ran in."""
+    so they depend neither on the solver nor on the order its rotations ran
+    in."""
 
     @pytest.mark.parametrize("name,S", DEGENERATE_CASES, ids=[c[0] for c in DEGENERATE_CASES])
-    def test_vectors_do_not_depend_on_rotation_order(self, name, S, monkeypatch):
+    def test_vectors_do_not_depend_on_rotation_order(self, name, S):
         eig = sp.sym_eigen(S)
-        monkeypatch.setattr(sp.eigen, "jacobi_eigen", row_cyclic_jacobi)
-        other = sp.sym_eigen(S)
-        assert np.max(np.abs(eig.values - other.values)) <= 1e-12 * np.linalg.norm(S)
-        assert np.max(np.abs(eig.vectors - other.vectors)) <= 1e-10
+        for rotate in (_kernels.jacobi_eigen, row_cyclic_jacobi):
+            other = jacobi_sym_eigen(S, rotate)
+            assert np.max(np.abs(eig.values - other.values)) <= 1e-12 * np.linalg.norm(S)
+            assert np.max(np.abs(eig.vectors - other.vectors)) <= 1e-10
 
     def test_scaled_identity_keeps_the_unit_vectors(self):
-        # G = Z^T Z of an rcut relaxation: the rounding on its diagonal must
-        # not pick a permutation
-        S = 2500.0 * np.eye(4) + np.diag([3e-13, -2e-13, 1e-13, 0.0])
-        assert np.array_equal(sp.sym_eigen(S).vectors, np.eye(4))
+        # G = Z^T Z of an rcut relaxation is (10^4 / K) I to rounding: the
+        # rounding on its diagonal must not pick a permutation for R1
+        g = random_connected(np.random.default_rng(4), 12)
+        for K in range(2, 6):
+            Z = sp.solve_relaxed(g, K, "rcut").Z
+            assert np.array_equal(sp.init_rotation_R1(Z).R, np.eye(K))
 
     def test_canonical_basis_ignores_the_basis_given(self, rng):
         V = random_orthonormal(rng, 12, 4)
@@ -598,6 +611,38 @@ class TestMultipleEigenvalues:
         # entries 0 and 1 have the same magnitude up to rounding
         col = np.array([[-0.5], [0.5 + 1e-16], [0.5], [0.5]])
         assert (col * sp.eigen._column_signs(col))[0, 0] == 0.5
+
+
+def _relaxed_z(mode, K):
+    return sp.solve_relaxed(random_connected(np.random.default_rng(K), 12), K, mode).Z
+
+
+GRAM_CASES = [(mode, K) for mode in ("ncut", "rcut") for K in range(2, 6)]
+
+
+class TestGramEigen:
+    """_gram_eigen(Z), the eigenpairs of Z^T Z from the SVD of Z, against
+    numpy.linalg.eigh of the formed Z^T Z and against the Jacobi reference
+    on it: ascending order, the sign rule, and the same vectors (an rcut Z
+    makes Z^T Z one tie group, so its vectors are the canonical basis)."""
+
+    @pytest.mark.parametrize("mode,K", GRAM_CASES, ids=[f"{m}-K{k}" for m, k in GRAM_CASES])
+    def test_against_eigh_and_jacobi(self, mode, K):
+        Z = _relaxed_z(mode, K)
+        G = Z.T @ Z
+        scale = np.linalg.norm(G)
+        got = sp.eigen._gram_eigen(Z)
+        assert np.all(np.diff(got.values) >= 0.0)
+        assert np.all(sp.eigen._column_signs(got.vectors) == 1.0)
+        assert np.max(np.abs(got.vectors.T @ got.vectors - np.eye(K))) <= 64 * K * np.finfo(float).eps
+        ref = np.linalg.eigh(G)
+        groups = sp.eigen._tie_groups(ref.eigenvalues, sp.eigen.DEFAULT_TOL * scale)
+        assert len(groups) == (1 if mode == "rcut" else K)
+        jac = jacobi_gram_eigen(Z)
+        for values, vectors in ((ref.eigenvalues, sp.eigen._canonicalise(ref.eigenvectors.copy(), groups)),
+                                (jac.values, jac.vectors)):
+            assert np.max(np.abs(got.values - values)) <= K * (sp.eigen.DEFAULT_TOL + 64 * np.finfo(float).eps) * scale
+            assert np.max(np.abs(got.vectors - vectors)) <= 1e-10
 
 
 class TestRoundRobinSchedule:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import speclap as sp
-from speclap import kway
+from speclap import _kernels, kway
 from speclap.errors import (
     EmptyBlock,
     NegativeWeightInUnsignedMode,
@@ -22,6 +22,7 @@ from conftest import (
     complete,
     g1_signed,
     g2_signed,
+    jacobi_gram_eigen,
     jacobi_smallest_k,
     path,
     random_connected,
@@ -770,24 +771,28 @@ def _all_clusterings(g):
 
 class TestRotationOrderIndependence:
     """Symmetric graphs tie exactly in the spectrum, in the R2 row picks, in
-    the candidate pick and in the rounding. Running the eigensolver's
-    rotations in another order moves its output by rounding only, which must
-    not change a partition, a block label, a round count or an error."""
+    the candidate pick and in the rounding. Solving by Jacobi rotations
+    instead, in the round-robin or the row-cyclic order, moves the
+    eigensolver's output by rounding only, which must not change a
+    partition, a block label, a round count or an error."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
     def test_cluster_same_under_row_cyclic_order(self, name, monkeypatch):
+        # R1's K x K solve by Jacobi on the formed Z^T Z, not the SVD of Z
         g = GOLDEN_GRAPHS[name]()
         outcomes, objectives = _all_clusterings(g)
-        monkeypatch.setattr(sp.eigen, "jacobi_eigen", row_cyclic_jacobi)
-        other_outcomes, other_objectives = _all_clusterings(g)
-        assert other_outcomes == outcomes
-        assert np.allclose(other_objectives, objectives, rtol=1e-9)
+        for rotate in (_kernels.jacobi_eigen, row_cyclic_jacobi):
+            monkeypatch.setattr(sp.eigen, "_gram_eigen", lambda Z, rotate=rotate: jacobi_gram_eigen(Z, rotate))
+            other_outcomes, other_objectives = _all_clusterings(g)
+            assert other_outcomes == outcomes
+            assert np.allclose(other_objectives, objectives, rtol=1e-9)
 
     @pytest.mark.parametrize("name", ["ring12", "complete12"])
     def test_two_way_same_under_row_cyclic_order(self, name, monkeypatch):
+        # the relaxation's n x n solve by row-cyclic Jacobi
         g = GOLDEN_GRAPHS[name]()
         part = sp.round_2way(g, sp.orient_sign(sp.solve_relaxed_2way(g))).partition
-        monkeypatch.setattr(sp.eigen, "jacobi_eigen", row_cyclic_jacobi)
+        monkeypatch.setattr(sp.eigen, "smallest_k", lambda S, k: jacobi_smallest_k(S, k, row_cyclic_jacobi))
         assert sp.round_2way(g, sp.orient_sign(sp.solve_relaxed_2way(g))).partition == part
 
 
