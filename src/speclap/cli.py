@@ -127,13 +127,7 @@ def cmd_draw(args):
 def cmd_cluster(args):
     g = parse_graph(args.graph)
     mode = _MODE_MAP[args.mode]
-    result = cluster(
-        g,
-        args.k,
-        mode=mode,
-        rescale=_RESCALE_MAP[args.rescale],
-        max_iters=args.max_iters,
-    )
+    result = cluster(g, args.k, mode=mode, rescale=_RESCALE_MAP[args.rescale])
     assignments = [int(b) + 1 for b in result.X.assignment]
     report = {
         "k": args.k,
@@ -192,7 +186,6 @@ def _build_parser():
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--mode", choices=sorted(_MODE_MAP), default="ncut")
     c.add_argument("--rescale", choices=sorted(_RESCALE_MAP), default="rownorm")
-    c.add_argument("--max-iters", type=int, default=100)
     c.add_argument("--json")
     c.set_defaults(func=cmd_cluster)
 

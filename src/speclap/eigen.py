@@ -153,6 +153,8 @@ def _jacobi_svd_sorted(M):
     V orthogonal and the columns of A orthogonal with norms S, sorted by
     descending S. Columns past the rank count as zero: S is 0 there."""
     A = np.array(M, dtype=float)
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
     V = np.eye(A.shape[1])
     sweeps = jacobi_svd(A, V, DEFAULT_TOL, MAX_SWEEPS)
     if sweeps < 0:
@@ -172,8 +174,6 @@ def _gram_eigen(Z):
     singular values, so G's condition number is never squared into the
     solve. Ascending, with smallest_k's tie groups (at DEFAULT_TOL *
     ||G||_F), canonical basis and sign rule."""
-    if not np.isfinite(Z).all():
-        raise ValueError("matrix has non-finite entries")
     _, norms, V, _ = _jacobi_svd_sorted(Z)
     values = norms[::-1] ** 2
     groups = _tie_groups(values, DEFAULT_TOL * np.linalg.norm(values))
@@ -186,8 +186,6 @@ def svd(M):
     column of the taller factor (U if m >= n, else V) and the null-space
     columns of the other; the rest are paired with the taller factor's."""
     M = np.asarray(M, dtype=float)
-    if not np.isfinite(M).all():
-        raise ValueError("matrix has non-finite entries")
     if M.ndim != 2:
         raise ValueError("expected a 2-d array")
     transposed = M.shape[0] < M.shape[1]

@@ -23,6 +23,8 @@ MODES = ("ncut", "rcut", "signed_ncut", "signed_rcut")
 TIE = eigen.TIE_RTOL
 TARGET_FROBENIUS = 100.0
 RESCALE_METHODS = ("row_sum_ls", "row_norm_ls", "row_normalize")
+# a safety cap, not a setting: a round that lowers phi by less than 1e-12 ends the alternation
+MAX_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -33,13 +35,11 @@ class IndicatorMatrix:
     def assignment(self):
         return np.argmax(self.X != 0, axis=1)
 
-    def blocks(self, m=None):
+    def blocks(self):
+        """One NodeSubset per column of X: the 1-based rows it holds."""
         N, K = self.X.shape
         asg = self.assignment
-        return tuple(
-            NodeSubset((np.nonzero(asg == j)[0] + 1).tolist(), m=m or N)
-            for j in range(K)
-        )
+        return tuple(NodeSubset((np.nonzero(asg == j)[0] + 1).tolist(), m=N) for j in range(K))
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,11 @@ def init_rotation_R2(Z):
 def rescale_variant(Z, method="row_normalize"):
     """Deform Z to sit closer to a discrete solution. Returns (Z', deformed)
     where deformed is True when Z' may no longer satisfy the relaxed
-    constraints (row normalization does not preserve them)."""
+    constraints (row normalization does not preserve them); it depends on
+    the method only. Z must be finite (ValueError before any work)."""
     Z = _as_z(Z)
+    if not np.isfinite(Z).all():
+        raise ValueError("matrix has non-finite entries")
     if method == "row_sum_ls":
         lam = np.linalg.solve(Z.T @ Z, Z.T @ np.ones(Z.shape[0]))
         if np.any(np.abs(lam) < 1e-6):
@@ -328,24 +331,19 @@ def _first_min(values, scale):
     return int(np.argmax(values <= values.min() + TIE * scale))
 
 
-def _pattern_key(X):
-    return tuple(int(v) for v in X.assignment)
-
-
-def cluster(g, K, mode="ncut", rescale="row_normalize", max_iters=100):
+def cluster(g, K, mode="ncut", rescale="row_normalize"):
     """Full pipeline: relaxation, candidate initialization, and the rounding/
-    refit alternation. Returns the discrete partition with diagnostics."""
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    refit alternation. Returns the discrete partition with diagnostics. The
+    alternation stops once phi = ||X - ZQ|| falls by less than 1e-12 in a
+    round (MAX_ROUNDS caps it) and raises NoConvergence if phi rises."""
     if rescale not in RESCALE_METHODS:
         raise ValueError(f"unknown rescale method {rescale!r}")
     sol = solve_relaxed(g, K, mode)
     Z1 = sol.Z
     R1 = init_rotation_R1(Z1).R
     Z2 = Z1 @ R1
-    Zinit1, deformed1 = rescale_variant(Z1, rescale)
-    Zinit2, deformed2 = rescale_variant(Z2, rescale)
-    deformed = deformed1 or deformed2
+    Zinit1, deformed = rescale_variant(Z1, rescale)
+    Zinit2, _ = rescale_variant(Z2, rescale)
 
     # candidate initial (X, Q): Q is expressed against the original Z1 so the
     # iteration proper always runs on the undeformed relaxed solution
@@ -366,23 +364,20 @@ def cluster(g, K, mode="ncut", rescale="row_normalize", max_iters=100):
     _, Q0 = candidates[_first_min(residuals, max(residuals))]
 
     Q = TransformQ(R=Q0, Lambda=np.eye(K))
-    prev_key = None
     prev_phi = np.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ROUNDS + 1):
         X = podx(Z1, Q)
-        key = _pattern_key(X)
         Q = podr(X, Z1)
         phi = float(np.linalg.norm(X.X - Z1 @ Q.Q))
         if phi > prev_phi + 1e-9:  # the alternation must not worsen the fit
             raise NoConvergence(
                 f"alternation round {it} raised phi = ||X - ZQ|| from {prev_phi!r} to {phi!r}"
             )
-        if key == prev_key or prev_phi - phi < 1e-12:
+        if prev_phi - phi < 1e-12:
             break
-        prev_key = key
         prev_phi = phi
 
-    blocks = X.blocks(m=g.m)
+    blocks = X.blocks()
     return KWayResult(
         partition=blocks,
         objective=objective(g, blocks, mode),

@@ -76,7 +76,9 @@ def orient_sign(Z):
 def round_2way(g, Z):
     """Discretize Z into a two-level indicator, deciding each zero entry by
     whether moving it to the positive side strictly reduces ||X - Z||.
-    Entries and reductions within rounding of zero count as zero."""
+    Entries and reductions within rounding of zero count as zero. The other
+    side must have volume: DegenerateSubset if it starts without, and a
+    move that would leave it without is skipped."""
     Z = np.asarray(Z, dtype=float)
     d_vec = degree_vector(g)
     d = float(d_vec.sum())
@@ -91,6 +93,8 @@ def round_2way(g, Z):
     def build(mask):
         n_a = int(mask.sum())
         alpha = float(d_vec[mask].sum())
+        if alpha >= d:
+            raise DegenerateSubset("both sides must have positive volume")
         beta = alpha / (d - alpha)
         a = norm_z / np.sqrt(n_a + beta * beta * (N - n_a))
         return a, beta, np.where(mask, a, -beta * a)
@@ -99,7 +103,10 @@ def round_2way(g, Z):
     for i in zero:
         trial = pos.copy()
         trial[i] = True
-        ta, tbeta, tX = build(trial)
+        try:
+            ta, tbeta, tX = build(trial)
+        except DegenerateSubset:
+            continue
         if np.linalg.norm(tX - Z) < np.linalg.norm(X - Z) - eigen.TIE_RTOL * norm_z:
             pos, a, beta, X = trial, ta, tbeta, tX
 

@@ -1,6 +1,7 @@
 """K-way clustering: objectives, relaxation, initialization, alternation."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,16 @@ class TestRescaleVariants:
         Z2, _ = sp.rescale_variant(Z, "row_norm_ls")
         assert np.allclose(np.linalg.norm(Z2, axis=1), 1.0, atol=1e-8)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("method", kway.RESCALE_METHODS)
+    def test_non_finite_rejected(self, method, bad):
+        Z = np.eye(3)
+        Z[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                sp.rescale_variant(Z, method)
+
     @pytest.mark.parametrize("shape", [(12, 3), (48, 3), (120, 4)])
     def test_pinv_matches_numpy(self, rng, shape):
         M = rng.standard_normal(shape) ** 2
@@ -614,15 +625,50 @@ class TestRotationInvarianceSuite:
 
 
 class TestCluster:
-    @pytest.mark.parametrize("max_iters", [0, -3])
-    def test_non_positive_max_iters_rejected_before_solving(self, monkeypatch, max_iters):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("cluster solved before checking max_iters")
+    def test_max_iters_is_not_a_keyword(self):
+        with pytest.raises(TypeError):
+            sp.cluster(w1_graph(), 2, max_iters=5)
 
-        monkeypatch.setattr(sp.eigen, "sym_eigen", no_solve)
-        monkeypatch.setattr(sp.eigen, "smallest_k", no_solve)
-        with pytest.raises(ValueError, match="max_iters"):
-            sp.cluster(w1_graph(), 2, max_iters=max_iters)
+    @pytest.mark.parametrize("name", ["w1", "g1", "g2"])
+    def test_alternation_stops_on_phi(self, name, monkeypatch):
+        """podr runs once per alternation round and nowhere else, so its calls
+        give the rounds' phi = ||X - ZQ||: every round but the last lowers phi
+        by at least 1e-12, and the last, short of the cap, by less."""
+        g = GOLDEN_GRAPHS[name]()
+        podr = kway.podr
+        phis = []
+
+        def recording(X, Z):
+            Q = podr(X, Z)
+            phis.append(float(np.linalg.norm(X.X - Z @ Q.Q)))
+            return Q
+
+        monkeypatch.setattr(kway, "podr", recording)
+        modes = ("ncut", "rcut") if name == "w1" else ("signed_ncut", "signed_rcut")
+        ran = 0
+        for K in range(2, 6):
+            for mode in modes:
+                for rescale in kway.RESCALE_METHODS:
+                    phis.clear()
+                    try:
+                        res = sp.cluster(g, K, mode=mode, rescale=rescale)
+                    except NoConvergence:
+                        continue
+                    assert len(phis) == res.iterations
+                    assert 2 <= res.iterations < kway.MAX_ROUNDS
+                    assert phis[-1] == res.residual
+                    drops = -np.diff(phis)
+                    assert np.all(drops[:-1] >= 1e-12) and drops[-1] < 1e-12
+                    ran += 1
+        assert ran > 0
+
+    def test_max_rounds_caps_the_alternation(self, monkeypatch):
+        full = sp.cluster(w1_graph(), 4, mode="ncut")
+        assert full.iterations > 1
+        monkeypatch.setattr(kway, "MAX_ROUNDS", 1)
+        res = sp.cluster(w1_graph(), 4, mode="ncut")
+        assert res.iterations == 1
+        assert res.residual == float(np.linalg.norm(res.X.X - res.Z.Z @ res.Q.Q))
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"rescale": "bogus"}, "rescale"),

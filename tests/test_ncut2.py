@@ -154,6 +154,22 @@ class TestRounding:
         with pytest.raises(AllOneSide):
             sp.round_2way(g, np.array([1.0, 2.0, 3.0, 4.0]))
 
+    @pytest.mark.parametrize("Z", [[1.0, 2.0, 3.0, -1.0], [-1.0, -2.0, -3.0, 1.0]])
+    def test_side_without_volume_rejected(self, Z):
+        # path 1-2-3 and an isolated node 4: one side is {4}, of volume 0
+        W = np.zeros((4, 4))
+        W[0, 1] = W[1, 0] = W[1, 2] = W[2, 1] = 1.0
+        with pytest.raises(DegenerateSubset, match="positive volume"):
+            sp.round_2way(sp.Graph(W), np.array(Z))
+
+    def test_move_leaving_a_side_without_volume_skipped(self):
+        # edge 1-2 and an isolated node 3: moving node 2 would leave {3}
+        W = np.zeros((3, 3))
+        W[0, 1] = W[1, 0] = 1.0
+        res = sp.round_2way(sp.Graph(W), np.array([1.0, 0.0, -1.0]))
+        assert [sorted(p.members) for p in res.partition] == [[1], [2, 3]]
+        assert res.ncut == 2.0
+
     def test_naive_zero_rule_baseline(self):
         # assigning every zero to the positive side never beats the refinement
         g = path(4)
