@@ -3,7 +3,9 @@
 Every symmetric eigensolve takes one path, `smallest_k`: Householder
 reduction to tridiagonal form, Sturm multisection for the k smallest
 eigenvalues and inverse iteration for their vectors. `sym_eigen`, the full
-decomposition (`kernel_dimension`), is `smallest_k` with k = n. `svd` runs
+decomposition, is `smallest_k` with k = n. `kernel_dimension` needs no
+eigenvector: `_kernel_dimension` counts eigenvalues on the same tridiagonal
+form by Sturm counts alone. `svd` runs
 one-sided Jacobi rotations, and the K x K eigenproblem of the rounding,
 Z^T Z, is solved as the SVD of Z (`_gram_eigen`). Multiple eigenvalues'
 vectors come back in one canonical basis and under one sign rule. Every
@@ -18,6 +20,7 @@ import numpy as np
 from ._kernels import (
     back_transform,
     jacobi_svd,
+    sturm_counts,
     tridiagonal_eigenvalues,
     tridiagonal_eigenvectors,
     tridiagonalize,
@@ -212,6 +215,36 @@ def rayleigh(S, x):
     return float(x @ (S @ x) / denom)
 
 
+def _unit_tridiagonal(A):
+    """Householder reduction of the symmetric A at unit scale: (unit, d, e,
+    V, tau), the tridiagonal form of A / unit. Dividing by a power of two
+    (exact) brings the largest entry into [0.5, 1), where no floor or scale
+    the kernels derive from ||T|| falls into subnormal or overflowing
+    range."""
+    unit = np.ldexp(1.0, np.frexp(np.abs(A).max())[1])
+    return (unit, *tridiagonalize(A / unit))
+
+
+def _kernel_dimension(S):
+    """Number of eigenvalues of the symmetric S with |lambda| <= t =
+    1e-9 max |lambda|, without eigenvectors: on the tridiagonal form,
+    multisection finds the two extreme eigenvalues, whose larger magnitude
+    is max |lambda|, and the count is the difference of two Sturm counts,
+    of the eigenvalues below t and below -t. The zero matrix counts n."""
+    A, _ = _symmetric_input(S)
+    n = A.shape[0]
+    if not A.any():
+        return n
+    _, d, e, _, _ = _unit_tridiagonal(A)
+    lowest = tridiagonal_eigenvalues(d, e, 0, 1)[0]
+    highest = tridiagonal_eigenvalues(d, e, n - 1, n)[0]
+    t = 1e-9 * max(abs(lowest), abs(highest))
+    e2 = e * e
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    below_minus_t, below_t = sturm_counts(d, e2, np.array([-t, t]), pivmin)
+    return int(below_t - below_minus_t)
+
+
 def smallest_k(S, k):
     """The k smallest eigenvalues and their eigenvectors, without a full
     decomposition (Golub & Van Loan ch. 8; LAPACK dsytrd, dstebz, dstein).
@@ -231,11 +264,7 @@ def smallest_k(S, k):
         raise ValueError(f"k={k} out of range 1..{n}")
     if not A.any():
         return np.zeros(k), np.eye(n)[:, :k]
-    # the kernels work at unit scale: dividing by a power of two (exact)
-    # brings the largest entry into [0.5, 1), where no floor or scale
-    # they derive from ||T|| falls into subnormal or overflowing range
-    unit = np.ldexp(1.0, np.frexp(np.abs(A).max())[1])
-    d, e, V, tau = tridiagonalize(A / unit)
+    unit, d, e, V, tau = _unit_tridiagonal(A)
     values = unit * tridiagonal_eigenvalues(d, e, 0, min(k + 1, n))
     while True:
         groups = _tie_groups(values, DEFAULT_TOL * scale)

@@ -58,15 +58,14 @@ def quadratic_form(g, x, signed=False):
 def kernel_dimension(lap):
     """Number of eigenvalues with |lambda| at most 1e-9 max |lambda|: zero
     to rounding, on either side, so the negative eigenvalues of a signed
-    graph's unsigned Laplacian do not count. The rw Laplacian D^-1 L is counted on D^1/2 (D^-1 L) D^-1/2, the
-    symmetric matrix it is similar to."""
+    graph's unsigned Laplacian do not count. The rw Laplacian D^-1 L is
+    counted on D^1/2 (D^-1 L) D^-1/2, the symmetric matrix it is similar
+    to. Counted by eigen._kernel_dimension, without eigenvectors."""
     M = lap.M
     if lap.kind == "rw":
         root = np.sqrt(lap.degree)
         M = root[:, None] * M / root[None, :]
-    eig = eigen.sym_eigen(M)
-    size = np.abs(eig.values)
-    return int(np.count_nonzero(size <= 1e-9 * max(size.max(), 1.0e-300)))
+    return eigen._kernel_dimension(M)
 
 
 def _first_broken_edge(g, s):

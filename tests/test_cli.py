@@ -1,7 +1,9 @@
 """Command-line interface: parsing, subcommands, exit codes, JSON reports."""
 
+import importlib.util
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +151,181 @@ class TestParseGraph:
                                    "message": f"line 2: node count {n} is too large"}
 
 
+# The graph-file grammar's error corpus: every error branch of the record
+# loop at the first, a middle and the last record, the header's errors, and
+# the oddities the grammar accepts. `speclap balance` on each file must give
+# exactly these exit codes, stdout and stderr.
+CORPUS_BASE = ("1 2 1.0", "2 3 1.0", "3 4 -1.0", "1 4 2.0")
+
+
+def _corpus_file(record, at):
+    """The 4-node base file with one record inserted first, after the
+    second base record, or last."""
+    recs = list(CORPUS_BASE)
+    recs.insert({"first": 0, "middle": 2, "last": 4}[at], record)
+    return "4\n" + "".join(r + "\n" for r in recs)
+
+
+CORPUS_BAD_RECORDS = {
+    "two-fields": "1 3",
+    "four-fields": "1 3 1.0 2",
+    "hash-after": "1 3 1.0 # note",
+    "index-1.0": "1.0 3 1.0",
+    "index-1e0": "1 1e0 1.0",
+    "index-x": "x 3 1.0",
+    "weight-x": "1 3 x",
+    "nan": "1 3 nan",
+    "inf": "1 3 inf",
+    "-inf": "1 3 -inf",
+    "self-loop": "3 3 1.0",
+    "i-zero": "0 3 1.0",
+    "j-over": "1 5 1.0",
+    "dup-ij": "1 2 5.0",
+    "dup-ji": "2 1 5.0",
+}
+CORPUS = {f"{name}@{at}": _corpus_file(rec, at)
+          for name, rec in CORPUS_BAD_RECORDS.items() for at in ("first", "middle", "last")}
+CORPUS.update({
+    "header-two-fields": "4 4\n1 2 1.0\n",
+    "header-bad-count": "four\n1 2 1.0\n",
+    "header-count-1.0": "4.0\n1 2 1.0\n",
+    "header-count-zero": "0\n",
+    "header-count-negative": "# c\n\n-3\n1 2 1.0\n",
+    "header-too-large": "\n10000000000\n1 2 1.0\n",
+    "empty": "\n# nothing\n",
+    "crlf": _corpus_file("1 3 1.0", "last").replace("\n", "\r\n"),
+    "tabs": _corpus_file("1\t3\t1.0", "middle"),
+    "formfeed": _corpus_file("1\x0c3 1.0\x0c", "middle"),
+    "comments-blank": "# a graph\n\n  \n4\n\n# edges\n" + _corpus_file("1 3 1.0", "last")[2:] + "\n# end\n",
+    "plus-index": _corpus_file("+1 +3 +1.5", "first"),
+    "underscore-index": "10\n" + "".join(f"{i} {i + 1} 1.0\n" for i in range(1, 10)) + "1_0 1 -1.0\n",
+    "arabic-indic-index": _corpus_file("١ 3 1.0", "middle"),
+    "underscore-weight": _corpus_file("1 3 1_0.5", "last"),
+    "zero-weights": _corpus_file("1 3 -0.0", "first") + "2 4 0\n",
+    "one-node": "1\n",
+})
+
+
+def _error(cls, message):
+    return 2, "", json.dumps({"error": cls, "message": message}) + "\n"
+
+
+CORPUS_OUTPUT = {
+    "two-fields@first": _error("ParseError", "line 2: expected 'i j w'"),
+    "two-fields@middle": _error("ParseError", "line 4: expected 'i j w'"),
+    "two-fields@last": _error("ParseError", "line 6: expected 'i j w'"),
+    "four-fields@first": _error("ParseError", "line 2: expected 'i j w'"),
+    "four-fields@middle": _error("ParseError", "line 4: expected 'i j w'"),
+    "four-fields@last": _error("ParseError", "line 6: expected 'i j w'"),
+    "hash-after@first": _error("ParseError", "line 2: expected 'i j w'"),
+    "hash-after@middle": _error("ParseError", "line 4: expected 'i j w'"),
+    "hash-after@last": _error("ParseError", "line 6: expected 'i j w'"),
+    "index-1.0@first": _error("ParseError", "line 2: bad edge record '1.0 3 1.0'"),
+    "index-1.0@middle": _error("ParseError", "line 4: bad edge record '1.0 3 1.0'"),
+    "index-1.0@last": _error("ParseError", "line 6: bad edge record '1.0 3 1.0'"),
+    "index-1e0@first": _error("ParseError", "line 2: bad edge record '1 1e0 1.0'"),
+    "index-1e0@middle": _error("ParseError", "line 4: bad edge record '1 1e0 1.0'"),
+    "index-1e0@last": _error("ParseError", "line 6: bad edge record '1 1e0 1.0'"),
+    "index-x@first": _error("ParseError", "line 2: bad edge record 'x 3 1.0'"),
+    "index-x@middle": _error("ParseError", "line 4: bad edge record 'x 3 1.0'"),
+    "index-x@last": _error("ParseError", "line 6: bad edge record 'x 3 1.0'"),
+    "weight-x@first": _error("ParseError", "line 2: bad edge record '1 3 x'"),
+    "weight-x@middle": _error("ParseError", "line 4: bad edge record '1 3 x'"),
+    "weight-x@last": _error("ParseError", "line 6: bad edge record '1 3 x'"),
+    "nan@first": _error("NonFiniteWeight", "line 2: non-finite weight 'nan'"),
+    "nan@middle": _error("NonFiniteWeight", "line 4: non-finite weight 'nan'"),
+    "nan@last": _error("NonFiniteWeight", "line 6: non-finite weight 'nan'"),
+    "inf@first": _error("NonFiniteWeight", "line 2: non-finite weight 'inf'"),
+    "inf@middle": _error("NonFiniteWeight", "line 4: non-finite weight 'inf'"),
+    "inf@last": _error("NonFiniteWeight", "line 6: non-finite weight 'inf'"),
+    "-inf@first": _error("NonFiniteWeight", "line 2: non-finite weight '-inf'"),
+    "-inf@middle": _error("NonFiniteWeight", "line 4: non-finite weight '-inf'"),
+    "-inf@last": _error("NonFiniteWeight", "line 6: non-finite weight '-inf'"),
+    "self-loop@first": _error("ParseError", "line 2: self-loop on node 3"),
+    "self-loop@middle": _error("ParseError", "line 4: self-loop on node 3"),
+    "self-loop@last": _error("ParseError", "line 6: self-loop on node 3"),
+    "i-zero@first": _error("IndexOutOfRange", "line 2: node index 0 out of range"),
+    "i-zero@middle": _error("IndexOutOfRange", "line 4: node index 0 out of range"),
+    "i-zero@last": _error("IndexOutOfRange", "line 6: node index 0 out of range"),
+    "j-over@first": _error("IndexOutOfRange", "line 2: node index 5 out of range"),
+    "j-over@middle": _error("IndexOutOfRange", "line 4: node index 5 out of range"),
+    "j-over@last": _error("IndexOutOfRange", "line 6: node index 5 out of range"),
+    "dup-ij@first": _error("DuplicateEdge", "line 3: duplicate edge (1, 2)"),
+    "dup-ij@middle": _error("DuplicateEdge", "line 4: duplicate edge (1, 2)"),
+    "dup-ij@last": _error("DuplicateEdge", "line 6: duplicate edge (1, 2)"),
+    "dup-ji@first": _error("DuplicateEdge", "line 3: duplicate edge (1, 2)"),
+    "dup-ji@middle": _error("DuplicateEdge", "line 4: duplicate edge (2, 1)"),
+    "dup-ji@last": _error("DuplicateEdge", "line 6: duplicate edge (2, 1)"),
+    "header-two-fields": _error("ParseError", "line 1: expected the node count alone on the first line"),
+    "header-bad-count": _error("ParseError", "line 1: bad node count 'four'"),
+    "header-count-1.0": _error("ParseError", "line 1: bad node count '4.0'"),
+    "header-count-zero": _error("ParseError", "line 1: node count must be >= 1"),
+    "header-count-negative": _error("ParseError", "line 3: node count must be >= 1"),
+    "header-too-large": _error("ParseError", "line 2: node count 10000000000 is too large"),
+    "empty": _error("ParseError", "line 0: empty graph file"),
+    "crlf": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572093}\n', ""),
+    "tabs": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572093}\n', ""),
+    "formfeed": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572093}\n', ""),
+    "comments-blank": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572093}\n', ""),
+    "plus-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7154552864484496}\n', ""),
+    "underscore-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.09788696740969216}\n', ""),
+    "arabic-indic-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572093}\n', ""),
+    "underscore-weight": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7187084605186993}\n', ""),
+    "zero-weights": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.5857864376269045}\n', ""),
+    "one-node": (0, '{"balanced": true, "smallest_signed_laplacian_eigenvalue": 0.0, "bipartition": [1]}\n', ""),
+}
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_graph_file_corpus(tmp_path, capsys, name):
+    path = tmp_path / "g.txt"
+    path.write_bytes(CORPUS[name].encode("utf-8"))
+    assert run(capsys, ["balance", str(path)]) == CORPUS_OUTPUT[name]
+
+
+
+def _perfbench_gen():
+    """perfbench/gen.py, imported read-only by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _valid_graph_files(tmp_path):
+    """(path, W) of valid graph files as the benchmark and serialize_graph
+    write them: planted graphs at n = 12, 48, 120 of every kind for seeds
+    1-3, and random connected graphs, signed and unsigned."""
+    gen = _perfbench_gen()
+    files = []
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for n in (12, 48, 120):
+            for kind in ("unsigned", "balanced", "unbalanced"):
+                W = gen.planted(rng, [n // 4] * 4, kind).W
+                files.append((write_graph(tmp_path, f"{kind}-{n}-{seed}.txt", gen.graph_text(W)), W))
+        for signed in (False, True):
+            g = random_connected(rng, 9 + 10 * seed, signed=signed)
+            files.append((graph_file(tmp_path, f"random-{signed}-{seed}.txt", g), g.W))
+    return files
+
+
+def test_numpy_read_equals_record_loop(tmp_path):
+    for path, W in _valid_graph_files(tmp_path):
+        with open(path, encoding="utf-8") as f:
+            loop = cli._parse_lines(f.readlines())
+        assert cli.parse_graph(path).W.tobytes() == loop.W.tobytes() == W.tobytes(), path
+
+
+def test_valid_files_never_reach_the_record_loop(tmp_path, monkeypatch):
+    def refuse(lines):
+        raise AssertionError("the record loop ran on a valid file")
+
+    monkeypatch.setattr(cli, "_parse_lines", refuse)
+    for path, W in _valid_graph_files(tmp_path):
+        assert cli.parse_graph(path).W.tobytes() == W.tobytes(), path
+
 class TestDraw:
     def test_ring_energy(self, tmp_path, capsys):
         path = write_graph(tmp_path, "ring.txt", ring_text(12))
@@ -184,6 +361,16 @@ class TestDraw:
         assert report["svg"] == [svg]
         assert (tmp_path / "ring.svg").read_text().count("<circle") == 8
         assert (tmp_path / "ring.csv").read_text().startswith("node,x1,x2")
+
+    def test_3d_svg_warning_is_one_json_line(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "ring.txt", ring_text(8))
+        svg = str(tmp_path / "ring.svg")
+        for _ in range(2):  # every call reports it, not only the first in a process
+            code, out, err = run(capsys, ["draw", path, "--dim", "3", "--svg", svg])
+            assert code == 0
+            assert json.loads(out)["svg"] == [str(tmp_path / "ring-xy.svg"), str(tmp_path / "ring-xz.svg")]
+            assert err == ('{"warning": "UserWarning", '
+                           '"message": "3-d drawing: emitting two 2-d projections"}\n')
 
     @pytest.mark.parametrize("dim", ["0", "-1"])
     @pytest.mark.parametrize("g, flags", [
@@ -464,7 +651,6 @@ class TestNoTolEnv:
     """SPECLAP_TOL is not read: whatever it holds, every command exits and
     prints exactly as with the variable unset."""
 
-    @pytest.mark.filterwarnings("ignore:3-d drawing")
     @pytest.mark.parametrize("raw", ["not-a-number", "0", "1e-3"])
     def test_output_ignores_speclap_tol(self, tmp_path, capsys, monkeypatch, raw):
         W = ring(12).W.copy()

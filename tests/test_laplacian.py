@@ -158,6 +158,40 @@ class TestKernelDimension:
         # G2: -2.70, -0.74, 0, ...): only the zero eigenvalue is kernel
         assert sp.kernel_dimension(sp.laplacian(graph(), "unnormalized")) == 1
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("components", [1, 2, 3, 4])
+    def test_counts_match_eigvalsh(self, seed, components):
+        """The count equals numpy's eigenvalues counted by the same rule,
+        |lambda| <= 1e-9 max |lambda|, under every Laplacian kind, on
+        disjoint unions of random connected components: unsigned, balanced
+        (an unsigned union with random node signs s, w_ij -> s_i s_j w_ij)
+        and signed at random. rw is counted on the sym Laplacian, the
+        symmetric matrix it is similar to."""
+        rng = np.random.default_rng(seed)
+        sizes = [int(n) for n in rng.integers(3, 9, size=components)]
+        starts = np.cumsum([0] + sizes)
+        unions = {}
+        for weights in ("unsigned", "signed"):
+            W = np.zeros((starts[-1], starts[-1]))
+            for a, b in zip(starts, starts[1:]):
+                W[a:b, a:b] = random_connected(rng, b - a, signed=weights == "signed").W
+            unions[weights] = W
+        s = rng.choice([-1.0, 1.0], size=starts[-1])
+        unions["balanced"] = unions["unsigned"] * np.outer(s, s)
+        for weights, W in unions.items():
+            g = sp.Graph(W)
+            for kind in KINDS:
+                try:
+                    lap = sp.laplacian(g, kind)
+                except IsolatedVertex:  # a signed node with degree <= 0
+                    continue
+                M = sp.laplacian(g, "sym").M if kind == "rw" else lap.M
+                size = np.abs(np.linalg.eigvalsh(M))
+                expected = int(np.count_nonzero(size <= 1e-9 * size.max()))
+                assert sp.kernel_dimension(lap) == expected, (weights, kind)
+                if weights == "unsigned" or (weights == "balanced" and kind.startswith("signed")):
+                    assert expected == components, (weights, kind)
+
 
 class TestBalance:
     def test_balanced_nine_node(self):
