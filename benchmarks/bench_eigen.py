@@ -2,17 +2,21 @@
 
 Each size n gets the normalized Laplacian of a seeded random graph with four
 planted blocks (the matrix a 4-way `speclap cluster` solves). The table
-gives the best wall time over the repeats of smallest_k(S, 5), then of each
-of its four stages run on their own as smallest_k runs them (Householder
-`tridiagonalize`, the six lowest eigenvalues by Sturm multisection in
-`tridiagonal_eigenvalues`, five vectors by inverse iteration in
-`tridiagonal_eigenvectors`, and `back_transform`), of the full
-decomposition sym_eigen, which is smallest_k(S, n) (skipped above n = 500,
-where the per-vector inverse iteration over all n vectors takes seconds),
-and of numpy's eigh, with the largest eigenvalue difference against eigh
-(the five smallest, and every eigenvalue where sym_eigen ran). The default
-sizes include n = 12 and 48, the sizes the perfbench workloads solve besides
-120. The SVD gets seeded Gaussian matrices of the shapes the pipeline
+gives the best wall time over the repeats of smallest_k(S, 5), the number
+of Sturm-count passes of its multisection (`sturm_counts` calls) and the
+largest difference of its five eigenvalues from numpy's eigh. Then the
+best times of its four stages run on their own as smallest_k runs them
+(Householder `tridiagonalize`, the six lowest eigenvalues by Sturm
+multisection in `tridiagonal_eigenvalues`, five vectors by inverse
+iteration in `tridiagonal_eigenvectors`, and `back_transform`; the
+Rayleigh quotients of the settled eigenvalues are in the total only). Then
+kernel_dimension on the same Laplacian (multisection for its two extreme
+eigenvalues and two Sturm counts), the full decomposition sym_eigen, which
+is smallest_k(S, n) (skipped above n = 500, where the per-vector inverse
+iteration over all n vectors takes seconds), with the largest difference of
+all its eigenvalues from eigh, and numpy's eigh itself. The default sizes
+include n = 12 and 48, the sizes the perfbench workloads solve besides 120.
+The SVD gets seeded Gaussian matrices of the shapes the pipeline
 decomposes: K x K for K = 2-5 (Z^T X in the Procrustes step) and N x K (the
 least-squares rescale of Z * Z, and the relaxed Z) for the benchmark's
 N = 12, 48, 120. Next to each SVD row, init_rotation_R1 on the same matrix
@@ -62,10 +66,26 @@ def stage_times(S, repeats, k=5):
     the one before, at the unit scale smallest_k runs them at."""
     unit = np.ldexp(1.0, np.frexp(np.abs(S).max())[1])
     t_tri, (d, e, V, tau) = best_time(lambda M: _kernels.tridiagonalize(M / unit), S, repeats)
-    t_val, lam = best_time(lambda _: _kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, len(d))), S, repeats)
+    t_val, (lam, _) = best_time(lambda _: _kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, len(d))), S, repeats)
     t_vec, Z = best_time(lambda _: _kernels.tridiagonal_eigenvectors(d, e, lam[:k]), S, repeats)
     t_back, _ = best_time(lambda _: _kernels.back_transform(V, tau, Z.copy()), S, repeats)
     return t_tri, t_val, t_vec, t_back
+
+
+def sturm_passes(S, k=5):
+    """Sturm-count passes (calls of `_kernels.sturm_counts`) of smallest_k(S, k)."""
+    count, counts = [0], _kernels.sturm_counts
+
+    def counted(*args):
+        count[0] += 1
+        return counts(*args)
+
+    _kernels.sturm_counts = counted
+    try:
+        sp.smallest_k(S, k)
+    finally:
+        _kernels.sturm_counts = counts
+    return count[0]
 
 
 def main():
@@ -76,21 +96,22 @@ def main():
     rng = np.random.default_rng(0)
 
     stages = ("tridiag", "eigvals", "eigvecs", "back")
-    print(f"{'n':>5} {'smallest_k 5':>13} " + " ".join(f"{s:>9}" for s in stages)
-          + f" {'sym_eigen':>12} {'numpy eigh':>12} {'max |dλ|':>10}")
+    print(f"{'n':>5} {'smallest_k 5':>13} {'passes':>6} {'max |dλ|':>9} " + " ".join(f"{s:>9}" for s in stages)
+          + f" {'kernel_dim':>11} {'sym_eigen':>12} {'max |dλ|':>9} {'numpy eigh':>12}")
     for n in (int(s) for s in args.sizes.split(",")):
         S = planted_laplacian(rng, n)
         t_k, (vals, _) = best_time(lambda M: sp.smallest_k(M, 5), S, args.repeats)
-        split = " ".join(f"{t * 1e3:>7.2f}ms" for t in stage_times(S, args.repeats))
         t_ref, ref = best_time(np.linalg.eigh, S, args.repeats)
         err = float(np.max(np.abs(vals - ref.eigenvalues[:5])))
+        split = " ".join(f"{t * 1e3:>7.2f}ms" for t in stage_times(S, args.repeats))
+        t_ker, _ = best_time(sp.eigen._kernel_dimension, S, args.repeats)
         if n <= SYM_EIGEN_MAX_N:
             t_full, eig = best_time(sp.sym_eigen, S, args.repeats)
-            err = max(err, float(np.max(np.abs(eig.values - ref.eigenvalues))))
-            full = f"{t_full * 1e3:>10.2f}ms"
+            full = f"{t_full * 1e3:>10.2f}ms {float(np.max(np.abs(eig.values - ref.eigenvalues))):>9.1e}"
         else:
-            full = f"{'-':>12}"
-        print(f"{n:>5} {t_k * 1e3:>11.2f}ms {split} {full} {t_ref * 1e3:>10.3f}ms {err:>10.1e}")
+            full = f"{'-':>12} {'-':>9}"
+        print(f"{n:>5} {t_k * 1e3:>11.2f}ms {sturm_passes(S):>6} {err:>9.1e} {split} {t_ker * 1e3:>9.2f}ms"
+              f" {full} {t_ref * 1e3:>10.3f}ms")
 
     print(f"\n{'shape':>7} {'svd':>12} {'numpy svd':>12} {'ratio':>8} {'max |dσ|':>10} {'init_R1':>12}")
     for m, n in SVD_SHAPES:

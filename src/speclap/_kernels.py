@@ -8,7 +8,14 @@ Every symmetric eigensolve, full or partial, takes four stages (Golub &
 Van Loan ch. 8, after LAPACK dsytrd, dstebz and dstein): Householder
 tridiagonalisation with the reflectors stored, Sturm-count multisection for
 the eigenvalues, inverse iteration on the tridiagonal matrix for the
-vectors, and back-transformation by the reflectors. Inverse iteration runs
+vectors, and back-transformation by the reflectors. Multisection stops
+early on a settled eigenvalue, one its Sturm counts prove farther than
+CLUSTER_GAP ||T||_1 from every other (inverse iteration's cluster
+threshold, shared with tridiagonal_eigenvectors): its bracket need only be
+SETTLE_RATIO of that clearance wide, and the caller takes its value from
+the Rayleigh quotient of its vector (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4; MRRR finishes its eigenvalues the same way). The other
+eigenvalues are bisected to 4 eps ||T||. Inverse iteration runs
 its O(n) recurrences (the shifted factorisation and each solve) one vector
 at a time on Python floats: a Laplacian solve needs at most K + 1 vectors,
 and across so few, one numpy call per row and step costs more in call
@@ -239,19 +246,42 @@ def sturm_counts(d, e2, x, pivmin):
     return np.signbit(q).sum(axis=0)
 
 
+def _one_norm(d, e):
+    """||T||_1 of the symmetric tridiagonal T = (d, e): its largest
+    absolute row sum."""
+    return float((np.abs(d) + np.r_[0.0, np.abs(e)] + np.r_[np.abs(e), 0.0]).max())
+
+
 MULTISECTION = 16  # Sturm-count shifts per open eigenvalue and pass
+# an eigenvalue clear of every other by more than CLUSTER_GAP ||T||_1 on
+# both sides stops once its bracket is SETTLE_RATIO of that clearance wide
+SETTLE_RATIO = 1e-6
+# eigenvalues closer than CLUSTER_GAP ||T||_1 form one cluster of inverse
+# iteration (dstein's ORTOL)
+CLUSTER_GAP = 1e-3
 
 
 def tridiagonal_eigenvalues(d, e, first, stop):
     """Eigenvalues first..stop-1 (0-based, ascending) of the tridiagonal
-    T = (d, e) by Sturm-count multisection (LAPACK dstebz).
+    T = (d, e) by Sturm-count multisection (LAPACK dstebz), and which of
+    them are settled.
 
     Every eigenvalue starts in T's Gershgorin interval. A pass evaluates
     MULTISECTION shifts per open eigenvalue, spread evenly over the distinct
     open intervals, in one run of the recurrence, and every eigenvalue then
-    narrows to the tightest pair of shifts that still brackets it. An
-    interval is closed once its width is below 4 eps ||T||; the eigenvalue
-    is its midpoint.
+    narrows to the tightest pair of shifts that still brackets it. The
+    brackets of neighbouring eigenvalues either coincide or hold no other
+    eigenvalue between them, so the gap from a bracket to its neighbour's
+    is a clearance the counts prove. The same passes narrow the brackets of
+    the neighbours first - 1 and stop, which take no shifts of their own;
+    an eigenvalue below the first or above the last is infinitely far.
+    Eigenvalue j is settled, and takes no more shifts, once its clearance
+    on both sides exceeds CLUSTER_GAP ||T||_1 and its bracket is at most
+    SETTLE_RATIO times the smaller clearance wide: inverse iteration then
+    converges from the midpoint, and the Rayleigh quotient of its vector
+    gives the eigenvalue to rounding (Parlett ch. 4). Any other interval is
+    closed once its width is below 4 eps ||T||. Returns the midpoints and
+    the boolean settled marks.
     """
     n = len(d)
     eps = np.finfo(float).eps
@@ -264,22 +294,28 @@ def tridiagonal_eigenvalues(d, e, first, stop):
     tnorm = max(abs(gl), abs(gu))
     fudge = 2.1 * (n * eps * tnorm + 2.0 * pivmin)
     width = 4.0 * eps * tnorm + 2.0 * pivmin
-    index = np.arange(first, stop)[:, None]
-    lo = np.full(stop - first, gl - fudge)
-    hi = np.full(stop - first, gu + fudge)
+    gap = CLUSTER_GAP * _one_norm(d, e)
+    j = np.arange(first - 1, stop + 1)
+    index = j[:, None]
+    lo = np.where(j < n, gl - fudge, np.inf)
+    hi = np.where(j >= 0, gu + fudge, -np.inf)
+    wlo, whi = lo[1:-1], hi[1:-1]  # the wanted eigenvalues, updated in place
     while True:
-        live = hi - lo > width
+        clear = lo[1:] - hi[:-1]
+        clear = np.minimum(clear[:-1], clear[1:])
+        settled = (clear > gap) & (whi - wlo <= SETTLE_RATIO * clear)
+        live = (whi - wlo > width) & ~settled
         if not live.any():
-            return 0.5 * (lo + hi)
+            return 0.5 * (wlo + whi), settled
         # eigenvalues sharing an interval share its shifts
         first_of = live.copy()
-        first_of[1:] &= (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        a, b = lo[first_of], hi[first_of]
+        first_of[1:] &= (wlo[1:] != wlo[:-1]) | (whi[1:] != whi[:-1])
+        a, b = wlo[first_of], whi[first_of]
         m = MULTISECTION * int(live.sum()) // len(a)
         x = (a[:, None] + (b - a)[:, None] * (np.arange(1, m + 1) / (m + 1))).ravel()
         below = sturm_counts(d, e2, x, pivmin) <= index  # x <= eigenvalue j
-        lo = np.maximum(lo, np.where(below, x, -np.inf).max(axis=1))
-        hi = np.minimum(hi, np.where(below, np.inf, x).min(axis=1))
+        np.maximum(lo, np.where(below, x, -np.inf).max(axis=1), out=lo)
+        np.minimum(hi, np.where(below, np.inf, x).min(axis=1), out=hi)
 
 
 INVERSE_ITERATIONS = 5  # at most, per eigenvector (LAPACK dstein's MAXITS)
@@ -352,8 +388,13 @@ def tridiagonal_eigenvectors(d, e, lam):
     Each iteration scales the right-hand side to n ||T||_1 max(eps, |u_nn|)
     and solves; once the solution's largest entry reaches sqrt(0.1 / n) the
     vector has converged, and EXTRA_ITERATIONS more follow. Eigenvalues
-    closer than 1e-3 ||T||_1 form a cluster, and each iterate is
-    orthogonalised against the lower ones of its cluster. Pivots are kept
+    closer than CLUSTER_GAP ||T||_1 form a cluster, and each iterate is
+    orthogonalised against the lower ones of its cluster. An eigenvalue
+    that tridiagonal_eigenvalues settled is proven farther than that from
+    every other, so it is never in one; its shift is the midpoint of a
+    bracket SETTLE_RATIO of that clearance wide, close enough for these
+    iterations to converge the vector, and smallest_k then takes the
+    Rayleigh quotient of the vector as the eigenvalue. Pivots are kept
     at least eps ||T||_1 in magnitude. Returns the n x len(lam) vectors, or
     None if some vector never converged.
 
@@ -367,11 +408,11 @@ def tridiagonal_eigenvectors(d, e, lam):
     """
     n, m = len(d), len(lam)
     eps = np.finfo(float).eps
-    onenrm = float((np.abs(d) + np.r_[0.0, np.abs(e)] + np.r_[np.abs(e), 0.0]).max())
+    onenrm = _one_norm(d, e)
     dl, el, floor = d.tolist(), e.tolist(), float(eps * onenrm)
     factors = [_factor_shifted(dl, el, x, floor) for x in lam.tolist()]
     rhs_scale = n * onenrm * np.maximum(eps, np.abs([a[n - 1] for a, *_ in factors]))
-    breaks = np.flatnonzero(np.diff(lam) > 1e-3 * onenrm) + 1
+    breaks = np.flatnonzero(np.diff(lam) > CLUSTER_GAP * onenrm) + 1
     clusters = [(s, t) for s, t in zip(np.r_[0, breaks], np.r_[breaks, m]) if t - s > 1]
     X = _start_vectors(n, m)
     passed = np.zeros(m, dtype=np.intp)

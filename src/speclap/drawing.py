@@ -81,7 +81,8 @@ def _map_to_viewbox(R):
 
 
 def _svg_text(R2, g):
-    XY = _map_to_viewbox(R2)
+    # Python floats: formatting a numpy scalar costs several times more
+    XY = _map_to_viewbox(R2).tolist()
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_VIEW:.0f} {_VIEW:.0f}">',
         f"<style>{_SVG_STYLE}</style>",
@@ -126,7 +127,7 @@ def emit_csv(R, path):
     dm = R if isinstance(R, DrawingMatrix) else DrawingMatrix(np.asarray(R, float), np.asarray(R).shape[1])
     header = "node," + ",".join(f"x{k + 1}" for k in range(dm.R.shape[1]))
     lines = [header]
-    for i, row in enumerate(dm.R, start=1):
+    for i, row in enumerate(dm.R.tolist(), start=1):
         lines.append(str(i) + "," + ",".join(repr(float(v)) for v in row))
     with open(str(path), "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")

@@ -230,14 +230,16 @@ def _kernel_dimension(S):
     1e-9 max |lambda|, without eigenvectors: on the tridiagonal form,
     multisection finds the two extreme eigenvalues, whose larger magnitude
     is max |lambda|, and the count is the difference of two Sturm counts,
-    of the eigenvalues below t and below -t. The zero matrix counts n."""
+    of the eigenvalues below t and below -t. An isolated extreme eigenvalue
+    stops at the settle rule's width, at most a millionth of the spectrum's
+    width off: t needs only a few digits. The zero matrix counts n."""
     A, _ = _symmetric_input(S)
     n = A.shape[0]
     if not A.any():
         return n
     _, d, e, _, _ = _unit_tridiagonal(A)
-    lowest = tridiagonal_eigenvalues(d, e, 0, 1)[0]
-    highest = tridiagonal_eigenvalues(d, e, n - 1, n)[0]
+    (lowest,), _ = tridiagonal_eigenvalues(d, e, 0, 1)
+    (highest,), _ = tridiagonal_eigenvalues(d, e, n - 1, n)
     t = 1e-9 * max(abs(lowest), abs(highest))
     e2 = e * e
     pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
@@ -251,7 +253,11 @@ def smallest_k(S, k):
 
     Householder reduction to a tridiagonal T, Sturm-count multisection for
     the eigenvalues, inverse iteration on T for their vectors, and the
-    stored reflectors to carry those back. Eigenvalues within
+    stored reflectors to carry those back. An eigenvalue that multisection
+    settled (farther than CLUSTER_GAP ||T||_1 from every other, bracketed
+    to SETTLE_RATIO of that clearance; see tridiagonal_eigenvalues) is the
+    Rayleigh quotient z^T T z of its unit vector z, the others the
+    midpoints of their brackets at full width. Eigenvalues within
     DEFAULT_TOL * ||S||_F of each other are one multiple eigenvalue, whose
     eigenvectors come back in the canonical basis (_canonical_basis); every
     column is oriented by _column_signs. A tie group that k cuts is computed
@@ -265,17 +271,21 @@ def smallest_k(S, k):
     if not A.any():
         return np.zeros(k), np.eye(n)[:, :k]
     unit, d, e, V, tau = _unit_tridiagonal(A)
-    values = unit * tridiagonal_eigenvalues(d, e, 0, min(k + 1, n))
+    lam, settled = tridiagonal_eigenvalues(d, e, 0, min(k + 1, n))
     while True:
-        groups = _tie_groups(values, DEFAULT_TOL * scale)
+        groups = _tie_groups(unit * lam, DEFAULT_TOL * scale)
         end = next(t for _, t in groups if t >= k)  # of the group holding k - 1
-        if end < len(values) or len(values) == n:
+        if end < len(lam) or len(lam) == n:
             break
-        more = unit * tridiagonal_eigenvalues(d, e, len(values), min(2 * len(values), n))
-        values = np.concatenate((values, more))
-    values = values[:end]
-    Z = tridiagonal_eigenvectors(d, e, values / unit)
+        more, more_settled = tridiagonal_eigenvalues(d, e, len(lam), min(2 * len(lam), n))
+        lam, settled = np.concatenate((lam, more)), np.concatenate((settled, more_settled))
+    lam, settled = lam[:end], settled[:end]
+    Z = tridiagonal_eigenvectors(d, e, lam)
     if Z is None:
         raise NoConvergence("inverse iteration did not converge")
+    # a settled eigenvalue is the Rayleigh quotient z^T T z of its vector
+    Zs = Z[:, settled]
+    lam[settled] = d @ (Zs * Zs) + 2.0 * (e @ (Zs[:-1] * Zs[1:]))
+    values = unit * lam
     vectors = _canonicalise(back_transform(V, tau, Z), [g for g in groups if g[1] <= end])
     return values[:k].copy(), vectors[:, :k].copy()

@@ -263,15 +263,15 @@ CORPUS_OUTPUT = {
     "header-count-negative": _error("ParseError", "line 3: node count must be >= 1"),
     "header-too-large": _error("ParseError", "line 2: node count 10000000000 is too large"),
     "empty": _error("ParseError", "line 0: empty graph file"),
-    "crlf": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572093}\n', ""),
-    "tabs": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572093}\n', ""),
-    "formfeed": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572093}\n', ""),
-    "comments-blank": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572093}\n', ""),
-    "plus-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7154552864484496}\n', ""),
+    "crlf": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572087}\n', ""),
+    "tabs": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572087}\n', ""),
+    "formfeed": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572087}\n', ""),
+    "comments-blank": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572087}\n', ""),
+    "plus-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7154552864484498}\n', ""),
     "underscore-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.09788696740969216}\n', ""),
-    "arabic-indic-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572093}\n', ""),
-    "underscore-weight": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7187084605186993}\n', ""),
-    "zero-weights": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.5857864376269045}\n', ""),
+    "arabic-indic-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572087}\n', ""),
+    "underscore-weight": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7187084605187}\n', ""),
+    "zero-weights": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.5857864376269051}\n', ""),
     "one-node": (0, '{"balanced": true, "smallest_signed_laplacian_eigenvalue": 0.0, "bipartition": [1]}\n', ""),
 }
 

@@ -217,6 +217,44 @@ class TestEmission:
         assert text.count('class="neg"') == 1
         assert text.count("<line") == 7
 
+    def test_svg_and_csv_bytes(self, tmp_path):
+        # fixed coordinates, not a solve, so only the emitters can move
+        # these bytes: a 5-cycle with one negative edge and one chord
+        W = ring(5).W.copy()
+        W[0, 1] = W[1, 0] = -1.0
+        W[0, 2] = W[2, 0] = 0.5
+        g = sp.Graph(W)
+        R = np.array([[0.0, 1.0], [0.951, 0.309], [0.588, -0.809], [-0.588, -0.809], [-0.951, 1 / 3]])
+        sp.emit_svg(R, g, tmp_path / "pin.svg")
+        sp.emit_csv(np.c_[R, [1e-17, -0.1, 2 / 3, 1e300, -0.0]], tmp_path / "pin.csv")
+        assert (tmp_path / "pin.svg").read_bytes() == (
+            b'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n'
+            b"<style>circle { fill: #1f6feb; stroke: #0b3d91; stroke-width: 1; }\n"
+            b"line { stroke: #444; stroke-width: 2; }\n"
+            b"line.neg { stroke: #d32f2f; stroke-dasharray: 6 4; }\n"
+            b"</style>\n"
+            b'<line class="neg" x1="500.00" y1="72.00" x2="950.00" y2="398.97"/>\n'
+            b'<line x1="500.00" y1="72.00" x2="778.23" y2="928.00"/>\n'
+            b'<line x1="500.00" y1="72.00" x2="50.00" y2="387.46"/>\n'
+            b'<line x1="950.00" y1="398.97" x2="778.23" y2="928.00"/>\n'
+            b'<line x1="778.23" y1="928.00" x2="221.77" y2="928.00"/>\n'
+            b'<line x1="221.77" y1="928.00" x2="50.00" y2="387.46"/>\n'
+            b'<circle cx="500.00" cy="72.00" r="8"/>\n'
+            b'<circle cx="950.00" cy="398.97" r="8"/>\n'
+            b'<circle cx="778.23" cy="928.00" r="8"/>\n'
+            b'<circle cx="221.77" cy="928.00" r="8"/>\n'
+            b'<circle cx="50.00" cy="387.46" r="8"/>\n'
+            b"</svg>\n"
+        )
+        assert (tmp_path / "pin.csv").read_bytes() == (
+            b"node,x1,x2,x3\n"
+            b"1,0.0,1.0,1e-17\n"
+            b"2,0.951,0.309,-0.1\n"
+            b"3,0.588,-0.809,0.6666666666666666\n"
+            b"4,-0.588,-0.809,1e+300\n"
+            b"5,-0.951,0.3333333333333333,-0.0\n"
+        )
+
     def test_svg_no_edges(self, tmp_path):
         g = sp.Graph(np.zeros((4, 4)))
         out = tmp_path / "iso.svg"

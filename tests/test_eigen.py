@@ -321,6 +321,33 @@ def _with_spectrum(rng, values):
     return 0.5 * (S + S.T)
 
 
+def planted_laplacian(rng, n, blocks=4):
+    """Normalised Laplacian of a seeded connected graph with planted blocks
+    (the matrix of benchmarks/bench_eigen.py)."""
+    labels = np.arange(n) * blocks // n
+    same = labels[:, None] == labels[None, :]
+    W = np.where(rng.random((n, n)) < np.where(same, 0.5, 0.05), rng.uniform(0.5, 1.5, (n, n)), 0.0)
+    W = np.triu(W, 1)
+    W = W + W.T
+    W[np.arange(n - 1), np.arange(1, n)] = W[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return sp.laplacian(sp.Graph(W), "sym").M
+
+
+def _near_gap_spectrum(rng, factor):
+    """Spectrum -1, 0.3, 0.3 + delta, 1 .. 2 (n = 48) with delta = factor *
+    CLUSTER_GAP ||T||_1, T the tridiagonal form the solver reduces it to:
+    0.3 and its nearest neighbour lie just outside (factor > 1) or just
+    inside (factor < 1) the clearance that settles an eigenvalue."""
+    Q = random_orthonormal(rng, 48, 48)
+
+    def build(delta):
+        S = (Q * np.r_[-1.0, 0.3, 0.3 + delta, np.linspace(1.0, 2.0, 45)]) @ Q.T
+        return 0.5 * (S + S.T)
+
+    unit, d, e, _, _ = sp.eigen._unit_tridiagonal(build(0.0))
+    return build(factor * _kernels.CLUSTER_GAP * unit * _kernels._one_norm(d, e))
+
+
 def _oracle_matrices():
     """(name, S) pairs: degenerate, clustered, graded and random spectra."""
     rng = np.random.default_rng(1985)
@@ -341,6 +368,13 @@ def _oracle_matrices():
     ]
     for n in (1, 2, 3, 12, 48, 120, 250):
         cases.append((f"random-{n}", random_symmetric(rng, n)))
+    # both sides of the settle rule, and the matrix a 4-way cluster solves
+    near = np.random.default_rng(2004)
+    cases += [
+        ("gap-outside-48", _near_gap_spectrum(near, 1.05)),
+        ("gap-inside-48", _near_gap_spectrum(near, 0.95)),
+        ("planted-sym-48", planted_laplacian(near, 48)),
+    ]
     return cases
 
 
@@ -377,18 +411,6 @@ class TestNumpyOracle:
 SMALLEST_K_CASES = [
     (name, S, k) for name, S in ORACLE_CASES for k in sorted({1, min(2, len(S)), min(5, len(S))})
 ]
-
-
-def planted_laplacian(rng, n, blocks=4):
-    """Normalised Laplacian of a seeded connected graph with planted blocks
-    (the matrix of benchmarks/bench_eigen.py)."""
-    labels = np.arange(n) * blocks // n
-    same = labels[:, None] == labels[None, :]
-    W = np.where(rng.random((n, n)) < np.where(same, 0.5, 0.05), rng.uniform(0.5, 1.5, (n, n)), 0.0)
-    W = np.triu(W, 1)
-    W = W + W.T
-    W[np.arange(n - 1), np.arange(1, n)] = W[np.arange(1, n), np.arange(n - 1)] = 1.0
-    return sp.laplacian(sp.Graph(W), "sym").M
 
 
 def _check_against_eigh(S, vals, vecs):
@@ -440,6 +462,23 @@ class TestSmallestKOracle:
         vals, vecs = sp.smallest_k(S, k)
         assert np.max(np.abs(vals - full.values[:k])) <= tie
         assert np.max(np.abs(vecs - full.vectors[:, :k])) <= 1e-12
+
+    def test_multisection_stops_at_settled_eigenvalues(self, monkeypatch):
+        # the six eigenvalues of a planted n = 120 solve are isolated, so
+        # multisection stops short of full width (at full width it makes 12
+        # passes); each pass is one sturm_counts call
+        S = planted_laplacian(np.random.default_rng(120), 120)
+        calls = []
+        counts = _kernels.sturm_counts
+
+        def counted(*args):
+            calls.append(args)
+            return counts(*args)
+
+        monkeypatch.setattr(_kernels, "sturm_counts", counted)
+        vals, vecs = sp.smallest_k(S, 5)
+        assert len(calls) <= 8
+        _check_against_eigh(S, vals, vecs)
 
     @pytest.mark.parametrize("n", [500, 1000])
     def test_planted_large(self, n):
@@ -531,6 +570,20 @@ class TestTridiagonalKernels:
             got, ref = _kernels.tridiagonalize(A), reference_tridiagonalize(B)
             assert all(np.array_equal(g, r) for g, r in zip(got, ref))
             assert np.array_equal(A, B)
+
+    @pytest.mark.parametrize("name,settled", [("gap-outside-48", True), ("gap-inside-48", False)])
+    def test_settle_rule_sides(self, name, settled):
+        # eigenvalues 1 and 2 lie just outside or just inside CLUSTER_GAP
+        # ||T||_1 of each other, 0 and 3 far from every other. A settled
+        # bracket is at most SETTLE_RATIO of its clearance wide, which is
+        # less than the spectrum's width; any other closes at full width.
+        S = dict(ORACLE_CASES)[name]
+        unit, d, e, _, _ = sp.eigen._unit_tridiagonal(S)
+        lam, marks = _kernels.tridiagonal_eigenvalues(d, e, 0, 4)
+        assert marks.tolist() == [True, settled, settled, True]
+        ref = np.linalg.eigvalsh(S) / unit
+        tol = np.where(marks, _kernels.SETTLE_RATIO * np.ptp(ref), 64 * np.finfo(float).eps)
+        assert np.all(np.abs(lam - ref[:4]) <= tol)
 
     def test_sturm_counts_against_eigvalsh(self):
         rng = np.random.default_rng(7)
