@@ -1,8 +1,12 @@
 """Hot numerical kernels: the tridiagonal eigensolver path and the one-sided
 Jacobi SVD.
 
-The SVD is cyclic one-sided Jacobi: it rotates one column pair at a time,
-each rotation one numpy update of the pair's columns of A and V together.
+The SVD is cyclic one-sided Jacobi on at most 5 columns: eigen's QR first
+reduces a tall matrix to its square triangular factor, and the kernel
+rotates one column pair at a time on Python floats, each rotation one list
+update of the pair's columns of A and V together. On so few entries a
+numpy call per dot product and update costs more in call overhead than the
+arithmetic, as in inverse iteration below.
 
 Every symmetric eigensolve, full or partial, takes four stages (Golub &
 Van Loan ch. 8, after LAPACK dsytrd, dstebz and dstein): Householder
@@ -32,6 +36,7 @@ it as their independent full eigensolver; it goes once that entry does.
 
 import functools
 import math
+from operator import mul
 
 import numpy as np
 
@@ -122,39 +127,51 @@ def jacobi_svd(A, V, tol, max_sweeps):
 
     Columns of A are rotated until pairwise orthogonal; V (n x n, starts as
     identity) accumulates the right rotations so that input = A_out * V^T
-    with A_out having orthogonal columns. Column p of A and column p of V
-    are row p of one array T = [A^T | V^T], so one two-row update rotates
-    both. Returns sweeps used or -1.
+    with A_out having orthogonal columns. Pairs (p, q) run in row-cyclic
+    order; a pair is skipped when gamma^2 <= tol^2 alpha beta (its cosine is
+    at most tol) or gamma^2 <= 1e-12 tol^2 ||A||_F^4, where alpha, beta and
+    gamma are the pair's squared norms and inner product. Returns sweeps
+    used (the sweep that rotates nothing ends it) or -1.
+
+    Everything runs on Python floats: column p of A and column p of V are
+    one list, row p of T = [A^T | V^T], so one list update rotates both,
+    and the dot products run over its first m entries. The library calls
+    it on the triangular factor of a QR or on a square matrix, n <= 5
+    (eigen._jacobi_svd_sorted), where a numpy call per rotation costs more
+    than the arithmetic.
     """
     m, n = A.shape
-    norm = float((A * A).sum())
+    T = [a + v for a, v in zip(A.T.tolist(), V.T.tolist())]
+    # squared column norms, recomputed whenever a rotation changes a column
+    sq = [sum(map(mul, row[:m], row[:m])) for row in T]
+    norm = sum(sq)
     if norm == 0.0 or n == 1:
         return 0
     thresh = tol * tol * norm * norm  # compare against squared quantities
-    T = np.hstack((A.T, V.T))
-    Ta = T[:, :m]
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]  # the cyclic order
     sweeps = -1
     for sweep in range(max_sweeps):
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                ap, aq = Ta[p], Ta[q]
-                alpha = float(ap @ ap)
-                beta = float(aq @ aq)
-                gamma = float(ap @ aq)
-                if gamma * gamma <= thresh * 1e-12 or gamma * gamma <= tol * tol * alpha * beta:
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = (1.0 if zeta >= 0.0 else -1.0) / (abs(zeta) + math.sqrt(zeta * zeta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                Tp, Tq = T[p], T[q]
-                T[p], T[q] = c * Tp - s * Tq, s * Tp + c * Tq
+        for p, q in pairs:
+            Tp, Tq = T[p], T[q]
+            alpha, beta = sq[p], sq[q]
+            gamma = sum(map(mul, Tp[:m], Tq[:m]))
+            if gamma * gamma <= thresh * 1e-12 or gamma * gamma <= tol * tol * alpha * beta:
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = (1.0 if zeta >= 0.0 else -1.0) / (abs(zeta) + math.sqrt(zeta * zeta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            Tp, Tq = [c * x - s * y for x, y in zip(Tp, Tq)], [s * x + c * y for x, y in zip(Tp, Tq)]
+            T[p], T[q] = Tp, Tq
+            sq[p] = sum(map(mul, Tp[:m], Tp[:m]))
+            sq[q] = sum(map(mul, Tq[:m], Tq[:m]))
         if not rotated:
             sweeps = sweep
             break
-    A[...] = Ta.T
+    T = np.array(T)
+    A[...] = T[:, :m].T
     V[...] = T[:, m:].T
     return sweeps
 

@@ -5,14 +5,18 @@ reduction to tridiagonal form, Sturm multisection for the k smallest
 eigenvalues and inverse iteration for their vectors. `sym_eigen`, the full
 decomposition, is `smallest_k` with k = n. `kernel_dimension` needs no
 eigenvector: `_kernel_dimension` counts eigenvalues on the same tridiagonal
-form by Sturm counts alone. `svd` runs
-one-sided Jacobi rotations, and the K x K eigenproblem of the rounding,
-Z^T Z, is solved as the SVD of Z (`_gram_eigen`). Multiple eigenvalues'
-vectors come back in one canonical basis and under one sign rule. Every
-spectral computation in the library goes through this module; nothing else
-calls an external eigensolver.
+form by Sturm counts alone. Every SVD takes one engine,
+`_jacobi_svd_sorted`: one Householder QR reduces a tall matrix to its
+square triangular factor, and one-sided Jacobi rotations on Python floats
+make the columns orthogonal (Drmac & Veselic 2008). `svd` is the full
+decomposition, and the K x K eigenproblem of the rounding, Z^T Z, is solved
+as the SVD of Z (`_gram_eigen`). Multiple eigenvalues' vectors come back in
+one canonical basis and under one sign rule. Every spectral computation in
+the library goes through this module, and none calls an external
+eigensolver (numpy.linalg.qr is a factorisation, not an eigensolver).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,31 +156,49 @@ def sym_eigen(S):
 
 
 def _jacobi_svd_sorted(M):
-    """One-sided Jacobi on the columns of M: (A, S, V, rank) with M V = A,
-    V orthogonal and the columns of A orthogonal with norms S, sorted by
-    descending S. Columns past the rank count as zero: S is 0 there."""
-    A = np.array(M, dtype=float)
-    if not np.isfinite(A).all():
+    """QR-preconditioned one-sided Jacobi (Drmac & Veselic, New fast and
+    accurate Jacobi SVD algorithm I, SIAM J. Matrix Anal. Appl. 29(4), 2008;
+    LAPACK dgejsv): (A, S, V, rank) with M V = A, V orthogonal and the
+    columns of A orthogonal with norms S, sorted by descending S. Columns
+    past the rank count as zero: S is 0 there.
+
+    M is m x n with m >= n; n <= 5 on every library path. A tall M is
+    reduced to its n x n triangular factor by one Householder QR, M = Q R;
+    the rotations (jacobi_svd) run on R and A = Q (R V). A square M is
+    rotated as it is: its QR would leave the rotations as many and only
+    add its own cost. The rotations act on columns, never on M^T M, and
+    Householder QR perturbs each column of M by a few eps of that column's
+    own norm, so the condition number is never squared: a small singular
+    value of a matrix with graded columns keeps its accuracy relative to
+    itself, not to the largest."""
+    R = np.array(M, dtype=float)
+    if not np.isfinite(R).all():
         raise ValueError("matrix has non-finite entries")
-    V = np.eye(A.shape[1])
-    sweeps = jacobi_svd(A, V, DEFAULT_TOL, MAX_SWEEPS)
+    Q, R = np.linalg.qr(R) if R.shape[0] > R.shape[1] else (None, R)
+    V = np.eye(R.shape[1])
+    sweeps = jacobi_svd(R, V, DEFAULT_TOL, MAX_SWEEPS)
     if sweeps < 0:
         raise NoConvergence(f"Jacobi SVD did not converge in {MAX_SWEEPS} sweeps")
-    norms = np.sqrt((A * A).sum(axis=0))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    scale = norms[0] if norms.size and norms[0] > 0 else 1.0
-    rank = int(np.count_nonzero(norms > 1e-14 * scale))
-    norms[rank:] = 0.0
-    return A[:, order], norms, V[:, order], rank
+    # the n <= 5 column norms are sorted and ranked as Python floats
+    norms = [math.sqrt(sum(x * x for x in col)) for col in R.T.tolist()]
+    order = sorted(range(len(norms)), key=lambda j: -norms[j])  # stable
+    norms = [norms[j] for j in order]
+    scale = norms[0] if norms and norms[0] > 0 else 1.0
+    rank = sum(s > 1e-14 * scale for s in norms)
+    norms[rank:] = [0.0] * (len(norms) - rank)
+    A = R[:, order]
+    return A if Q is None else Q @ A, np.array(norms), V[:, order], rank
 
 
 def _gram_eigen(Z):
     """Eigendecomposition of G = Z^T Z without forming G: its eigenvectors
     are the right singular vectors of Z and its eigenvalues their squared
-    singular values, so G's condition number is never squared into the
-    solve. Ascending, with smallest_k's tie groups (at DEFAULT_TOL *
-    ||G||_F), canonical basis and sign rule."""
+    singular values, both from the QR-first Jacobi SVD of Z
+    (_jacobi_svd_sorted), which rotates the columns of Z's triangular
+    factor and never forms G. So Z's condition number is not squared into
+    the solve, and a small eigenvalue is accurate relative to itself.
+    Ascending, with smallest_k's tie groups (at DEFAULT_TOL * ||G||_F),
+    canonical basis and sign rule."""
     _, norms, V, _ = _jacobi_svd_sorted(Z)
     values = norms[::-1] ** 2
     groups = _tie_groups(values, DEFAULT_TOL * np.linalg.norm(values))
@@ -184,22 +206,28 @@ def _gram_eigen(Z):
 
 
 def svd(M):
-    """Full SVD by one-sided Jacobi: U is m x m, V is n x n, singular values
-    descending. The eigensolver's sign rule (_column_signs) orients every
-    column of the taller factor (U if m >= n, else V) and the null-space
-    columns of the other; the rest are paired with the taller factor's."""
+    """Full SVD by the QR-first one-sided Jacobi of _jacobi_svd_sorted: U is
+    m x m, V is n x n, singular values descending. The eigensolver's sign
+    rule (_column_signs) orients every column of the taller factor (U if
+    m >= n, else V) and the null-space columns of the other; the rest are
+    paired with the taller factor's. U is A / S; only when the rank is
+    below m is it completed (_extend_basis), so a square full-rank M, the
+    Procrustes step's Z^T X, costs one Jacobi run and the sign rule."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-d array")
     transposed = M.shape[0] < M.shape[1]
     A, norms, V, rank = _jacobi_svd_sorted(M.T if transposed else M)
-    U = _extend_basis(A[:, :rank] / norms[:rank], np.eye(A.shape[0]))
+    U = A[:, :rank] / norms[:rank]
+    if rank < U.shape[0]:
+        U = _extend_basis(U, np.eye(U.shape[0]))
     # a sign flip of a U column must hit the paired V column too or
     # U diag(S) V^T changes; the null-space columns of V are free
     signs = _column_signs(U)
     U *= signs
     V[:, :rank] *= signs[:rank]
-    V[:, rank:] *= _column_signs(V[:, rank:])
+    if rank < V.shape[1]:
+        V[:, rank:] *= _column_signs(V[:, rank:])
     if transposed:
         U, V = V, U
     return SVDResult(U=U, S=norms, V=V)

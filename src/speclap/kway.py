@@ -2,6 +2,7 @@
 cuts: the continuous relaxation, initialization heuristics, and the
 alternating discretization (per-row argmax rounding vs. Procrustes refit)."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,15 +172,14 @@ def init_rotation_R2(Z):
     the columns of R."""
     Z = _as_z(Z)
     N, K = Z.shape
-    available = list(range(1, N))
-    cols = [Z[0].copy()]
+    picks = [0]
     c = np.zeros(N)
     for _ in range(1, K):
-        c = c + np.abs(Z @ cols[-1])
-        pick = available[_first_min(c[available], c.max())]
-        cols.append(Z[pick].copy())
-        available.remove(pick)
-    R = np.column_stack(cols)
+        c = c + np.abs(Z @ Z[picks[-1]])
+        free = c.copy()
+        free[picks] = np.inf
+        picks.append(_first_min(free, c.max()))
+    R = Z[picks].T
     norms = np.linalg.norm(R, axis=0)
     norms[norms == 0] = 1.0
     return TransformQ(R=R / norms, Lambda=np.eye(K))
@@ -220,59 +220,62 @@ def _pinv(M):
 
 def flip_columns(ZR):
     """Negate every column with a strictly negative mean (a mean within
-    rounding of zero is not negative)."""
+    rounding of zero is not negative). ZR is N x K or a stack (..., N, K)
+    of such; returns the flipped input and the diagonal sign matrices."""
     ZR = np.asarray(ZR, dtype=float)
-    signs = np.where(ZR.mean(axis=0) < -TIE * np.abs(ZR).max(axis=0), -1.0, 1.0)
-    return ZR * signs[None, :], np.diag(signs)
+    signs = np.where(ZR.mean(axis=-2) < -TIE * np.abs(ZR).max(axis=-2), -1.0, 1.0)[..., None, :]
+    return ZR * signs, signs * np.eye(ZR.shape[-1])
+
+
+def _round_rows(Y, a):
+    """The indicators of Y, N x K or a stack (..., N, K), scaled by a (a
+    scalar, or one scale per stack member shaped to broadcast): per row the
+    leftmost largest entry (entries within rounding of the largest are
+    tied); an empty column takes the lowest-index row of the leftmost
+    fullest column, until none is empty. The one rounding rule of podx and
+    of cluster's candidate scoring."""
+    K = Y.shape[-1]
+    tied = Y >= Y.max(axis=-1, keepdims=True) - TIE * np.abs(Y).max(axis=-1, keepdims=True)
+    labels = tied.argmax(axis=-1)
+    onehot = labels[..., None] == np.arange(K)
+    if not onehot.any(axis=-2).all():
+        for b in np.ndindex(labels.shape[:-1]):
+            lab = labels[b]
+            # the smallest row of the leftmost fullest column moves to the
+            # leftmost empty one
+            while not (count := np.bincount(lab, minlength=K)).all():
+                lab[(lab == count.argmax()).argmax()] = count.argmin()
+            onehot[b] = lab[:, None] == np.arange(K)
+    return onehot * a
 
 
 def podx(Z, Q=None):
-    """Round Z Q to an indicator: per row keep the leftmost largest entry
-    (entries within rounding of the largest are tied);
-    repair empty columns by migrating a 1 from the most populated column;
-    rescale so ||X||_F = ||Z||_F."""
+    """Round Z Q to an indicator (_round_rows) at the scale that makes
+    ||X||_F = ||Z||_F."""
     Z = _as_z(Z)
-    if Q is None:
-        Y = Z
-    else:
-        Qm = Q.Q if isinstance(Q, TransformQ) else np.asarray(Q, dtype=float)
-        Y = Z @ Qm
-    N, K = Y.shape
-    top = Y.max(axis=1, keepdims=True)
-    tied = Y >= top - TIE * np.abs(Y).max(axis=1, keepdims=True)
-    pattern = np.zeros((N, K))
-    pattern[np.arange(N), np.argmax(tied, axis=1)] = 1.0
-    counts = pattern.sum(axis=0)
-    while np.any(counts == 0):
-        k_from = int(np.argmax(counts))  # leftmost column with the most ones
-        row = int(np.nonzero(pattern[:, k_from])[0][0])  # smallest such row
-        k_to = int(np.nonzero(counts == 0)[0][0])  # leftmost zero column
-        pattern[row, k_from] = 0.0
-        pattern[row, k_to] = 1.0
-        counts[k_from] -= 1
-        counts[k_to] += 1
-    a = float(np.linalg.norm(Z) / np.sqrt(N))
-    return IndicatorMatrix(X=pattern * a)
+    Y = Z if Q is None else Z @ (Q.Q if isinstance(Q, TransformQ) else np.asarray(Q, dtype=float))
+    return IndicatorMatrix(X=_round_rows(Y, np.linalg.norm(Z) / np.sqrt(Z.shape[0])))
 
 
 def podr(X, Z):
-    """Best transform Q = R Lambda for fixed X: R from the SVD of Z^T X
-    (orthogonal Procrustes), then the per-column least-squares diagonal
-    evaluated against Z R, falling back to Lambda = I when singular."""
+    """Best transform Q = R Lambda for fixed X: R the polar factor U V^T of
+    Z^T X (orthogonal Procrustes), then the per-column least-squares
+    diagonal evaluated against Z R, falling back to Lambda = I when
+    singular. When Z^T X is non-singular its polar factor is unique and
+    eigen.svd's square full-rank path gives it without completing U; only
+    the rank-deficient case needs the completed U."""
     Xm = X.X if isinstance(X, IndicatorMatrix) else np.asarray(X, dtype=float)
     Z = _as_z(Z)
     res = eigen.svd(Z.T @ Xm)
     R = res.U @ res.V.T
-    ZR = Z @ R
     K = Xm.shape[1]
     if res.S[-1] < 1e-9 * max(res.S[0], 1.0):
         # Z^T X is rank deficient: the rotation is not unique and the
         # diagonal stage is singular, so skip it
         return TransformQ(R=R, Lambda=np.eye(K))
-    lam = np.zeros(K)
-    for j in range(K):
-        denom = float(ZR[:, j] @ ZR[:, j])
-        lam[j] = float(ZR[:, j] @ Xm[:, j]) / denom if denom > 0 else 0.0
+    ZR = Z @ R
+    denom = (ZR * ZR).sum(axis=0)
+    lam = (ZR * Xm).sum(axis=0) / np.where(denom > 0, denom, np.inf)  # 0 where denom is 0
     if np.any(np.abs(lam) < 1e-9):
         lam = np.ones(K)
     return TransformQ(R=R, Lambda=np.diag(lam))
@@ -331,38 +334,48 @@ def _first_min(values, scale):
     return int(np.argmax(values <= values.min() + TIE * scale))
 
 
+def _score_candidates(Zinit1, Zinit2, R1):
+    """The initial rotation Q0 of the alternation and the four candidates'
+    residuals. The candidates Zc Rc, for Zc the two rescaled solutions and
+    Rc = I or R2 of Zc, are rounded in one stack (_round_rows) as they stand
+    and with flipped columns (flip_columns), each at the scale ||its Z||_F /
+    sqrt(N); a flipped candidate wins over its plain one when its residual
+    ||X - Y||_F is smaller beyond rounding, and the smallest residual wins
+    (_first_min). Q0 is expressed against the relaxed solution Z1, of which
+    Zinit2 is the rescaled Z1 R1, so the iteration proper always runs on the
+    undeformed relaxed solution."""
+    eye = np.eye(R1.shape[0])
+    Zc = np.array((Zinit1, Zinit1, Zinit2, Zinit2))
+    Rc = np.array((eye, init_rotation_R2(Zinit1).R, eye, init_rotation_R2(Zinit2).R))
+    ZR = Zc @ Rc
+    flipped, Rp = flip_columns(ZR)
+    Y = np.concatenate((ZR, flipped))
+    W = np.concatenate((Zc, flipped))
+    scales = np.sqrt((W * W).sum(axis=(1, 2))) / math.sqrt(Zc.shape[1])
+    D = _round_rows(Y, scales[:, None, None]) - Y
+    res_plain, res_flip = np.sqrt((D * D).sum(axis=(1, 2))).reshape(2, 4)
+    flip = res_flip < res_plain * (1.0 - TIE)
+    residuals = np.where(flip, res_flip, res_plain)
+    best = _first_min(residuals, residuals.max())
+    return (eye, eye, R1, R1)[best] @ Rc[best] @ (Rp[best] if flip[best] else eye), residuals
+
+
 def cluster(g, K, mode="ncut", rescale="row_normalize"):
     """Full pipeline: relaxation, candidate initialization, and the rounding/
     refit alternation. Returns the discrete partition with diagnostics. The
-    alternation stops once phi = ||X - ZQ|| falls by less than 1e-12 in a
-    round (MAX_ROUNDS caps it) and raises NoConvergence if phi rises."""
+    eight candidate roundings are scored in one stacked pass
+    (_score_candidates); each alternation round is one podx and one podr.
+    The alternation stops once phi = ||X - ZQ|| falls by less than 1e-12 in
+    a round (MAX_ROUNDS caps it) and raises NoConvergence if phi rises."""
     if rescale not in RESCALE_METHODS:
         raise ValueError(f"unknown rescale method {rescale!r}")
     sol = solve_relaxed(g, K, mode)
     Z1 = sol.Z
     R1 = init_rotation_R1(Z1).R
-    Z2 = Z1 @ R1
     Zinit1, deformed = rescale_variant(Z1, rescale)
-    Zinit2, _ = rescale_variant(Z2, rescale)
+    Zinit2, _ = rescale_variant(Z1 @ R1, rescale)
 
-    # candidate initial (X, Q): Q is expressed against the original Z1 so the
-    # iteration proper always runs on the undeformed relaxed solution
-    candidates = []
-    for Zc, base_R in ((Zinit1, np.eye(K)), (Zinit2, R1)):
-        for Rc in (np.eye(K), init_rotation_R2(Zc).R):
-            ZR = Zc @ Rc
-            X_plain = podx(Zc, Rc)
-            res_plain = float(np.linalg.norm(X_plain.X - ZR))
-            ZQp, Rp = flip_columns(ZR)
-            X_flip = podx(ZQp)
-            res_flip = float(np.linalg.norm(X_flip.X - ZQp))
-            if res_flip < res_plain * (1.0 - TIE):
-                candidates.append((res_flip, base_R @ Rc @ Rp))
-            else:
-                candidates.append((res_plain, base_R @ Rc))
-    residuals = [res for res, _ in candidates]
-    _, Q0 = candidates[_first_min(residuals, max(residuals))]
-
+    Q0, _ = _score_candidates(Zinit1, Zinit2, R1)
     Q = TransformQ(R=Q0, Lambda=np.eye(K))
     prev_phi = np.inf
     for it in range(1, MAX_ROUNDS + 1):

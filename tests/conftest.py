@@ -468,3 +468,85 @@ def reference_tridiagonal_eigenvectors(d, e, lam):
     if not passed.all():
         return None
     return X / np.sqrt((X * X).sum(axis=0))
+
+
+# The candidate scoring of kway.cluster as it was before it became one
+# stacked pass (kway._score_candidates): one podx / flip_columns / podx per
+# candidate, then _first_min. podx, flip_columns and init_rotation_R2 are
+# kept here as they were too, so the reference shares no rounding code with
+# the stacked pass.
+TIE = eigen.TIE_RTOL
+
+
+def reference_first_min(values, scale):
+    values = np.asarray(values, dtype=float)
+    return int(np.argmax(values <= values.min() + TIE * scale))
+
+
+def reference_init_rotation_R2(Z):
+    N, K = Z.shape
+    available = list(range(1, N))
+    cols = [Z[0].copy()]
+    c = np.zeros(N)
+    for _ in range(1, K):
+        c = c + np.abs(Z @ cols[-1])
+        pick = available[reference_first_min(c[available], c.max())]
+        cols.append(Z[pick].copy())
+        available.remove(pick)
+    R = np.column_stack(cols)
+    norms = np.linalg.norm(R, axis=0)
+    norms[norms == 0] = 1.0
+    return R / norms
+
+
+def reference_flip_columns(ZR):
+    ZR = np.asarray(ZR, dtype=float)
+    signs = np.where(ZR.mean(axis=0) < -TIE * np.abs(ZR).max(axis=0), -1.0, 1.0)
+    return ZR * signs[None, :], np.diag(signs)
+
+
+def reference_podx(Z, Q=None):
+    """The indicator of Z Q as a plain array (N x K), and whether any column
+    needed repair."""
+    Y = Z if Q is None else Z @ Q
+    N, K = Y.shape
+    top = Y.max(axis=1, keepdims=True)
+    tied = Y >= top - TIE * np.abs(Y).max(axis=1, keepdims=True)
+    pattern = np.zeros((N, K))
+    pattern[np.arange(N), np.argmax(tied, axis=1)] = 1.0
+    counts = pattern.sum(axis=0)
+    repaired = bool(np.any(counts == 0))
+    while np.any(counts == 0):
+        k_from = int(np.argmax(counts))  # leftmost column with the most ones
+        row = int(np.nonzero(pattern[:, k_from])[0][0])  # smallest such row
+        k_to = int(np.nonzero(counts == 0)[0][0])  # leftmost zero column
+        pattern[row, k_from] = 0.0
+        pattern[row, k_to] = 1.0
+        counts[k_from] -= 1
+        counts[k_to] += 1
+    a = float(np.linalg.norm(Z) / np.sqrt(N))
+    return pattern * a, repaired
+
+
+def reference_score_candidates(Zinit1, Zinit2, R1):
+    """(Q0, residuals, repairs): the initial rotation, the residual each of
+    the four candidates was scored by, and how many of the eight roundings
+    repaired an empty column."""
+    K = R1.shape[0]
+    candidates, repairs = [], 0
+    for Zc, base_R in ((Zinit1, np.eye(K)), (Zinit2, R1)):
+        for Rc in (np.eye(K), reference_init_rotation_R2(Zc)):
+            ZR = Zc @ Rc
+            X_plain, rep_plain = reference_podx(Zc, Rc)
+            res_plain = float(np.linalg.norm(X_plain - ZR))
+            ZQp, Rp = reference_flip_columns(ZR)
+            X_flip, rep_flip = reference_podx(ZQp)
+            res_flip = float(np.linalg.norm(X_flip - ZQp))
+            repairs += rep_plain + rep_flip
+            if res_flip < res_plain * (1.0 - TIE):
+                candidates.append((res_flip, base_R @ Rc @ Rp))
+            else:
+                candidates.append((res_plain, base_R @ Rc))
+    residuals = [res for res, _ in candidates]
+    _, Q0 = candidates[reference_first_min(residuals, max(residuals))]
+    return Q0, residuals, repairs

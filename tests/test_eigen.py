@@ -217,6 +217,68 @@ class TestSVDOracle:
         assert np.all(sp.eigen._column_signs(other[:, rank:]) == 1.0)
 
 
+def _graded(m, n, span, seed, ascending):
+    """A Gaussian m x n matrix times column scales spanning `span`: geometric
+    for 1e6; for 1e12 one column 1e-12 and the others 1, since the Jacobi
+    kernel's floor (below) leaves a pair of columns that are both small
+    unrotated."""
+    scales = np.logspace(0, -6, n) if span == 1e6 else np.r_[np.ones(n - 1), 1e-12]
+    M = np.random.default_rng(seed).standard_normal((m, n)) * scales
+    return M[:, ::-1].copy() if ascending else M
+
+
+def _exact_singular_values(M):
+    """Singular values of the float matrix M, descending, by mpmath at 50
+    digits: the oracle for the small ones, which numpy's SVD and eigh give
+    only to eps times the largest."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s = mpmath.svd_r(mpmath.matrix(M.tolist()), compute_uv=False)
+        return np.sort(np.array([float(x) for x in s]))[::-1]
+
+
+GRADED_CASES = [(m, n, span, seed, asc) for m, n in ((12, 3), (48, 3), (120, 4))
+                for span in (1e6, 1e12) for seed in range(3) for asc in (False, True)]
+
+
+class TestGradedAccuracy:
+    """The QR-first one-sided Jacobi SVD (_jacobi_svd_sorted) and _gram_eigen
+    on tall matrices with graded columns. Normwise, both sit within a few
+    m eps of numpy's SVD and eigh. The small singular values are also
+    accurate relative to themselves: Householder QR perturbs each column by
+    a few eps of its own norm and the rotations act on columns, so the
+    condition number (1e6-1e12 here) never enters, where an error of eps
+    times the largest would be off by up to 1e12 * eps relative (and a
+    solve of the formed M^T M by eps ||M^T M||, off by 1e24 * eps).
+
+    The one limit is the kernel's skip rule: it leaves a pair whose
+    |gamma| = |cos| ||a_p|| ||a_q|| is below 1e-18 ||M||_F^2 unrotated, and
+    the smaller column's norm then exceeds its singular value by up to
+    cos^2 / 2 relative for each such pair; the bound carries that term."""
+
+    @pytest.mark.parametrize("m,n,span,seed,asc", GRADED_CASES,
+                             ids=[f"{m}x{n}-{span:.0e}-{s}{'-asc' if a else ''}" for m, n, span, s, a in GRADED_CASES])
+    def test_against_numpy_and_exact(self, m, n, span, seed, asc):
+        M = _graded(m, n, span, seed, asc)
+        eps = np.finfo(float).eps
+        exact = _exact_singular_values(M)
+        _, S, V, rank = sp.eigen._jacobi_svd_sorted(M)
+        assert rank == n
+        assert np.max(np.abs(V.T @ V - np.eye(n))) <= 64 * n * eps
+        # normwise, against numpy
+        ref = np.linalg.svd(M, compute_uv=False)
+        assert np.max(np.abs(S - ref)) <= 4 * m * eps * ref[0]
+        gram = sp.eigen._gram_eigen(M)
+        ref_values = np.linalg.eigvalsh(M.T @ M)
+        assert np.max(np.abs(gram.values - ref_values)) <= 4 * m * eps * ref_values[-1]
+        # relative to themselves, against the exact values
+        floor_cos = 1e-18 * np.sum(M * M) / (exact[-2] * exact[-1])
+        rel = 4 * m * eps + (n - 1) * floor_cos**2 / 2
+        assert np.all(np.abs(S - exact) <= rel * exact)
+        assert np.all(np.abs(gram.values[::-1] - exact**2) <= 2 * rel * exact**2)
+        assert rel * exact[-1] < 1e-3 * eps * exact[0]  # far below any normwise bound
+
+
 class TestRayleighSmallestK:
     def test_eigenvector_gives_eigenvalue(self, rng):
         S = random_symmetric(rng, 5)

@@ -27,7 +27,9 @@ from conftest import (
     jacobi_smallest_k,
     path,
     random_connected,
+    reference_init_rotation_R2,
     reference_objective,
+    reference_score_candidates,
     ring,
     row_cyclic_jacobi,
     w1_graph,
@@ -353,13 +355,21 @@ class TestInitRotations:
         assert len(set(cols)) == 3
 
     def test_r2_near_orthogonal_on_axis_aligned_rows(self, rng):
-        Z = np.zeros((9, 3))
-        for i in range(9):
-            Z[i, i % 3] = 1.0
-            Z[i] += 0.05 * rng.standard_normal(3)
-        R2 = sp.init_rotation_R2(Z).R
-        G = R2.T @ R2
-        assert np.max(np.abs(G - np.diag(np.diag(G)))) < 0.1
+        # Row i is e_(i mod 3) + d_i with |d_i| <= delta per entry. Rows on
+        # one axis then have |z . z'| >= (1 - delta)^2 - 2 delta^2 = 0.918,
+        # rows on two axes |z . z'| <= 2 delta + 3 delta^2 = 0.085, and every
+        # row norm is >= 1 - delta. So the greedy takes its second row off
+        # axis 0 (0.085 < 0.918) and its third off both picked axes (2 x
+        # 0.085 < 0.918): one row per axis, and each pair's cosine is at
+        # most (2 delta + 3 delta^2) / (1 - delta)^2 = 0.092.
+        delta = 0.04
+        bound = (2 * delta + 3 * delta**2) / (1 - delta) ** 2
+        for _ in range(20):
+            Z = np.eye(3)[np.arange(9) % 3] + rng.uniform(-delta, delta, (9, 3))
+            R2 = sp.init_rotation_R2(Z).R
+            assert sorted(np.argmax(np.abs(R2), axis=0)) == [0, 1, 2]
+            G = R2.T @ R2
+            assert np.max(np.abs(G - np.diag(np.diag(G)))) <= bound
 
 
 class TestRescaleVariants:
@@ -813,6 +823,79 @@ def _all_clusterings(g):
                 outcomes.append((tuple(res.X.assignment), res.iterations))
                 objectives.append(res.objective)
     return outcomes, objectives
+
+
+def _scoring_inputs(g):
+    """(label, Zinit1, Zinit2, R1) of every K = 2..5, mode and rescale that
+    cluster can run on g, as cluster builds them."""
+    signed = bool((g.W < 0).any())
+    out = []
+    for K in range(2, min(5, g.m) + 1):
+        for mode in ("signed_ncut", "signed_rcut") if signed else ("ncut", "rcut"):
+            for rescale in kway.RESCALE_METHODS:
+                try:
+                    Z1 = sp.solve_relaxed(g, K, mode).Z
+                    R1 = sp.init_rotation_R1(Z1).R
+                except sp.errors.SpeclapError:
+                    continue
+                Zinit1, _ = sp.rescale_variant(Z1, rescale)
+                Zinit2, _ = sp.rescale_variant(Z1 @ R1, rescale)
+                out.append((f"K{K}-{mode}-{rescale}", Zinit1, Zinit2, R1))
+    return out
+
+
+def _assert_scoring_matches_reference(Zinit1, Zinit2, R1):
+    """The stacked pass picks the reference loop's Q0 bit for bit, and
+    scores each candidate within 1e-15 of the loop's residual; returns the
+    reference's count of roundings that repaired a column."""
+    Q0, residuals = kway._score_candidates(Zinit1, Zinit2, R1)
+    ref_Q0, ref_residuals, repairs = reference_score_candidates(Zinit1, Zinit2, R1)
+    assert np.array_equal(Q0, ref_Q0)
+    assert np.all(np.abs(residuals - ref_residuals) <= 1e-15 * np.abs(ref_residuals))
+    return repairs
+
+
+class TestStackedScoring:
+    """cluster's candidate scoring, one stacked pass over the eight roundings
+    (kway._score_candidates), against the per-candidate loop it replaced
+    (conftest.reference_score_candidates)."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+    def test_golden_graphs(self, name):
+        cases = _scoring_inputs(GOLDEN_GRAPHS[name]())
+        assert cases
+        for _, Zinit1, Zinit2, R1 in cases:
+            _assert_scoring_matches_reference(Zinit1, Zinit2, R1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_several_candidates_repair_columns(self, seed):
+        # rows dominated by column 0: most roundings leave columns empty
+        rng = np.random.default_rng(seed)
+        K = 3 + seed % 3
+        Zinit1, Zinit2 = (rng.uniform(0.0, 1.0, (12, K)) + np.eye(K)[0] * 2.0 for _ in range(2))
+        R1 = np.linalg.qr(rng.standard_normal((K, K)))[0]
+        assert _assert_scoring_matches_reference(Zinit1, Zinit2, R1) >= 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_non_orthogonal_r2(self, seed):
+        # Gaussian rows: R2's greedy picks are far from orthogonal, so a
+        # candidate's plain scale ||Zc|| and flipped scale ||Zc R2|| differ
+        rng = np.random.default_rng(100 + seed)
+        K = 3 + seed % 3
+        Zinit1, Zinit2 = rng.standard_normal((12, K)), rng.standard_normal((12, K)) - 0.5
+        R1 = np.linalg.qr(rng.standard_normal((K, K)))[0]
+        R2 = sp.init_rotation_R2(Zinit1).R
+        G = R2.T @ R2
+        assert np.max(np.abs(G - np.eye(K))) > 0.2
+        assert abs(np.linalg.norm(Zinit1 @ R2) - np.linalg.norm(Zinit1)) > 1e-3 * np.linalg.norm(Zinit1)
+        _assert_scoring_matches_reference(Zinit1, Zinit2, R1)
+
+    def test_r2_matches_reference(self):
+        rng = np.random.default_rng(7)
+        cases = [rng.standard_normal((n, K)) for n, K in ((12, 3), (12, 5), (48, 3), (120, 4))]
+        cases += [np.array([[1.0, 0.0], [1e-16, 1.0], [0.0, -1.0]]), np.vstack([np.ones((4, 3)), np.eye(3)])]
+        for Z in cases:
+            assert np.array_equal(sp.init_rotation_R2(Z).R, reference_init_rotation_R2(Z))
 
 
 class TestRotationOrderIndependence:
