@@ -250,8 +250,11 @@ def _round_rows(Y, a):
 
 
 def podx(Z, Q=None):
-    """Round Z Q to an indicator (_round_rows) at the scale that makes
-    ||X||_F = ||Z||_F."""
+    """Round Z Q to an indicator: per row keep the leftmost largest entry
+    (entries within rounding of the largest are tied), repair empty columns
+    by moving a row from the most populated column, and scale so that
+    ||X||_F = ||Z||_F. The rule is _round_rows, shared with cluster's
+    candidate scoring."""
     Z = _as_z(Z)
     Y = Z if Q is None else Z @ (Q.Q if isinstance(Q, TransformQ) else np.asarray(Q, dtype=float))
     return IndicatorMatrix(X=_round_rows(Y, np.linalg.norm(Z) / np.sqrt(Z.shape[0])))
