@@ -17,9 +17,9 @@ K x K Z^T X of podr's first round, `eigen._gram_eigen` of the N x K relaxed
 Z (init_rotation_R1) and `kway._pinv` of Z * Z (the row_norm_ls rescale).
 
 The table gives microseconds per call: the median over the repeats (after
-one warm-up pass) of the mean over all calls at that size. `rounds` is the mean number of
-alternation rounds and `fail` the number of calls that raised
-NoConvergence.
+one warm-up pass) of the mean over all calls at that size; the K x K
+column includes forming Z^T X. `rounds` is the mean number of alternation
+rounds and `fail` the number of calls that raised NoConvergence.
 
 Usage: python benchmarks/bench_kway.py [--sizes 12,48,120] [--k 3] [--graphs 4] [--repeats 5]
 """

@@ -826,7 +826,7 @@ def _all_clusterings(g):
 
 
 def _scoring_inputs(g):
-    """(label, Zinit1, Zinit2, R1) of every K = 2..5, mode and rescale that
+    """(Zinit1, Zinit2, R1) of every K = 2..5, mode and rescale that
     cluster can run on g, as cluster builds them."""
     signed = bool((g.W < 0).any())
     out = []
@@ -840,7 +840,7 @@ def _scoring_inputs(g):
                     continue
                 Zinit1, _ = sp.rescale_variant(Z1, rescale)
                 Zinit2, _ = sp.rescale_variant(Z1 @ R1, rescale)
-                out.append((f"K{K}-{mode}-{rescale}", Zinit1, Zinit2, R1))
+                out.append((Zinit1, Zinit2, R1))
     return out
 
 
@@ -864,7 +864,7 @@ class TestStackedScoring:
     def test_golden_graphs(self, name):
         cases = _scoring_inputs(GOLDEN_GRAPHS[name]())
         assert cases
-        for _, Zinit1, Zinit2, R1 in cases:
+        for Zinit1, Zinit2, R1 in cases:
             _assert_scoring_matches_reference(Zinit1, Zinit2, R1)
 
     @pytest.mark.parametrize("seed", range(6))
