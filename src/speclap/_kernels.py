@@ -6,7 +6,9 @@ reduces a tall matrix to its square triangular factor, and the kernel
 rotates one column pair at a time on Python floats, each rotation one list
 update of the pair's columns of A and V together. On so few entries a
 numpy call per dot product and update costs more in call overhead than the
-arithmetic, as in inverse iteration below.
+arithmetic, as in inverse iteration below. It skips a pair on one rule, its
+cosine at most tol, with no absolute floor beside it: a rule in the
+columns' own scale leaves no pair of small columns unrotated.
 
 Every symmetric eigensolve, full or partial, takes four stages (Golub &
 Van Loan ch. 8, after LAPACK dsytrd, dstebz and dstein): Householder
@@ -27,6 +29,11 @@ overhead than the arithmetic. That cost grows with the number of vectors:
 at n = 120 the two forms break even near 40 vectors, and for all n vectors
 (a full decomposition) the per-vector loops take about three times as long.
 Nothing is compiled.
+
+A Sturm count is one IEEE pass of the pivot recurrence, and its one rule
+is #(lambda < x) with a zero pivot counted by its sign. It needs no pivot
+floor and no second, guarded pass: skipping the division at a zero e_i
+leaves no 0/0 to guard against.
 
 Round-robin Jacobi (`jacobi_eigen`, with `round_robin_schedule` and
 `_max_off_diagonal`) is not called by the library. It stays because
@@ -128,10 +135,12 @@ def jacobi_svd(A, V, tol, max_sweeps):
     Columns of A are rotated until pairwise orthogonal; V (n x n, starts as
     identity) accumulates the right rotations so that input = A_out * V^T
     with A_out having orthogonal columns. Pairs (p, q) run in row-cyclic
-    order; a pair is skipped when gamma^2 <= tol^2 alpha beta (its cosine is
-    at most tol) or gamma^2 <= 1e-12 tol^2 ||A||_F^4, where alpha, beta and
-    gamma are the pair's squared norms and inner product. Returns sweeps
-    used (the sweep that rotates nothing ends it) or -1.
+    order. The one skip rule is the pair's cosine: a pair is skipped when
+    gamma^2 <= tol^2 alpha beta, where alpha, beta and gamma are its squared
+    norms and inner product, so |cos| <= tol whatever the columns' size and
+    two small columns are rotated against each other as two large ones
+    are. Returns sweeps used (the sweep that rotates nothing ends it) or -1.
+    A zero A or n <= 1 (n = 0 included) returns 0 at once.
 
     Everything runs on Python floats: column p of A and column p of V are
     one list, row p of T = [A^T | V^T], so one list update rotates both,
@@ -144,10 +153,8 @@ def jacobi_svd(A, V, tol, max_sweeps):
     T = [a + v for a, v in zip(A.T.tolist(), V.T.tolist())]
     # squared column norms, recomputed whenever a rotation changes a column
     sq = [sum(map(mul, row[:m], row[:m])) for row in T]
-    norm = sum(sq)
-    if norm == 0.0 or n == 1:
+    if n <= 1 or not any(sq):
         return 0
-    thresh = tol * tol * norm * norm  # compare against squared quantities
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]  # the cyclic order
     sweeps = -1
     for sweep in range(max_sweeps):
@@ -156,7 +163,7 @@ def jacobi_svd(A, V, tol, max_sweeps):
             Tp, Tq = T[p], T[q]
             alpha, beta = sq[p], sq[q]
             gamma = sum(map(mul, Tp[:m], Tq[:m]))
-            if gamma * gamma <= thresh * 1e-12 or gamma * gamma <= tol * tol * alpha * beta:
+            if gamma * gamma <= tol * tol * alpha * beta:
                 continue
             rotated = True
             zeta = (beta - alpha) / (2.0 * gamma)
@@ -236,37 +243,37 @@ def back_transform(V, tau, Z):
     return Z
 
 
-def sturm_counts(d, e2, x, pivmin):
+def sturm_counts(d, e2, x):
     """Number of eigenvalues of the tridiagonal T = (d, e) below each shift
     in x: the negative pivots of the LDL^T factorisation of T - x I, all
-    shifts in one pass of the recurrence.
+    shifts in one pass of the recurrence (LAPACK dlaneg).
 
-    The pivots first run unguarded. In IEEE arithmetic a zero pivot makes
-    the next one infinite and the count still right, provided a signed
-    zero counts by its sign. Only 0/0, a zero pivot over a zero e_i, gives
-    a NaN; then the pass is redone with dstebz's guard, which takes a pivot
-    below pivmin in magnitude as -pivmin (LAPACK dlaneg, dlaebz).
+    The one rule is IEEE arithmetic with a zero pivot counted by its sign:
+    a zero pivot over a nonzero e_i makes the next pivot infinite and the
+    count still right. Where e_i = 0, T splits into independent blocks and
+    the next pivot is d_i+1 - x itself; skipping that division is the only
+    place a 0/0 could arise, so no pivot is ever NaN and the counts are
+    #(lambda < x) exactly, for a shift on an eigenvalue too.
     """
-    q = d[:, None] - x
+    # d + 0.0 turns a -0 on the diagonal into +0: then every zero pivot is
+    # +0, and an eigenvalue of a 1 x 1 block that equals x is not below it
+    q = (d + 0.0)[:, None] - x
     rows = list(q)
     quotient = np.empty(len(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         for e2i, prev, row in zip(e2.tolist(), rows, rows[1:]):
-            np.subtract(row, np.divide(e2i, prev, out=quotient), out=row)
-    if not np.isnan(q[-1]).any():
-        return np.signbit(q).sum(axis=0)
-    q = d[:, None] - x
-    for i in range(len(d)):
-        if i:
-            q[i] -= e2[i - 1] / q[i - 1]
-        q[i][np.abs(q[i]) < pivmin] = -pivmin
+            if e2i:
+                np.subtract(row, np.divide(e2i, prev, out=quotient), out=row)
     return np.signbit(q).sum(axis=0)
 
 
 def _one_norm(d, e):
     """||T||_1 of the symmetric tridiagonal T = (d, e): its largest
     absolute row sum."""
-    return float((np.abs(d) + np.r_[0.0, np.abs(e)] + np.r_[np.abs(e), 0.0]).max())
+    s, ae = np.abs(d), np.abs(e)  # summed in place, in the order |d_i| + |e_i-1| + |e_i|
+    s[1:] += ae
+    s[:-1] += ae
+    return float(s.max())
 
 
 MULTISECTION = 16  # Sturm-count shifts per open eigenvalue and pass
@@ -330,7 +337,7 @@ def tridiagonal_eigenvalues(d, e, first, stop):
         a, b = wlo[first_of], whi[first_of]
         m = MULTISECTION * int(live.sum()) // len(a)
         x = (a[:, None] + (b - a)[:, None] * (np.arange(1, m + 1) / (m + 1))).ravel()
-        below = sturm_counts(d, e2, x, pivmin) <= index  # x <= eigenvalue j
+        below = sturm_counts(d, e2, x) <= index  # x <= eigenvalue j
         np.maximum(lo, np.where(below, x, -np.inf).max(axis=1), out=lo)
         np.minimum(hi, np.where(below, np.inf, x).min(axis=1), out=hi)
 

@@ -269,9 +269,7 @@ def _kernel_dimension(S):
     (lowest,), _ = tridiagonal_eigenvalues(d, e, 0, 1)
     (highest,), _ = tridiagonal_eigenvalues(d, e, n - 1, n)
     t = 1e-9 * max(abs(lowest), abs(highest))
-    e2 = e * e
-    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
-    below_minus_t, below_t = sturm_counts(d, e2, np.array([-t, t]), pivmin)
+    below_minus_t, below_t = sturm_counts(d, e * e, np.array([-t, t]))
     return int(below_t - below_minus_t)
 
 

@@ -161,7 +161,7 @@ def init_rotation_R1(Z):
     singular vectors of Z (eigen._gram_eigen), ascending."""
     Z = _as_z(Z)
     eig = eigen._gram_eigen(Z)
-    if eig.values[0] <= 1e-12 * max(eig.values[-1], 1e-300):
+    if eig.values[0] <= 1e-12 * eig.values[-1]:
         raise RankDeficient("Z does not have full column rank")
     return TransformQ(R=eig.vectors, Lambda=np.eye(Z.shape[1]))
 
@@ -272,7 +272,7 @@ def podr(X, Z):
     res = eigen.svd(Z.T @ Xm)
     R = res.U @ res.V.T
     K = Xm.shape[1]
-    if res.S[-1] < 1e-9 * max(res.S[0], 1.0):
+    if res.S[-1] < 1e-9 * res.S[0]:
         # Z^T X is rank deficient: the rotation is not unique and the
         # diagonal stage is singular, so skip it
         return TransformQ(R=R, Lambda=np.eye(K))

@@ -218,11 +218,9 @@ class TestSVDOracle:
 
 
 def _graded(m, n, span, seed, ascending):
-    """A Gaussian m x n matrix times column scales spanning `span`: geometric
-    for 1e6; for 1e12 one column 1e-12 and the others 1, since the Jacobi
-    kernel's floor (below) leaves a pair of columns that are both small
-    unrotated."""
-    scales = np.logspace(0, -6, n) if span == 1e6 else np.r_[np.ones(n - 1), 1e-12]
+    """A Gaussian m x n matrix times column scales graded geometrically
+    from 1 down to 1 / span."""
+    scales = np.logspace(0, -np.log10(span), n)
     M = np.random.default_rng(seed).standard_normal((m, n)) * scales
     return M[:, ::-1].copy() if ascending else M
 
@@ -249,12 +247,10 @@ class TestGradedAccuracy:
     a few eps of its own norm and the rotations act on columns, so the
     condition number (1e6-1e12 here) never enters, where an error of eps
     times the largest would be off by up to 1e12 * eps relative (and a
-    solve of the formed M^T M by eps ||M^T M||, off by 1e24 * eps).
-
-    The one limit is the kernel's skip rule: it leaves a pair whose
-    |gamma| = |cos| ||a_p|| ||a_q|| is below 1e-18 ||M||_F^2 unrotated, and
-    the smaller column's norm then exceeds its singular value by up to
-    cos^2 / 2 relative for each such pair; the bound carries that term."""
+    solve of the formed M^T M by eps ||M^T M||, off by 1e24 * eps). The
+    kernel skips a pair on its cosine alone, so two small columns are
+    rotated against each other as two large ones are, and every singular
+    value is within 4 m eps of itself."""
 
     @pytest.mark.parametrize("m,n,span,seed,asc", GRADED_CASES,
                              ids=[f"{m}x{n}-{span:.0e}-{s}{'-asc' if a else ''}" for m, n, span, s, a in GRADED_CASES])
@@ -272,8 +268,7 @@ class TestGradedAccuracy:
         ref_values = np.linalg.eigvalsh(M.T @ M)
         assert np.max(np.abs(gram.values - ref_values)) <= 4 * m * eps * ref_values[-1]
         # relative to themselves, against the exact values
-        floor_cos = 1e-18 * np.sum(M * M) / (exact[-2] * exact[-1])
-        rel = 4 * m * eps + (n - 1) * floor_cos**2 / 2
+        rel = 4 * m * eps
         assert np.all(np.abs(S - exact) <= rel * exact)
         assert np.all(np.abs(gram.values[::-1] - exact**2) <= 2 * rel * exact**2)
         assert rel * exact[-1] < 1e-3 * eps * exact[0]  # far below any normwise bound
@@ -613,14 +608,27 @@ class TestTridiagonalKernels:
         e2 = e * e
         pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
         x = np.r_[np.sort(rng.uniform(-4.0, 4.0, 3 * n + 5)), d[0]]
-        assert np.array_equal(_kernels.sturm_counts(d, e2, x, pivmin), reference_sturm_counts(d, e2, x, pivmin))
+        assert np.array_equal(_kernels.sturm_counts(d, e2, x), reference_sturm_counts(d, e2, x, pivmin))
 
-    def test_sturm_counts_guarded_pass_matches_reference(self):
-        # a zero pivot over a zero e_i: 0/0, so both redo the pass guarded
-        d, e2, x = np.array([1.0, 1.0, 3.0]), np.zeros(2), np.array([0.5, 1.0, 2.0, 4.0])
-        tiny = np.finfo(float).tiny
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert np.array_equal(_kernels.sturm_counts(d, e2, x, tiny), reference_sturm_counts(d, e2, x, tiny))
+    @pytest.mark.parametrize("d, e, x, expected", [
+        # zero pivots over zero e_i: shifts on the double eigenvalue 1
+        ([1.0, 1.0, 3.0], [0.0, 0.0], [0.5, 1.0, 2.0, 4.0], [0, 0, 2, 3]),
+        # blocks with eigenvalues {1, 3}, {-1}, {0.25, 0.75} and {4}: shifts
+        # on the 1 x 1 blocks' eigenvalues, and between the others on d
+        ([2.0, 2.0, -1.0, 0.5, 0.5, 4.0], [1.0, 0.0, 0.0, 0.25, 0.0],
+         [-2.0, -1.0, 0.0, 0.5, 2.0, 4.0, 5.0], [0, 0, 1, 2, 4, 5, 6]),
+        # a -0 on the diagonal: its eigenvalue 0 is below neither zero shift
+        ([1.0, -0.0], [0.0], [-0.0, 0.0], [0, 0]),
+    ])
+    def test_sturm_counts_block_diagonal(self, d, e, x, expected):
+        # T splits at each zero e_i: the pass skips that division, so no
+        # 0/0 arises and a shift on an eigenvalue does not count it
+        d, e, x = np.array(d), np.array(e), np.array(x)
+        lam = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = _kernels.sturm_counts(d, e * e, x)
+        assert counts.tolist() == expected == [int(np.count_nonzero(lam < xi)) for xi in x]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 120])
     def test_tridiagonalize_matches_reference(self, n):
@@ -652,22 +660,23 @@ class TestTridiagonalKernels:
         d, e = rng.standard_normal(9), rng.standard_normal(8)
         lam = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         x = np.linspace(lam[0] - 1.0, lam[-1] + 1.0, 101)
-        counts = _kernels.sturm_counts(d, e * e, x, np.finfo(float).tiny)
+        counts = _kernels.sturm_counts(d, e * e, x)
         assert counts.tolist() == [int(np.count_nonzero(lam < xi)) for xi in x]
 
-    @pytest.mark.parametrize("d, e, x, low, high", [
-        # a zero pivot over a nonzero e_i: the next pivot is -inf
-        ([1.0, 1.0, 1.0], [1.0, 1.0], [1.0], [1], [2]),
-        # a zero pivot over a zero e_i: 0/0, so the guarded pass runs
-        ([1.0, 1.0, 3.0], [0.0, 0.0], [0.5, 1.0, 2.0, 4.0], [0, 0, 2, 3], [0, 2, 2, 3]),
+    @pytest.mark.parametrize("d, e, x, expected", [
+        # a zero pivot over a nonzero e_i: the next pivot is -inf; the
+        # eigenvalues are 1 - sqrt(2), 1 and 1 + sqrt(2)
+        ([1.0, 1.0, 1.0], [1.0, 1.0], [1.0], [1]),
+        # zero pivots over zero e_i: the division is skipped
+        ([1.0, 1.0, 3.0], [0.0, 0.0], [0.5, 1.0, 2.0, 4.0], [0, 0, 2, 3]),
     ])
-    def test_sturm_counts_zero_pivots(self, d, e, x, low, high):
-        # a shift on an eigenvalue may count it or not; any other is exact
+    def test_sturm_counts_zero_pivots(self, d, e, x, expected):
+        # a shift on an eigenvalue does not count it: #(lambda < x) exactly
         d, e, x = np.array(d), np.array(e), np.array(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = _kernels.sturm_counts(d, e * e, x, np.finfo(float).tiny)
-        assert np.all(counts >= low) and np.all(counts <= high)
+            counts = _kernels.sturm_counts(d, e * e, x)
+        assert counts.tolist() == expected
 
     def test_tridiagonalize_reconstructs(self, rng):
         S = random_symmetric(rng, 9)

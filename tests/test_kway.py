@@ -337,9 +337,9 @@ class TestInitRotations:
         assert np.allclose(G - np.diag(np.diag(G)), 0.0, atol=1e-8 * np.trace(G))
 
     def test_r1_rank_deficient(self):
-        Z = np.ones((5, 2))
-        with pytest.raises(RankDeficient):
-            sp.init_rotation_R1(Z)
+        for Z in (np.ones((5, 2)), np.zeros((5, 2))):
+            with pytest.raises(RankDeficient):
+                sp.init_rotation_R1(Z)
 
     def test_r2_identity_rows(self):
         Z = np.vstack([np.eye(3), np.eye(3)])
@@ -493,6 +493,15 @@ class TestPodr:
         Z = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])
         Q = sp.podr(X, Z)
         assert np.array_equal(Q.Lambda, np.eye(2))
+
+    def test_equivariant_in_the_scale_of_x(self):
+        # Z^T X = s diag(1e-6, 1e-12): the rank test is relative, so one
+        # branch serves every s and Lambda scales with X
+        Q = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 2)))[0]
+        Z, X = Q * 1e-3, Q * np.array([1e-3, 1e-9])
+        lams = [sp.podr(X * s, Z).Lambda / s for s in (1.0, 1e6)]
+        assert np.allclose(lams[0], lams[1], rtol=1e-9, atol=0.0)
+        assert np.allclose(np.diag(lams[0]), [1.0, 1e-6], rtol=1e-9, atol=0.0)
 
     def test_procrustes_and_diagonal_optimality(self, rng):
         for _ in range(20):
