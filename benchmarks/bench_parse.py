@@ -4,12 +4,12 @@ Each size n gets a seeded planted 4-block graph from `perfbench/gen.py`,
 written in the CLI's format (the files the benchmark workloads parse). The
 table gives the median over the repeats of the mean wall time of one call
 (2000 // n calls per repeat) of `cli.parse_graph` (header in Python, the
-records in one `np.loadtxt` pass, checked vectorised), of `cli._parse_lines`
-on the file's lines (the record loop that defines the grammar, and
-parse_graph's only path before the numpy read; reading the lines is
-included), and of the `Graph(W)` validation both end with, which is part of
-both other columns. It checks that both paths give byte-identical weight
-matrices.
+records in one `np.loadtxt` pass, checked vectorised), of `cli._read_header`
+and `cli._parse_records` on the file's lines (the record loop that defines
+the grammar, and parse_graph's only path before the numpy read; reading the
+lines and the `Graph(W)` call are included), and of the `Graph(W)`
+validation both end with, which is part of both other columns. It checks
+that both paths give byte-identical weight matrices.
 
 Usage: python benchmarks/bench_parse.py [--sizes 12,48,120,500,1000] [--repeats 7]
 """
@@ -43,7 +43,10 @@ def median_time(fn, repeats, number):
 
 def parse_by_loop(path):
     with open(path, "r", encoding="utf-8") as f:
-        return cli._parse_lines(f.readlines())
+        lines = f.readlines()
+    start, W = cli._read_header(lines)
+    cli._parse_records(lines, start, W)
+    return sp.Graph(W)
 
 
 def main():
@@ -53,7 +56,7 @@ def main():
     args = ap.parse_args()
     rng = np.random.default_rng(0)
 
-    print(f"{'n':>5} {'edges':>7} {'parse_graph':>12} {'_parse_lines':>13} {'Graph(W)':>10} {'speed-up':>9}")
+    print(f"{'n':>5} {'edges':>7} {'parse_graph':>12} {'_parse_records':>15} {'Graph(W)':>10} {'speed-up':>9}")
     with tempfile.TemporaryDirectory() as tmp:
         for n in (int(s) for s in args.sizes.split(",")):
             W = gen.planted(rng, [n // 4] * 4, "unsigned").W
@@ -65,7 +68,7 @@ def main():
             t_loop, loop = median_time(lambda: parse_by_loop(path), args.repeats, number)
             t_graph, _ = median_time(lambda: sp.Graph(W), args.repeats, number)
             assert fast.W.tobytes() == loop.W.tobytes() == W.tobytes(), f"paths differ at n = {n}"
-            print(f"{n:>5} {np.count_nonzero(np.triu(W)):>7} {t_fast * 1e3:>10.3f}ms {t_loop * 1e3:>11.3f}ms"
+            print(f"{n:>5} {np.count_nonzero(np.triu(W)):>7} {t_fast * 1e3:>10.3f}ms {t_loop * 1e3:>13.3f}ms"
                   f" {t_graph * 1e3:>8.3f}ms {t_loop / t_fast:>8.1f}x")
 
 

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Graph files are UTF-8 text, read line by line; lines end in LF, CRLF or
-CR. Blank lines are skipped, and so is a comment: a whole line whose first
-non-blank character is '#'. The first other line holds the node count N
-alone, a decimal integer >= 1. Every later line is one edge "i j w": i and
-j are 1-based node indices written as decimal integers, w is a real weight.
+Graph files are UTF-8 text, read once and then line by line; lines end in
+LF, CRLF or CR, and a file that is not UTF-8 fails with UnicodeDecodeError
+before any line is parsed. Blank lines are skipped, and so is a comment: a
+whole line whose first non-blank character is '#'. The first other line
+holds the node count N alone, a decimal integer >= 1. Every later line is
+one edge "i j w": i and j are 1-based node indices written as decimal
+integers, w is a real weight.
 Fields are separated by any whitespace (spaces, tabs, form feeds). Indices
 and weights follow Python's int() and float(): a sign is allowed, "1.0" and
 "1e0" are not indices, and "1_0" or non-ASCII decimal digits are accepted.
@@ -13,6 +15,9 @@ Self-loops, indices outside 1..N, an unordered pair given twice (as i j or
 as j i) and non-finite weights (nan, inf) are errors. Every error names the
 first failing line (line 0 for a file without a node count): ParseError,
 or its subclasses IndexOutOfRange and DuplicateEdge, or NonFiniteWeight.
+
+Each command takes the parsed graph and the arguments and returns its
+report, which `main` prints as one JSON line on stdout.
 
 Exit codes: 0 success, 1 usage error, 2 domain error. Errors are printed
 to stderr as a single-line JSON object, {"error": ..., "message": ...}.
@@ -65,81 +70,80 @@ _RECORD = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 def parse_graph(path):
     """The Graph in a graph file (grammar in the module docstring).
 
-    There are two paths and one grammar. `_parse_lines` defines the
-    grammar: it reads one record at a time in Python and raises the first
-    error with its line number, but at n = 120 that loop took about a third
-    of a `cluster` call. So every file is first read by `_read_records`:
-    the header in Python, then all records in one `np.loadtxt` pass in C,
-    checked vectorised. It takes a file whose records are all three plain
-    ASCII decimal fields and break no rule, as every valid file that
-    `serialize_graph` or `perfbench` writes does. Any other file goes to
-    `_parse_lines` from its first line: one with an error, a '#' line or
-    no record after the header, or a token that int() or float() accept
+    The file is read once. `_read_header` parses the node count line. The
+    records after it have two readers and one grammar. `_parse_records`
+    defines the grammar: it reads one record at a time in Python and raises
+    the first error with its line number, but at n = 120 that loop took
+    about a third of a `cluster` call. So `_read_records` runs first: all
+    records in one `np.loadtxt` pass in C, checked vectorised. It takes
+    records that are all three plain ASCII decimal fields and break no
+    rule, as in every valid file that `serialize_graph` or `perfbench`
+    writes. Any other record section goes to `_parse_records`: one with an
+    error, a '#' line or no record, or a token that int() or float() accept
     and loadtxt refuses (1_0, non-ASCII digits, integers beyond 64 bits).
-    The loop then raises the error it always raised, or returns the graph
-    it always returned. The input alone selects the path.
+    The loop then raises the error it always raised, or fills W as it
+    always did. The input alone selects the reader.
     """
     with open(path, "r", encoding="utf-8") as f:
-        W = _read_records(f)
-        if W is None:
-            f.seek(0)
-            return _parse_lines(f.readlines())
+        lines = f.readlines()
+    start, W = _read_header(lines)
+    if not _read_records(lines[start:], W):
+        _parse_records(lines, start, W)
     return Graph(W)
 
 
-def _read_records(f):
-    """W from the header and one np.loadtxt pass over the records after it,
-    or None where that pass refuses the file or a record breaks a rule."""
-    for line in iter(f.readline, ""):
-        fields = line.split()
-        if fields and not fields[0].startswith("#"):
-            break
-    else:
-        return None
+def _read_header(lines):
+    """(index of the line after the node count, the N x N zero W), or the
+    header's error with its 1-based line number (0 for no node count)."""
+    for line_no, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 1:
+            raise ParseError(line_no, "expected the node count alone on the first line")
+        try:
+            n = int(fields[0])
+        except ValueError:
+            raise ParseError(line_no, f"bad node count {fields[0]!r}") from None
+        if n < 1:
+            raise ParseError(line_no, "node count must be >= 1")
+        try:
+            return line_no, np.zeros((n, n))
+        except (MemoryError, ValueError):  # n * n floats do not fit
+            raise ParseError(line_no, f"node count {n} is too large") from None
+    raise ParseError(0, "empty graph file")
+
+
+def _read_records(lines, W):
+    """Fill W from one np.loadtxt pass over the record lines and return
+    True; False, with W untouched, where that pass refuses the lines or a
+    record breaks a rule."""
+    n = len(W)
     try:
-        (count,) = fields  # a ValueError unless the count stands alone
-        n = int(count)
-        W = np.zeros((n, n))  # a ValueError for n < 0; at n = 0 no record is in range
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt only warns on a file without records
-            i, j, w = np.loadtxt(f, dtype=_RECORD, comments=None, ndmin=1, unpack=True)
+            warnings.simplefilter("error")  # loadtxt only warns on lines without records
+            i, j, w = np.loadtxt(lines, dtype=_RECORD, comments=None, ndmin=1, unpack=True)
     except (ValueError, MemoryError, Warning):
-        return None
+        return False
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     if not (np.isfinite(w).all() and lo.min() >= 1 and hi.max() <= n and (lo < hi).all()):
-        return None
+        return False
     pairs = np.sort(lo * (n + 1) + hi)
     if (pairs[1:] == pairs[:-1]).any():
-        return None
+        return False
     W[i - 1, j - 1] = w
     W[j - 1, i - 1] = w
-    return W
+    return True
 
 
-def _parse_lines(lines):
-    """The grammar, one line at a time: the Graph, or the first error with
-    its 1-based line number."""
-    n = None
-    W = None
+def _parse_records(lines, start, W):
+    """The record grammar, one line at a time from lines[start]: fill W, or
+    raise the first error with its 1-based line number."""
+    n = len(W)
     seen = set()
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 1:
-                raise ParseError(line_no, "expected the node count alone on the first line")
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise ParseError(line_no, f"bad node count {fields[0]!r}") from None
-            if n < 1:
-                raise ParseError(line_no, "node count must be >= 1")
-            try:
-                W = np.zeros((n, n))
-            except (MemoryError, ValueError):  # n * n floats do not fit
-                raise ParseError(line_no, f"node count {n} is too large") from None
+    for line_no, raw in enumerate(lines[start:], start=start + 1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
         if len(fields) != 3:
             raise ParseError(line_no, "expected 'i j w'")
@@ -148,7 +152,7 @@ def _parse_lines(lines):
             j = int(fields[1])
             w = float(fields[2])
         except ValueError:
-            raise ParseError(line_no, f"bad edge record {line!r}") from None
+            raise ParseError(line_no, f"bad edge record {raw.strip()!r}") from None
         if not math.isfinite(w):
             raise NonFiniteWeight(f"line {line_no}: non-finite weight {fields[2]!r}")
         if i == j:
@@ -162,9 +166,6 @@ def _parse_lines(lines):
         seen.add(pair)
         W[i - 1, j - 1] = w
         W[j - 1, i - 1] = w
-    if n is None:
-        raise ParseError(0, "empty graph file")
-    return Graph(W)
 
 
 def serialize_graph(g):
@@ -173,8 +174,7 @@ def serialize_graph(g):
     return "\n".join(lines) + "\n"
 
 
-def cmd_draw(args):
-    g = parse_graph(args.graph)
+def cmd_draw(g, args):
     n = args.dim
     if args.signed:
         dm = signed_drawing(g, n, bipartite=args.bipartite)
@@ -190,12 +190,10 @@ def cmd_draw(args):
     if args.csv:
         emit_csv(dm, args.csv)
         report["csv"] = args.csv
-    print(json.dumps(report))
-    return 0
+    return report
 
 
-def cmd_cluster(args):
-    g = parse_graph(args.graph)
+def cmd_cluster(g, args):
     mode = _MODE_MAP[args.mode]
     result = cluster(g, args.k, mode=mode, rescale=_RESCALE_MAP[args.rescale])
     assignments = [int(b) + 1 for b in result.X.assignment]
@@ -216,16 +214,13 @@ def cmd_cluster(args):
             "ncut": two.ncut,
             "residual": two.residual,
         }
-    text = json.dumps(report)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-    print(text)
-    return 0
+            f.write(json.dumps(report) + "\n")
+    return report
 
 
-def cmd_balance(args):
-    g = parse_graph(args.graph)
+def cmd_balance(g, args):
     report = is_balanced(g)
     vals, _ = eigen.smallest_k(laplacian(g, "signed_unnormalized").M, 1)
     out = {
@@ -234,8 +229,7 @@ def cmd_balance(args):
     }
     if report.bipartition is not None:
         out["bipartition"] = [int(s) for s in report.bipartition]
-    print(json.dumps(out))
-    return 0
+    return out
 
 
 def _build_parser():
@@ -273,10 +267,10 @@ def main(argv=None):
         args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    error = None
+    code, error = 0, None
     with warnings.catch_warnings(record=True) as caught:
         try:
-            code = args.func(args)
+            print(json.dumps(args.func(parse_graph(args.graph), args)))
         except (SpeclapError, ValueError, OSError) as e:
             code, error = 2, {"error": type(e).__name__, "message": str(e)}
     for w in caught:

@@ -103,31 +103,28 @@ def _svg_text(R2, g):
 def emit_svg(R, g, path):
     """Write the drawing as SVG. A 3-d drawing produces two files
     (columns 1-2 and 1-3) with -xy/-xz suffixes."""
-    dm = R if isinstance(R, DrawingMatrix) else DrawingMatrix(np.asarray(R, float), np.asarray(R).shape[1])
+    R = R.R if isinstance(R, DrawingMatrix) else np.asarray(R, dtype=float)
     path = str(path)
-    if dm.n == 2:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(_svg_text(dm.R, g))
-        return [path]
-    if dm.n == 3:
+    if R.shape[1] == 2:
+        views = [(path, [0, 1])]
+    elif R.shape[1] == 3:
         warnings.warn("3-d drawing: emitting two 2-d projections")
         stem = path[:-4] if path.endswith(".svg") else path
-        out = []
-        for suffix, cols in (("-xy", (0, 1)), ("-xz", (0, 2))):
-            p = f"{stem}{suffix}.svg"
-            with open(p, "w", encoding="utf-8") as f:
-                f.write(_svg_text(dm.R[:, list(cols)], g))
-            out.append(p)
-        return out
-    raise ValueError("SVG output is defined for 2-d and 3-d drawings only")
+        views = [(f"{stem}-xy.svg", [0, 1]), (f"{stem}-xz.svg", [0, 2])]
+    else:
+        raise ValueError("SVG output is defined for 2-d and 3-d drawings only")
+    for p, cols in views:
+        with open(p, "w", encoding="utf-8") as f:
+            f.write(_svg_text(R[:, cols], g))
+    return [p for p, _ in views]
 
 
 def emit_csv(R, path):
     """Raw coordinates: header node,x1..xn, one row per node, 1-based ids."""
-    dm = R if isinstance(R, DrawingMatrix) else DrawingMatrix(np.asarray(R, float), np.asarray(R).shape[1])
-    header = "node," + ",".join(f"x{k + 1}" for k in range(dm.R.shape[1]))
+    R = R.R if isinstance(R, DrawingMatrix) else np.asarray(R, dtype=float)
+    header = "node," + ",".join(f"x{k + 1}" for k in range(R.shape[1]))
     lines = [header]
-    for i, row in enumerate(dm.R.tolist(), start=1):
+    for i, row in enumerate(R.tolist(), start=1):
         lines.append(str(i) + "," + ",".join(repr(float(v)) for v in row))
     with open(str(path), "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")

@@ -263,24 +263,22 @@ def podx(Z, Q=None):
 def podr(X, Z):
     """Best transform Q = R Lambda for fixed X: R the polar factor U V^T of
     Z^T X (orthogonal Procrustes), then the per-column least-squares
-    diagonal evaluated against Z R, falling back to Lambda = I when
-    singular. When Z^T X is non-singular its polar factor is unique and
+    diagonal evaluated against Z R, or Lambda = I when Z^T X is rank
+    deficient. When Z^T X is non-singular its polar factor is unique and
     eigen.svd's square full-rank path gives it without completing U; only
     the rank-deficient case needs the completed U."""
     Xm = X.X if isinstance(X, IndicatorMatrix) else np.asarray(X, dtype=float)
     Z = _as_z(Z)
     res = eigen.svd(Z.T @ Xm)
     R = res.U @ res.V.T
-    K = Xm.shape[1]
-    if res.S[-1] < 1e-9 * res.S[0]:
-        # Z^T X is rank deficient: the rotation is not unique and the
-        # diagonal stage is singular, so skip it
-        return TransformQ(R=R, Lambda=np.eye(K))
+    if res.S[-1] <= 1e-9 * res.S[0]:
+        # Z^T X is rank deficient (a zero Z^T X too): the rotation is not
+        # unique and the diagonal stage is singular, so skip it
+        return TransformQ(R=R, Lambda=np.eye(Xm.shape[1]))
+    # diag(R^T Z^T X) = diag(V S V^T) >= S_min > 0, so every column of Z R
+    # is nonzero and every lambda_j positive
     ZR = Z @ R
-    denom = (ZR * ZR).sum(axis=0)
-    lam = (ZR * Xm).sum(axis=0) / np.where(denom > 0, denom, np.inf)  # 0 where denom is 0
-    if np.any(np.abs(lam) < 1e-9):
-        lam = np.ones(K)
+    lam = (ZR * Xm).sum(axis=0) / (ZR * ZR).sum(axis=0)
     return TransformQ(R=R, Lambda=np.diag(lam))
 
 

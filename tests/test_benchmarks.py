@@ -1,4 +1,5 @@
-"""The micro-benchmarks under benchmarks/, run at their smallest size.
+"""The micro-benchmarks under benchmarks/, run at their smallest size, and
+the source line count.
 
 They reach into speclap's internals (bench_eigen times the `_kernels` stages
 and wraps `sturm_counts` to count passes), so a source change that renames
@@ -19,6 +20,7 @@ BENCHMARKS = [
     ["bench_eigen.py", "--sizes", "12", "--repeats", "1"],
     ["bench_kway.py", "--sizes", "12", "--graphs", "1", "--repeats", "1"],
     ["bench_parse.py", "--sizes", "12", "--repeats", "1"],
+    ["sloc.py"],
 ]
 
 

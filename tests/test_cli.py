@@ -152,9 +152,11 @@ class TestParseGraph:
 
 
 # The graph-file grammar's error corpus: every error branch of the record
-# loop at the first, a middle and the last record, the header's errors, and
-# the oddities the grammar accepts. `speclap balance` on each file must give
-# exactly these exit codes, stdout and stderr.
+# loop at the first, a middle and the last record, the header's errors, the
+# oddities the grammar accepts, and inputs at the boundary between header and
+# records (a bytes entry is written as it is, a str entry as UTF-8).
+# `speclap balance` on each file must give exactly these exit codes, stdout
+# and stderr.
 CORPUS_BASE = ("1 2 1.0", "2 3 1.0", "3 4 -1.0", "1 4 2.0")
 
 
@@ -203,6 +205,12 @@ CORPUS.update({
     "underscore-weight": _corpus_file("1 3 1_0.5", "last"),
     "zero-weights": _corpus_file("1 3 -0.0", "first") + "2 4 0\n",
     "one-node": "1\n",
+    "bad-utf8-header": b"\xff4\n" + "".join(r + "\n" for r in CORPUS_BASE).encode(),
+    "bad-utf8-record": _corpus_file("1 3 \xff1.0", "middle").encode("latin-1"),
+    "cr-only": _corpus_file("1 3 1.0", "last").replace("\n", "\r"),
+    "bad-record-after-comment-header": "# a graph\n\n4\n1 2 x\n",
+    "header-no-newline": "4",
+    "comment-and-blank-records": "4\n# edges\n\n  \n# none\n",
 })
 
 
@@ -273,13 +281,22 @@ CORPUS_OUTPUT = {
     "underscore-weight": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7187084605187}\n', ""),
     "zero-weights": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.5857864376269051}\n', ""),
     "one-node": (0, '{"balanced": true, "smallest_signed_laplacian_eigenvalue": 0.0, "bipartition": [1]}\n', ""),
+    "bad-utf8-header": _error("UnicodeDecodeError",
+                              "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "bad-utf8-record": _error("UnicodeDecodeError",
+                              "'utf-8' codec can't decode byte 0xff in position 22: invalid start byte"),
+    "cr-only": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572087}\n', ""),
+    "bad-record-after-comment-header": _error("ParseError", "line 4: bad edge record '1 2 x'"),
+    "header-no-newline": _error("NotConnected", "graph has 4 components"),
+    "comment-and-blank-records": _error("NotConnected", "graph has 4 components"),
 }
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_graph_file_corpus(tmp_path, capsys, name):
     path = tmp_path / "g.txt"
-    path.write_bytes(CORPUS[name].encode("utf-8"))
+    data = CORPUS[name]
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
     assert run(capsys, ["balance", str(path)]) == CORPUS_OUTPUT[name]
 
 
@@ -314,15 +331,17 @@ def _valid_graph_files(tmp_path):
 def test_numpy_read_equals_record_loop(tmp_path):
     for path, W in _valid_graph_files(tmp_path):
         with open(path, encoding="utf-8") as f:
-            loop = cli._parse_lines(f.readlines())
-        assert cli.parse_graph(path).W.tobytes() == loop.W.tobytes() == W.tobytes(), path
+            lines = f.readlines()
+        start, loop = cli._read_header(lines)
+        cli._parse_records(lines, start, loop)
+        assert cli.parse_graph(path).W.tobytes() == loop.tobytes() == W.tobytes(), path
 
 
 def test_valid_files_never_reach_the_record_loop(tmp_path, monkeypatch):
-    def refuse(lines):
+    def refuse(lines, start, W):
         raise AssertionError("the record loop ran on a valid file")
 
-    monkeypatch.setattr(cli, "_parse_lines", refuse)
+    monkeypatch.setattr(cli, "_parse_records", refuse)
     for path, W in _valid_graph_files(tmp_path):
         assert cli.parse_graph(path).W.tobytes() == W.tobytes(), path
 

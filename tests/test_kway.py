@@ -493,14 +493,21 @@ class TestPodr:
         Z = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])
         Q = sp.podr(X, Z)
         assert np.array_equal(Q.Lambda, np.eye(2))
+        # Z^T X = 0 is rank 0 by the relative test too (0 <= 0), so no
+        # 0 / 0 reaches Lambda
+        X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        Z = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        Q = sp.podr(X, Z)
+        assert np.array_equal(Q.Lambda, np.eye(2)) and np.isfinite(Q.R).all()
 
     def test_equivariant_in_the_scale_of_x(self):
-        # Z^T X = s diag(1e-6, 1e-12): the rank test is relative, so one
-        # branch serves every s and Lambda scales with X
+        # Z^T X = s diag(1e-6, 1e-12): the rank test is relative and Lambda
+        # has no floor, so one branch serves every s and Lambda scales with X
         Q = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 2)))[0]
         Z, X = Q * 1e-3, Q * np.array([1e-3, 1e-9])
-        lams = [sp.podr(X * s, Z).Lambda / s for s in (1.0, 1e6)]
-        assert np.allclose(lams[0], lams[1], rtol=1e-9, atol=0.0)
+        lams = [sp.podr(X * s, Z).Lambda / s for s in (1.0, 1e6, 1e-4)]
+        for lam in lams[1:]:
+            assert np.allclose(lams[0], lam, rtol=1e-9, atol=0.0)
         assert np.allclose(np.diag(lams[0]), [1.0, 1e-6], rtol=1e-9, atol=0.0)
 
     def test_procrustes_and_diagonal_optimality(self, rng):
