@@ -24,10 +24,25 @@ taken as Z: its K x K eigensolve of Z^T Z runs as the SVD of Z. numpy is a
 yardstick here, never a production path: speclap calls no external
 eigensolver.
 
+With --against PATH, the tables give way to a comparison of this
+checkout's four stages with those of another `_kernels.py`, loaded by its
+file path (the module imports only numpy and the standard library). Both
+versions run each stage on the same inputs, made by this checkout: the
+planted Laplacian at unit scale, its tridiagonal form, the six lowest
+eigenvalues and five vectors. Each of --repeats pairs times both versions
+back to back, the order alternating from pair to pair, each side the mean
+of enough calls to take about 5 ms. The table gives each side's median,
+their ratio against / this (above 1: this checkout is faster), the pairs
+this checkout won, and whether every output array, the overwritten matrix
+of tridiagonalize included, is bit-identical.
+
 Usage: python benchmarks/bench_eigen.py [--sizes 12,30,48,60,120,250,500,1000] [--repeats 3]
+                                        [--against OTHER/src/speclap/_kernels.py]
 """
 
 import argparse
+import importlib.util
+import statistics
 import time
 
 import numpy as np
@@ -62,14 +77,9 @@ def best_time(fn, S, repeats, number=1):
 
 
 def stage_times(S, repeats, k=5):
-    """Best times of smallest_k(S, k)'s four stages, each on the output of
-    the one before, at the unit scale smallest_k runs them at."""
-    unit = np.ldexp(1.0, np.frexp(np.abs(S).max())[1])
-    t_tri, (d, e, V, tau) = best_time(lambda M: _kernels.tridiagonalize(M / unit), S, repeats)
-    t_val, (lam, _) = best_time(lambda _: _kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, len(d))), S, repeats)
-    t_vec, Z = best_time(lambda _: _kernels.tridiagonal_eigenvectors(d, e, lam[:k]), S, repeats)
-    t_back, _ = best_time(lambda _: _kernels.back_transform(V, tau, Z.copy()), S, repeats)
-    return t_tri, t_val, t_vec, t_back
+    """Best times of smallest_k(S, k)'s four stages (stage_calls)."""
+    calls = stage_calls(_kernels, S, k).values()
+    return tuple(best_time(lambda _, call=call: call(), S, repeats)[0] for call in calls)
 
 
 def sturm_passes(S, k=5):
@@ -88,12 +98,83 @@ def sturm_passes(S, k=5):
     return count[0]
 
 
+def load_kernels(path):
+    """The `_kernels.py` at path, imported by its file path as a module of its own."""
+    spec = importlib.util.spec_from_file_location("against_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def stage_calls(kernels, S, k=5):
+    """smallest_k(S, k)'s four stages as calls of the module `kernels`, each
+    on the output of the stage before as this checkout's `_kernels` makes
+    it, at the unit scale smallest_k runs them at. Each call returns a
+    tuple of its output arrays; tridiagonalize's ends with the matrix it
+    overwrote."""
+    unit = np.ldexp(1.0, np.frexp(np.abs(S).max())[1])
+    A = S / unit
+    d, e, V, tau = _kernels.tridiagonalize(A.copy())
+    lam, _ = _kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, len(d)))
+    Z = _kernels.tridiagonal_eigenvectors(d, e, lam[:k])
+
+    def tridiagonalize():
+        B = A.copy()
+        return (*kernels.tridiagonalize(B), B)
+
+    return {
+        "tridiag": tridiagonalize,
+        "eigvals": lambda: kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, len(d))),
+        "eigvecs": lambda: (kernels.tridiagonal_eigenvectors(d, e, lam[:k]),),
+        "back": lambda: (kernels.back_transform(V, tau, Z.copy()),),
+    }
+
+
+def identical(out, other):
+    """Whether two stage outputs hold the same arrays, bit for bit."""
+    return len(out) == len(other) and all(
+        (a is None and b is None) or (a is not None and b is not None and a.dtype == b.dtype
+                                      and a.shape == b.shape and a.tobytes() == b.tobytes())
+        for a, b in zip(out, other))
+
+
+def compare(path, sizes, pairs, rng):
+    """Print this checkout's stages against those of the `_kernels.py` at path."""
+    other = load_kernels(path)
+    print(f"against {path}")
+    print(f"{'n':>5} {'stage':>8} {'this':>11} {'against':>11} {'ratio':>6} {'won':>7} {'identical':>9}")
+    for n in sizes:
+        S = planted_laplacian(rng, n)
+        ours, theirs = stage_calls(_kernels, S), stage_calls(other, S)
+        for stage, call in ours.items():
+            t0 = time.perf_counter()
+            out = call()
+            number = max(1, round(5e-3 / (time.perf_counter() - t0)))
+            same = identical(out, theirs[stage]())
+            times = {"this": [], "against": []}
+            for r in range(pairs):
+                sides = [("this", call), ("against", theirs[stage])]
+                for side, fn in sides if r % 2 == 0 else sides[::-1]:
+                    t0 = time.perf_counter()
+                    for _ in range(number):
+                        fn()
+                    times[side].append((time.perf_counter() - t0) / number)
+            t_this, t_against = statistics.median(times["this"]), statistics.median(times["against"])
+            won = sum(a < b for a, b in zip(times["this"], times["against"]))
+            print(f"{n:>5} {stage:>8} {t_this * 1e3:>9.3f}ms {t_against * 1e3:>9.3f}ms {t_against / t_this:>6.3f}"
+                  f" {f'{won}/{pairs}':>7} {'yes' if same else 'NO':>9}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", default="12,30,48,60,120,250,500,1000")
     ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--against", metavar="PATH", help="another checkout's src/speclap/_kernels.py")
     args = ap.parse_args()
     rng = np.random.default_rng(0)
+    if args.against:
+        compare(args.against, [int(s) for s in args.sizes.split(",")], args.repeats, rng)
+        return
 
     stages = ("tridiag", "eigvals", "eigvecs", "back")
     print(f"{'n':>5} {'smallest_k 5':>13} {'passes':>6} {'max |dλ|':>9} " + " ".join(f"{s:>9}" for s in stages)

@@ -30,6 +30,20 @@ at n = 120 the two forms break even near 40 vectors, and for all n vectors
 (a full decomposition) the per-vector loops take about three times as long.
 Nothing is compiled.
 
+The reduction is the stage that grows fastest with n. Each column's rank-2
+update goes to the whole rows A[j+1:], one contiguous block, not to the
+trailing block A[j+1:, j+1:]: numpy walks a strided 2-d view one row at a
+time, and on a 119 x 119 block that subtraction took 19.1 us against 5.4 us
+on contiguous memory. The columns left of the block have exact zeros
+subtracted, so every output bit is the block update's. Past
+WHOLE_ROWS_MAX_LEFT columns left of the block (n > 130) those zeros cost
+more than the contiguity saves, and past WHOLE_ROWS_MAX_ENTRIES entries
+(n > 500) numpy's BLAS leaves the small-matrix kernel that rounds every
+entry alike; there the update goes to the block. Multisection's per-pass
+bookkeeping (clearances, settle and live marks, the distinct intervals to
+shift) runs on Python floats over its few brackets, for the reason inverse
+iteration's recurrences do.
+
 A Sturm count is one IEEE pass of the pivot recurrence, and its one rule
 is #(lambda < x) with a zero pivot counted by its sign. It needs no pivot
 floor and no second, guarded pass: skipping the division at a zero e_i
@@ -183,6 +197,18 @@ def jacobi_svd(A, V, tol, max_sweeps):
     return sweeps
 
 
+# the rank-2 update of column j goes to the whole rows A[j+1:] while at most
+# this many columns lie left of the block A[j+1:, j+1:], and to the block
+# after that: measured, not a knob (at n = 500, whole rows for every column
+# took 110 ms, as the block alone did, and this rule 99 ms)
+WHOLE_ROWS_MAX_LEFT = 128
+# and only while those rows hold at most this many entries: past about
+# 10^6 multiply-adds, numpy's BLAS (OpenBLAS) leaves its small-matrix
+# kernel, and the blocked kernel's rounding of an entry depends on where it
+# sits in the product, so whole rows and the block no longer agree to the bit
+WHOLE_ROWS_MAX_ENTRIES = 250_000
+
+
 def tridiagonalize(A):
     """Householder reduction Q^T A Q = T of the symmetric A, in place.
 
@@ -194,43 +220,57 @@ def tridiagonalize(A):
     A column whose entries below the subdiagonal are at most eps ||A||_F
     long is taken as reduced (tau = 0): dropping them is within the
     reduction's rounding, and no reflector mixes rows of unrelated size.
+
+    The update [v w][w; v] is subtracted from the whole rows A[j+1:], one
+    contiguous block, and not from the block A[j+1:, j+1:]: numpy walks a
+    strided 2-d view one row at a time, and on a 119 x 119 block that
+    subtraction took 19.1 us against 5.4 us on contiguous memory. v and w
+    are extended by exact zeros in columns 0..j, so those columns have
+    zeros subtracted and every other entry gets the block update to the
+    bit. Once more than WHOLE_ROWS_MAX_LEFT columns lie left of the block
+    (columns j >= 128, so only for n > 130) they cost more than the
+    contiguity saves, and the update goes to the block. It goes there too
+    while the rows hold more than WHOLE_ROWS_MAX_ENTRIES entries (the
+    first columns from n = 501 on, and every column from n = 569 on): there
+    numpy's BLAS rounds a product entry by where it sits, so whole rows
+    and the block would differ in the last bits. Column j writes
+    v, w and w again, zero-padded, into its own 3 x n slab [w; v; w]: the
+    top two rows are the right factor, the bottom two the transposed left
+    one, and V is a view of the slabs' middle rows. No factor is copied
+    together per column, for three times V's memory. The diagonal is read
+    off A at the end: no update touches row j after column j's.
     """
     n = A.shape[0]
     negligible = np.finfo(float).eps * np.linalg.norm(A)
-    d = np.empty(n)
     e = np.zeros(max(n - 1, 0))
-    V = np.zeros((max(n - 2, 0), n))
+    slabs = np.zeros((max(n - 2, 0), 3, n))
+    V = slabs[:, 1]
     tau = np.zeros(max(n - 2, 0))
-    work = np.empty(max(n - 1, 0) ** 2)  # the rank-2 updates, not one n^2 temporary each
-    # the factors [v w] (m x 2) and [w; v] (2 x m) of each update
-    left, right = np.empty(2 * max(n - 1, 0)), np.empty(2 * max(n - 1, 0))
+    work = np.empty(max(n - 1, 0) * n)  # the rank-2 updates, not one n^2 temporary each
     for j in range(n - 2):
-        d[j] = A[j, j]
         x = A[j, j + 1 :]  # row j is column j: A stays symmetric
-        alpha = float(x[0])
-        xnorm = math.sqrt(float(x[1:] @ x[1:]))
+        alpha, tail = float(x[0]), x[1:]
+        xnorm = math.sqrt(float(tail @ tail))
         if xnorm <= negligible:
             e[j] = alpha
             continue
         beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
         t = (beta - alpha) / beta
-        v = x / (alpha - beta)
+        wvw = slabs[j]
+        v = np.divide(x, alpha - beta, out=wvw[1, j + 1 :])
         v[0] = 1.0
-        B = A[j + 1 :, j + 1 :]
-        p = t * (B @ v)
-        w = p - (0.5 * t * float(p @ v)) * v
-        m = n - j - 1
-        vw, wv = left[: 2 * m].reshape(m, 2), right[: 2 * m].reshape(2, m)
-        vw[:, 0] = wv[1] = v
-        vw[:, 1] = wv[0] = w
-        B -= np.matmul(vw, wv, out=work[: m * m].reshape(m, m))
+        p = t * (A[j + 1 :, j + 1 :] @ v)
+        w = np.multiply(v, 0.5 * t * float(p @ v), out=wvw[0, j + 1 :])
+        np.subtract(p, w, out=w)
+        wvw[2] = wvw[0]
+        whole = j < WHOLE_ROWS_MAX_LEFT and (n - j - 1) * n <= WHOLE_ROWS_MAX_ENTRIES
+        start = 0 if whole else j + 1  # the first column updated
+        rows = A[j + 1 :, start:]
+        rows -= np.matmul(wvw[1:, j + 1 :].T, wvw[:2, start:], out=work[: rows.size].reshape(rows.shape))
         e[j], tau[j] = beta, t
-        V[j, j + 1 :] = v
     if n >= 2:
-        d[n - 2], e[n - 2] = A[n - 2, n - 2], A[n - 2, n - 1]
-    if n >= 1:
-        d[n - 1] = A[n - 1, n - 1]
-    return d, e, V, tau
+        e[n - 2] = A[n - 2, n - 1]
+    return A.diagonal().copy(), e, V, tau
 
 
 def back_transform(V, tau, Z):
@@ -323,23 +363,38 @@ def tridiagonal_eigenvalues(d, e, first, stop):
     index = j[:, None]
     lo = np.where(j < n, gl - fudge, np.inf)
     hi = np.where(j >= 0, gu + fudge, -np.inf)
-    wlo, whi = lo[1:-1], hi[1:-1]  # the wanted eigenvalues, updated in place
     while True:
-        clear = lo[1:] - hi[:-1]
-        clear = np.minimum(clear[:-1], clear[1:])
-        settled = (clear > gap) & (whi - wlo <= SETTLE_RATIO * clear)
-        live = (whi - wlo > width) & ~settled
-        if not live.any():
-            return 0.5 * (wlo + whi), settled
-        # eigenvalues sharing an interval share its shifts
-        first_of = live.copy()
-        first_of[1:] &= (wlo[1:] != wlo[:-1]) | (whi[1:] != whi[:-1])
-        a, b = wlo[first_of], whi[first_of]
-        m = MULTISECTION * int(live.sum()) // len(a)
-        x = (a[:, None] + (b - a)[:, None] * (np.arange(1, m + 1) / (m + 1))).ravel()
+        # the marks and intervals of the pass, on Python floats: on so few
+        # brackets a numpy call each costs more than the arithmetic
+        lows, highs = lo.tolist(), hi.tolist()
+        clear = [lower - upper for lower, upper in zip(lows[1:], highs)]
+        settled, a, b, live = [], [], [], 0
+        for i in range(1, len(lows) - 1):
+            c, size = min(clear[i - 1], clear[i]), highs[i] - lows[i]
+            settles = c > gap and size <= SETTLE_RATIO * c
+            settled.append(settles)
+            if size > width and not settles:
+                live += 1
+                # eigenvalues sharing an interval share its shifts
+                if i == 1 or lows[i] != lows[i - 1] or highs[i] != highs[i - 1]:
+                    a.append(lows[i])
+                    b.append(highs[i])
+        if not live:
+            return 0.5 * (lo[1:-1] + hi[1:-1]), np.array(settled, dtype=bool)
+        a, b = np.array(a)[:, None], np.array(b)[:, None]
+        x = (a + (b - a) * _shift_fractions(MULTISECTION * live // len(a))).ravel()
         below = sturm_counts(d, e2, x) <= index  # x <= eigenvalue j
         np.maximum(lo, np.where(below, x, -np.inf).max(axis=1), out=lo)
         np.minimum(hi, np.where(below, np.inf, x).min(axis=1), out=hi)
+
+
+@functools.lru_cache(maxsize=32)
+def _shift_fractions(m):
+    """The fractions 1/(m + 1) .. m/(m + 1) at which a pass puts its m
+    shifts into an interval (read-only)."""
+    fractions = np.arange(1, m + 1) / (m + 1)
+    fractions.setflags(write=False)
+    return fractions
 
 
 INVERSE_ITERATIONS = 5  # at most, per eigenvector (LAPACK dstein's MAXITS)

@@ -397,6 +397,46 @@ def reference_sturm_counts(d, e2, x, pivmin):
     return np.signbit(q).sum(axis=0)
 
 
+def reference_tridiagonal_eigenvalues(d, e, first, stop):
+    """Reference multisection: _kernels.tridiagonal_eigenvalues with each
+    pass's clearances, settle and live marks and distinct intervals as
+    numpy calls over all brackets. Same (midpoints, settled) contract; the
+    counts come from _kernels.sturm_counts, looked up at each call."""
+    n = len(d)
+    eps = np.finfo(float).eps
+    e2 = e * e
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    r = np.zeros(n)
+    r[:-1] += np.abs(e)
+    r[1:] += np.abs(e)
+    gl, gu = float((d - r).min()), float((d + r).max())
+    tnorm = max(abs(gl), abs(gu))
+    fudge = 2.1 * (n * eps * tnorm + 2.0 * pivmin)
+    width = 4.0 * eps * tnorm + 2.0 * pivmin
+    gap = _kernels.CLUSTER_GAP * _kernels._one_norm(d, e)
+    j = np.arange(first - 1, stop + 1)
+    index = j[:, None]
+    lo = np.where(j < n, gl - fudge, np.inf)
+    hi = np.where(j >= 0, gu + fudge, -np.inf)
+    wlo, whi = lo[1:-1], hi[1:-1]  # the wanted eigenvalues, updated in place
+    while True:
+        clear = lo[1:] - hi[:-1]
+        clear = np.minimum(clear[:-1], clear[1:])
+        settled = (clear > gap) & (whi - wlo <= _kernels.SETTLE_RATIO * clear)
+        live = (whi - wlo > width) & ~settled
+        if not live.any():
+            return 0.5 * (wlo + whi), settled
+        # eigenvalues sharing an interval share its shifts
+        first_of = live.copy()
+        first_of[1:] &= (wlo[1:] != wlo[:-1]) | (whi[1:] != whi[:-1])
+        a, b = wlo[first_of], whi[first_of]
+        m = _kernels.MULTISECTION * int(live.sum()) // len(a)
+        x = (a[:, None] + (b - a)[:, None] * (np.arange(1, m + 1) / (m + 1))).ravel()
+        below = _kernels.sturm_counts(d, e2, x) <= index  # x <= eigenvalue j
+        np.maximum(lo, np.where(below, x, -np.inf).max(axis=1), out=lo)
+        np.minimum(hi, np.where(below, np.inf, x).min(axis=1), out=hi)
+
+
 def _reference_factor_shifted(d, e, lam, pivot_floor):
     """dlagtf for every shift at once: one numpy column per shift."""
     n, m = len(d), len(lam)

@@ -22,6 +22,7 @@ from conftest import (
     random_connected,
     random_orthonormal,
     reference_sturm_counts,
+    reference_tridiagonal_eigenvalues,
     reference_tridiagonal_eigenvectors,
     reference_tridiagonalize,
     ring,
@@ -567,6 +568,34 @@ def _tridiagonal_case(kind, n, m):
     return d, e, np.linalg.eigvalsh(T)[:m]
 
 
+def _assert_tridiagonalize_matches_reference(S):
+    """d, e, V, tau and the overwritten matrix equal the reference's bit for
+    bit, the sign of every zero included."""
+    A, B = S.copy(), S.copy()
+    got, ref = _kernels.tridiagonalize(A), reference_tridiagonalize(B)
+    assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+    assert A.tobytes() == B.tobytes()
+
+
+def _multisection_case(kind, n):
+    """(d, e): a seeded tridiagonal T. split: a zero e_i every fourth row;
+    ties: integer d and e, zero every third e_i, so eigenvalues repeat
+    exactly; constant: one value on the whole diagonal."""
+    rng = np.random.default_rng(n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    if kind == "split":
+        e[::4] = 0.0
+    elif kind == "ties":
+        d, e = rng.integers(-2, 3, n).astype(float), rng.integers(-1, 2, n - 1).astype(float)
+        e[::3] = 0.0
+    elif kind == "constant":
+        d = np.full(n, 0.75)
+    return d, e
+
+
+MULTISECTION_CASES = [(kind, n) for kind in ("random", "split", "ties", "constant") for n in (1, 2, 3, 12, 48)]
+
+
 TRIDIAGONAL_CASES = (
     [("random", n, n) for n in (1, 2, 3)]
     + [("random", 12, m) for m in range(1, 9)]
@@ -630,16 +659,52 @@ class TestTridiagonalKernels:
             counts = _kernels.sturm_counts(d, e * e, x)
         assert counts.tolist() == expected == [int(np.count_nonzero(lam < xi)) for xi in x]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 12, 120])
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 120, 200, 300])
     def test_tridiagonalize_matches_reference(self, n):
+        # n = 200 and 300 pass WHOLE_ROWS_MAX_LEFT: their first columns
+        # update whole rows and their last ones the trailing block, and both
+        # forms must give the block update's bits
+        assert 200 - 2 > _kernels.WHOLE_ROWS_MAX_LEFT
         rng = np.random.default_rng(n)
         # a random matrix, and a block-diagonal one: the last column of
-        # each block is already reduced (tau = 0)
+        # each block is already reduced (tau = 0); each also at 2^300 and
+        # 2^-300
         for S in (random_symmetric(rng, n), np.kron(np.eye(3), random_symmetric(rng, -(-n // 3)))):
-            A, B = S.copy(), S.copy()
-            got, ref = _kernels.tridiagonalize(A), reference_tridiagonalize(B)
-            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
-            assert np.array_equal(A, B)
+            for exponent in (0, 300, -300):
+                _assert_tridiagonalize_matches_reference(np.ldexp(S, exponent))
+
+    def test_tridiagonalize_matches_reference_past_whole_rows_max_entries(self):
+        # at n = 720 whole rows for the first columns would pass 10^6
+        # multiply-adds, where numpy's BLAS (OpenBLAS) rounds a product entry
+        # by where it sits in the product: those columns update the block
+        n = 720
+        assert (n - 1) * n > _kernels.WHOLE_ROWS_MAX_ENTRIES
+        _assert_tridiagonalize_matches_reference(random_symmetric(np.random.default_rng(n), n))
+
+    @pytest.mark.parametrize("kind,n", MULTISECTION_CASES, ids=[f"{k}-n{n}" for k, n in MULTISECTION_CASES])
+    def test_multisection_matches_reference(self, kind, n):
+        # the per-pass bookkeeping on Python floats makes the reference's
+        # passes: same shifts, so the same midpoints and marks, for every
+        # range whose ends are 0, n - 1 or n (an empty one included)
+        d, e = _multisection_case(kind, n)
+        ends = sorted({0, n // 2, n - 1, n})
+        for first in ends:
+            for stop in (s for s in ends if s >= first):
+                lam, settled = _kernels.tridiagonal_eigenvalues(d, e, first, stop)
+                ref_lam, ref_settled = reference_tridiagonal_eigenvalues(d, e, first, stop)
+                assert lam.dtype == ref_lam.dtype and settled.dtype == ref_settled.dtype == bool
+                assert np.array_equal(lam, ref_lam) and np.array_equal(settled, ref_settled)
+
+    @pytest.mark.parametrize("name,S", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_multisection_matches_reference_on_oracle_cases(self, name, S):
+        # the tridiagonal forms smallest_k and sym_eigen bisect: the lowest
+        # six, the rest and the whole spectrum
+        _, d, e, _, _ = sp.eigen._unit_tridiagonal(S)
+        n = len(d)
+        for first, stop in ((0, min(6, n)), (min(6, n), n), (0, n)):
+            lam, settled = _kernels.tridiagonal_eigenvalues(d, e, first, stop)
+            ref_lam, ref_settled = reference_tridiagonal_eigenvalues(d, e, first, stop)
+            assert np.array_equal(lam, ref_lam) and np.array_equal(settled, ref_settled)
 
     @pytest.mark.parametrize("name,settled", [("gap-outside-48", True), ("gap-inside-48", False)])
     def test_settle_rule_sides(self, name, settled):
