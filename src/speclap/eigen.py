@@ -14,6 +14,15 @@ as the SVD of Z (`_gram_eigen`). Multiple eigenvalues' vectors come back in
 one canonical basis and under one sign rule. Every spectral computation in
 the library goes through this module, and none calls an external
 eigensolver (numpy.linalg.qr is a factorisation, not an eigensolver).
+
+One scale rule, as in LAPACK's dsyev and dgesvd: every decomposition (and
+`rayleigh`) divides its input once, where it enters, by the power of two
+that brings its largest entry into [0.5, 1) (`_unit_scale`), works at that
+scale (norms, tolerances, tie groups, rank tests) and multiplies the values
+back by the same power. A power of two commutes with every rounding in the
+normal range, so the results at 2^p S are those at S, values times 2^p,
+to the bit, and no norm or tolerance overflows or underflows whatever the
+scale of the input.
 """
 
 import math
@@ -106,18 +115,29 @@ def _canonical_basis(V):
     return V @ _extend_basis(np.empty((V.shape[1], 0)), V)
 
 
-def _symmetric_input(S):
-    """S as a float array, checked finite, square and symmetric to 1e-12 of
-    its norm, then symmetrised exactly; and ||S||_F."""
-    S = np.asarray(S, dtype=float)
-    if not np.isfinite(S).all():
+def _unit_scale(M):
+    """(M / 2^power, power): M as a float array, checked finite, divided by
+    the power of two that brings its largest |entry| into [0.5, 1); power
+    is 0 for a zero or empty M. The division is exact wherever the result
+    stays in the normal range. The one scale decision of this module."""
+    M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    power = math.frexp(np.abs(M).max(initial=0.0))[1]
+    return np.ldexp(M, -power), power
+
+
+def _symmetric_input(S):
+    """(A, power, ||A||_F): A = S / 2^power at unit scale (_unit_scale),
+    checked square and symmetric to 1e-12 of its norm, then symmetrised
+    exactly. The test is relative only, so it holds at every scale."""
+    A, power = _unit_scale(S)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric("matrix is not square")
-    scale = np.linalg.norm(S)
-    if np.linalg.norm(S - S.T) > 1e-12 * max(scale, 1.0):
+    scale = np.linalg.norm(A)
+    if np.linalg.norm(A - A.T) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric")
-    return 0.5 * (S + S.T), scale
+    return 0.5 * (A + A.T), power, scale
 
 
 def _tie_groups(values, thresh):
@@ -158,9 +178,14 @@ def sym_eigen(S):
 def _jacobi_svd_sorted(M):
     """QR-preconditioned one-sided Jacobi (Drmac & Veselic, New fast and
     accurate Jacobi SVD algorithm I, SIAM J. Matrix Anal. Appl. 29(4), 2008;
-    LAPACK dgejsv): (A, S, V, rank) with M V = A, V orthogonal and the
-    columns of A orthogonal with norms S, sorted by descending S. Columns
-    past the rank count as zero: S is 0 there.
+    LAPACK dgejsv): (U, S, V, rank) with V orthogonal, S sorted descending
+    and M V[:, :rank] = U diag(S[:rank]), the columns of U orthonormal.
+    Columns of M V past the rank count as zero: S is 0 there.
+
+    M enters at unit scale (_unit_scale), where the rotations, the rank test
+    and U = A / S (A = M V at that scale) are computed; only S is multiplied
+    back by the power of two. So svd, _gram_eigen and kway._pinv give the
+    same U and V at every scale, and S times the scale, to the bit.
 
     M is m x n with m >= n; n <= 5 on every library path. A tall M is
     reduced to its n x n triangular factor by one Householder QR, M = Q R;
@@ -171,9 +196,7 @@ def _jacobi_svd_sorted(M):
     own norm, so the condition number is never squared: a small singular
     value of a matrix with graded columns keeps its accuracy relative to
     itself, not to the largest."""
-    R = np.array(M, dtype=float)
-    if not np.isfinite(R).all():
-        raise ValueError("matrix has non-finite entries")
+    R, power = _unit_scale(M)
     Q, R = np.linalg.qr(R) if R.shape[0] > R.shape[1] else (None, R)
     V = np.eye(R.shape[1])
     sweeps = jacobi_svd(R, V, DEFAULT_TOL, MAX_SWEEPS)
@@ -183,11 +206,10 @@ def _jacobi_svd_sorted(M):
     norms = [math.sqrt(sum(x * x for x in col)) for col in R.T.tolist()]
     order = sorted(range(len(norms)), key=lambda j: -norms[j])  # stable
     norms = [norms[j] for j in order]
-    scale = norms[0] if norms and norms[0] > 0 else 1.0
-    rank = sum(s > 1e-14 * scale for s in norms)
+    rank = sum(s > 1e-14 * norms[0] for s in norms)
     norms[rank:] = [0.0] * (len(norms) - rank)
-    A = R[:, order]
-    return A if Q is None else Q @ A, np.array(norms), V[:, order], rank
+    A = R[:, order] if Q is None else Q @ R[:, order]
+    return A[:, :rank] / norms[:rank], np.ldexp(norms, power), V[:, order], rank
 
 
 def _gram_eigen(Z):
@@ -198,11 +220,12 @@ def _gram_eigen(Z):
     factor and never forms G. So Z's condition number is not squared into
     the solve, and a small eigenvalue is accurate relative to itself.
     Ascending, with smallest_k's tie groups (at DEFAULT_TOL * ||G||_F),
-    canonical basis and sign rule."""
+    canonical basis and sign rule; the groups are formed at unit scale, so
+    they hold while ||G||_F itself would overflow or underflow."""
     _, norms, V, _ = _jacobi_svd_sorted(Z)
-    values = norms[::-1] ** 2
-    groups = _tie_groups(values, DEFAULT_TOL * np.linalg.norm(values))
-    return SymmetricEigen(values=values, vectors=_canonicalise(V[:, ::-1].copy(), groups))
+    unit_values = _unit_scale(norms[::-1])[0] ** 2
+    groups = _tie_groups(unit_values, DEFAULT_TOL * np.linalg.norm(unit_values))
+    return SymmetricEigen(values=norms[::-1] ** 2, vectors=_canonicalise(V[:, ::-1].copy(), groups))
 
 
 def svd(M):
@@ -210,15 +233,14 @@ def svd(M):
     m x m, V is n x n, singular values descending. The eigensolver's sign
     rule (_column_signs) orients every column of the taller factor (U if
     m >= n, else V) and the null-space columns of the other; the rest are
-    paired with the taller factor's. U is A / S; only when the rank is
-    below m is it completed (_extend_basis), so a square full-rank M, the
-    Procrustes step's Z^T X, costs one Jacobi run and the sign rule."""
+    paired with the taller factor's. Only when the rank is below m is U
+    completed (_extend_basis), so a square full-rank M, the Procrustes
+    step's Z^T X, costs one Jacobi run and the sign rule."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-d array")
     transposed = M.shape[0] < M.shape[1]
-    A, norms, V, rank = _jacobi_svd_sorted(M.T if transposed else M)
-    U = A[:, :rank] / norms[:rank]
+    U, norms, V, rank = _jacobi_svd_sorted(M.T if transposed else M)
     if rank < U.shape[0]:
         U = _extend_basis(U, np.eye(U.shape[0]))
     # a sign flip of a U column must hit the paired V column too or
@@ -234,38 +256,30 @@ def svd(M):
 
 
 def rayleigh(S, x):
-    """Rayleigh quotient x^T S x / x^T x."""
-    x = np.asarray(x, dtype=float)
+    """Rayleigh quotient x^T S x / x^T x, with S and x each at unit scale
+    (_unit_scale): x's scale cancels, and S's multiplies the quotient."""
+    x, _ = _unit_scale(x)
     denom = x @ x
     if denom == 0.0:
         raise ZeroVector("Rayleigh quotient of the zero vector")
-    S = np.asarray(S, dtype=float)
-    return float(x @ (S @ x) / denom)
-
-
-def _unit_tridiagonal(A):
-    """Householder reduction of the symmetric A at unit scale: (unit, d, e,
-    V, tau), the tridiagonal form of A / unit. Dividing by a power of two
-    (exact) brings the largest entry into [0.5, 1), where no floor or scale
-    the kernels derive from ||T|| falls into subnormal or overflowing
-    range."""
-    unit = np.ldexp(1.0, np.frexp(np.abs(A).max())[1])
-    return (unit, *tridiagonalize(A / unit))
+    S, power = _unit_scale(S)
+    return float(np.ldexp(x @ (S @ x) / denom, power))
 
 
 def _kernel_dimension(S):
     """Number of eigenvalues of the symmetric S with |lambda| <= t =
-    1e-9 max |lambda|, without eigenvectors: on the tridiagonal form,
-    multisection finds the two extreme eigenvalues, whose larger magnitude
-    is max |lambda|, and the count is the difference of two Sturm counts,
-    of the eigenvalues below t and below -t. An isolated extreme eigenvalue
+    1e-9 max |lambda|, without eigenvectors: on the tridiagonal form of S
+    at unit scale (_symmetric_input), multisection finds the two extreme
+    eigenvalues, whose larger magnitude is max |lambda|, and the count is
+    the difference of two Sturm counts, of the eigenvalues below t and
+    below -t. An isolated extreme eigenvalue
     stops at the settle rule's width, at most a millionth of the spectrum's
     width off: t needs only a few digits. The zero matrix counts n."""
-    A, _ = _symmetric_input(S)
+    A, _, _ = _symmetric_input(S)
     n = A.shape[0]
     if not A.any():
         return n
-    _, d, e, _, _ = _unit_tridiagonal(A)
+    d, e, _, _ = tridiagonalize(A)
     (lowest,), _ = tridiagonal_eigenvalues(d, e, 0, 1)
     (highest,), _ = tridiagonal_eigenvalues(d, e, n - 1, n)
     t = 1e-9 * max(abs(lowest), abs(highest))
@@ -277,10 +291,12 @@ def smallest_k(S, k):
     """The k smallest eigenvalues and their eigenvectors, without a full
     decomposition (Golub & Van Loan ch. 8; LAPACK dsytrd, dstebz, dstein).
 
-    Householder reduction to a tridiagonal T, Sturm-count multisection for
-    the eigenvalues, inverse iteration on T for their vectors, and the
-    stored reflectors to carry those back. An eigenvalue that multisection
-    settled (farther than CLUSTER_GAP ||T||_1 from every other, bracketed
+    S enters at unit scale (_symmetric_input), and the eigenvalues are
+    multiplied back by the same power of two. Householder reduction to a
+    tridiagonal T, Sturm-count multisection for the eigenvalues, inverse
+    iteration on T for their vectors, and the stored reflectors to carry
+    those back. An eigenvalue that multisection settled (farther than
+    CLUSTER_GAP ||T||_1 from every other, bracketed
     to SETTLE_RATIO of that clearance; see tridiagonal_eigenvalues) is the
     Rayleigh quotient z^T T z of its unit vector z, the others the
     midpoints of their brackets at full width. Eigenvalues within
@@ -290,16 +306,16 @@ def smallest_k(S, k):
     whole before the cut, so the result is the first k columns of
     sym_eigen(S) = smallest_k(S, n) to rounding.
     """
-    A, scale = _symmetric_input(S)
+    A, power, scale = _symmetric_input(S)
     n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
     if not A.any():
         return np.zeros(k), np.eye(n)[:, :k]
-    unit, d, e, V, tau = _unit_tridiagonal(A)
+    d, e, V, tau = tridiagonalize(A)
     lam, settled = tridiagonal_eigenvalues(d, e, 0, min(k + 1, n))
     while True:
-        groups = _tie_groups(unit * lam, DEFAULT_TOL * scale)
+        groups = _tie_groups(lam, DEFAULT_TOL * scale)
         end = next(t for _, t in groups if t >= k)  # of the group holding k - 1
         if end < len(lam) or len(lam) == n:
             break
@@ -312,6 +328,5 @@ def smallest_k(S, k):
     # a settled eigenvalue is the Rayleigh quotient z^T T z of its vector
     Zs = Z[:, settled]
     lam[settled] = d @ (Zs * Zs) + 2.0 * (e @ (Zs[:-1] * Zs[1:]))
-    values = unit * lam
     vectors = _canonicalise(back_transform(V, tau, Z), [g for g in groups if g[1] <= end])
-    return values[:k].copy(), vectors[:, :k].copy()
+    return np.ldexp(lam[:k], power), vectors[:, :k].copy()

@@ -212,10 +212,10 @@ def rescale_variant(Z, method="row_normalize"):
 
 
 def _pinv(M):
-    A, S, V, _ = eigen._jacobi_svd_sorted(M)
-    keep = S > 1e-10 * S[0]
-    # M = U S V^T with U = A / S, so pinv(M) = V S^-1 U^T
-    return (V[:, keep] / S[keep]) @ (A[:, keep] / S[keep]).T
+    U, S, V, _ = eigen._jacobi_svd_sorted(M)
+    keep = np.count_nonzero(S > 1e-10 * S[0])  # S descends: a prefix
+    # M = U S V^T, so pinv(M) = V S^-1 U^T
+    return (V[:, :keep] / S[:keep]) @ U[:, :keep].T
 
 
 def flip_columns(ZR):

@@ -196,14 +196,14 @@ def jacobi_sym_eigen(S, rotate=_kernels.jacobi_eigen):
     path: Jacobi rotations (round-robin _kernels.jacobi_eigen, or a drop-in
     such as row_cyclic_jacobi), then the library's tie groups, canonical
     basis and sign rule. This was sym_eigen before it became smallest_k(S, n)."""
-    A, scale = eigen._symmetric_input(S)
+    A, power, scale = eigen._symmetric_input(S)
     V = np.eye(A.shape[0])
     assert rotate(A, V, eigen.DEFAULT_TOL, eigen.MAX_SWEEPS) >= 0, "reference Jacobi did not converge"
     values = np.diag(A).copy()
     order = np.argsort(values, kind="stable")
     values = values[order]
     vectors = eigen._canonicalise(V[:, order], eigen._tie_groups(values, eigen.DEFAULT_TOL * scale))
-    return eigen.SymmetricEigen(values=values, vectors=vectors)
+    return eigen.SymmetricEigen(values=np.ldexp(values, power), vectors=vectors)
 
 
 def jacobi_smallest_k(S, k, rotate=_kernels.jacobi_eigen):

@@ -1,5 +1,5 @@
-"""The micro-benchmarks under benchmarks/, run at their smallest size, and
-the source line count.
+"""The micro-benchmarks under benchmarks/, run at their smallest size, the
+source line count, and the CLI parity tool on a small subset of its calls.
 
 They reach into speclap's internals (bench_eigen times the `_kernels` stages
 and wraps `sturm_counts` to count passes), so a source change that renames
@@ -8,6 +8,7 @@ second. bench_eigen --against also runs against this checkout's own
 `_kernels.py`, where every stage must come out bit-identical.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -27,15 +28,44 @@ BENCHMARKS = [
 ]
 
 
+def _run(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "benchmarks" / args[0]), *args[1:]], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=600)
+
+
 @pytest.mark.parametrize("args", BENCHMARKS, ids=[args[0] + ("-against" if args is AGAINST else "")
                                                   for args in BENCHMARKS])
 def test_benchmark_runs(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "benchmarks" / args[0]), *args[1:]], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=600)
+    proc = _run(args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     if args is AGAINST:
         rows = [line.split() for line in proc.stdout.splitlines() if line.split()[:1] == ["12"]]
         assert [row[1] for row in rows] == ["tridiag", "eigvals", "eigvecs", "back"]
         assert all(row[-1] == "yes" for row in rows), proc.stdout
+
+
+def test_parity_records_compare_clean(tmp_path):
+    # two records of the same checkout are identical; a moved output is
+    # listed with its largest float move, and compare exits 1
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    for target in (a, b):
+        proc = _run(["parity.py", "record", target, "--seeds", "1", "--stride", "40"])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    proc = _run(["parity.py", "compare", a, b])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " 0 differ, 0 only in " in proc.stdout
+    with open(os.path.join(b, "record.json"), encoding="utf-8") as f:
+        records = json.load(f)
+    assert len(records) > 30 and any(r["files"] for r in records)
+    moved = next(r for r in records if r["code"] == 0 and r["argv"].startswith("cluster"))
+    report = json.loads(moved["stdout"])
+    report["objective"] *= 1.0 + 2.0**-40
+    moved["stdout"] = json.dumps(report) + "\n"
+    with open(os.path.join(b, "record.json"), "w", encoding="utf-8") as f:
+        json.dump(records, f)
+    proc = _run(["parity.py", "compare", a, b])
+    assert proc.returncode == 1
+    assert f"  {moved['argv']}: stdout\n" in proc.stdout
+    assert f"e-13 relative ({moved['argv']})" in proc.stdout.split("  objective: ")[1]  # 2^-40 = 9.1e-13

@@ -642,6 +642,54 @@ class TestOneSolveOneWalk:
         assert counts["laplacians"] == 1
 
 
+def _times_power_of_two(report, degrees, power):
+    """report with each named field (dotted for nested) times 2^(degree power)."""
+    out = json.loads(json.dumps(report))
+    for field, degree in degrees.items():
+        *outer, key = field.split(".")
+        d = out
+        for k in outer:
+            d = d[k]
+        d[key] = np.ldexp(d[key], int(degree * power)).tolist()
+    return out
+
+
+class TestScaledWeights:
+    """The eigen layer works on its input at unit scale, so multiplying every
+    weight by 2^p leaves partitions and drawings as they are and multiplies
+    eigenvalues, energies, rcut objectives and relaxation values by 2^p to
+    the bit, also where ||L||_F would overflow (2^520) or its square
+    underflow (2^-600). The exponents are even, so the square roots of the
+    degrees scale exactly: the 2-way residual, a distance between vectors
+    scaled by D^-1/2, takes 2^(-p/2). Every other field is unchanged."""
+
+    SCALED = {"eigenvalues": 1, "energy": 1}
+    CALLS = [
+        ("w1", ["draw", "--dim", "2", "--csv", "CSV"], SCALED),
+        ("w1", ["cluster", "--k", "3", "--mode", "rcut"], {"objective": 1, "relaxation_value": 1}),
+        ("w1", ["cluster", "--k", "2", "--mode", "ncut"], {"two_way.residual": -0.5}),
+        ("g1", ["balance"], {"smallest_signed_laplacian_eigenvalue": 1}),
+        ("g1", ["draw", "--signed"], SCALED),
+    ]
+
+    @pytest.mark.parametrize("power", [520, -600])
+    @pytest.mark.parametrize("name, argv, degrees", CALLS,
+                             ids=["w1-draw", "w1-rcut", "w1-ncut-k2", "g1-balance", "g1-draw-signed"])
+    def test_weights_times_power_of_two(self, tmp_path, capsys, power, name, argv, degrees):
+        W = {"w1": w1_graph, "g1": g1_signed}[name]().W
+        csv = str(tmp_path / "out.csv")
+        argv = [csv if a == "CSV" else a for a in argv]
+        seen = []
+        for p in (0, power):
+            path = graph_file(tmp_path, f"{name}-{p}.txt", sp.Graph(np.ldexp(W, p)))
+            code, out, err = run(capsys, [argv[0], path, *argv[1:]])
+            assert (code, err) == (0, "")
+            seen.append((json.loads(out), Path(csv).read_text() if "--csv" in argv else None))
+        (report, text), (scaled, scaled_text) = seen
+        assert scaled == _times_power_of_two(report, degrees, power)
+        assert scaled_text == text
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert run(capsys, ["cluster"])[0] == 1

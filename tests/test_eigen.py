@@ -2,6 +2,7 @@
 the Gram eigensolve of the rounding, SVD and the variational property
 suite."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import (
     L1BAR_EIGENVALUES,
     _reference_factor_shifted,
     complete,
+    g2_signed,
     jacobi_gram_eigen,
     jacobi_sym_eigen,
     one_rotation_at_a_time,
@@ -28,6 +30,7 @@ from conftest import (
     ring,
     row_cyclic_jacobi,
     scalar_jacobi_svd,
+    w1_graph,
 )
 
 
@@ -76,6 +79,10 @@ class TestSymEigen:
             sp.sym_eigen(np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(NotSymmetric):
             sp.sym_eigen(np.zeros((2, 3)))
+        # the test is relative at every scale: no absolute floor lets a
+        # small asymmetric matrix through
+        with pytest.raises(NotSymmetric):
+            sp.sym_eigen(np.array([[0.0, 1e-20], [0.0, 0.0]]))
 
     def test_sign_convention(self, rng):
         S = random_symmetric(rng, 6)
@@ -294,6 +301,17 @@ class TestRayleighSmallestK:
         with pytest.raises(ZeroVector):
             sp.rayleigh(np.eye(2), np.zeros(2))
 
+    def test_tiny_vector_is_not_zero(self):
+        # x^T x underflows to 0 at 1e-170; x enters at unit scale
+        assert sp.rayleigh(np.eye(2), np.array([1e-170, 0.0])) == 1.0
+
+    def test_huge_entries_do_not_overflow(self):
+        # S x and x^T x overflow at 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            q = sp.rayleigh(np.diag([1e300, 3e300]), np.array([1e300, 1e300]))
+        assert q == pytest.approx(2e300, rel=1e-15)
+
     def test_smallest_k_full(self, rng):
         S = random_symmetric(rng, 5)
         vals, vecs = sp.smallest_k(S, 5)
@@ -402,8 +420,9 @@ def _near_gap_spectrum(rng, factor):
         S = (Q * np.r_[-1.0, 0.3, 0.3 + delta, np.linspace(1.0, 2.0, 45)]) @ Q.T
         return 0.5 * (S + S.T)
 
-    unit, d, e, _, _ = sp.eigen._unit_tridiagonal(build(0.0))
-    return build(factor * _kernels.CLUSTER_GAP * unit * _kernels._one_norm(d, e))
+    A, power, _ = sp.eigen._symmetric_input(build(0.0))
+    d, e, _, _ = _kernels.tridiagonalize(A)
+    return build(factor * _kernels.CLUSTER_GAP * np.ldexp(_kernels._one_norm(d, e), power))
 
 
 def _oracle_matrices():
@@ -604,6 +623,31 @@ TRIDIAGONAL_CASES = (
     + [("cluster", 12, 6), ("cluster", 120, 8)]
 )
 
+# (name, S) of the scale test: two with multiple eigenvalues (ring8 twice
+# over, complete12 eleven times), a signed Laplacian and the spectrum
+# 1, 2, 2, 5 in a random basis
+SCALE_CASES = [
+    ("ring8", sp.laplacian(ring(8), "unnormalized").M),
+    ("complete12", sp.laplacian(complete(12), "unnormalized").M),
+    ("w1-sym", sp.laplacian(w1_graph(), "sym").M),
+    ("g2-signed", sp.laplacian(g2_signed(), "signed_unnormalized").M),
+    ("spectrum-1225", _with_spectrum(np.random.default_rng(3), np.array([1.0, 2.0, 2.0, 5.0]))),
+]
+SCALE_POWERS = (-1000, -600, -300, 300, 600, 1000)
+
+
+def _decompositions(S, gram):
+    """(values, vectors, degree) of every decomposition of S, and of its
+    slices for the SVDs: the values of 2^p S are those of S times 2^(degree p)."""
+    out = [(*sp.smallest_k(S, 4), 1), (*dataclasses.astuple(sp.sym_eigen(S)), 1),
+           (sp.eigen._kernel_dimension(S), None, 0)]
+    for M in (S[:, :3], S[:3]):
+        res = sp.svd(M)
+        out.append((res.S, np.hstack([res.U.ravel(), res.V.ravel()]), 1))
+    if gram:
+        out.append((*dataclasses.astuple(sp.eigen._gram_eigen(S[:, :3])), 2))
+    return out
+
 
 class TestTridiagonalKernels:
     @pytest.mark.parametrize("kind,n,m", TRIDIAGONAL_CASES, ids=[f"{k}-n{n}-m{m}" for k, n, m in TRIDIAGONAL_CASES])
@@ -699,7 +743,7 @@ class TestTridiagonalKernels:
     def test_multisection_matches_reference_on_oracle_cases(self, name, S):
         # the tridiagonal forms smallest_k and sym_eigen bisect: the lowest
         # six, the rest and the whole spectrum
-        _, d, e, _, _ = sp.eigen._unit_tridiagonal(S)
+        d, e, _, _ = _kernels.tridiagonalize(sp.eigen._symmetric_input(S)[0])
         n = len(d)
         for first, stop in ((0, min(6, n)), (min(6, n), n), (0, n)):
             lam, settled = _kernels.tridiagonal_eigenvalues(d, e, first, stop)
@@ -713,10 +757,11 @@ class TestTridiagonalKernels:
         # bracket is at most SETTLE_RATIO of its clearance wide, which is
         # less than the spectrum's width; any other closes at full width.
         S = dict(ORACLE_CASES)[name]
-        unit, d, e, _, _ = sp.eigen._unit_tridiagonal(S)
+        A, power, _ = sp.eigen._symmetric_input(S)
+        d, e, _, _ = _kernels.tridiagonalize(A)
         lam, marks = _kernels.tridiagonal_eigenvalues(d, e, 0, 4)
         assert marks.tolist() == [True, settled, settled, True]
-        ref = np.linalg.eigvalsh(S) / unit
+        ref = np.ldexp(np.linalg.eigvalsh(S), -power)
         tol = np.where(marks, _kernels.SETTLE_RATIO * np.ptp(ref), 64 * np.finfo(float).eps)
         assert np.all(np.abs(lam - ref[:4]) <= tol)
 
@@ -751,13 +796,25 @@ class TestTridiagonalKernels:
         assert np.max(np.abs(Q.T @ Q - np.eye(9))) <= 64 * 9 * np.finfo(float).eps
         assert np.max(np.abs(Q @ T @ Q.T - S)) <= 64 * 9 * np.finfo(float).eps * np.linalg.norm(S)
 
-    def test_tiny_and_huge_scales(self):
-        # the solve runs on the matrix scaled by a power of two
-        for unit in (1e-300, 1e-150, 1e150):
-            S = unit * _with_spectrum(np.random.default_rng(3), np.array([1.0, 2.0, 2.0, 5.0]))
-            vals, vecs = sp.smallest_k(S, 3)
-            assert np.allclose(vals / unit, [1.0, 2.0, 2.0], atol=1e-13)
-            assert np.max(np.abs(S @ vecs - vecs * vals)) <= 1e-13 * unit * 5.0
+    @pytest.mark.parametrize("power", SCALE_POWERS)
+    @pytest.mark.parametrize("name,S", SCALE_CASES, ids=[c[0] for c in SCALE_CASES])
+    def test_tiny_and_huge_scales(self, name, S, power):
+        # every decomposition divides its input once by a power of two, so
+        # at 2^p S it returns what it returns at S to the bit: the same
+        # vectors (a multiple eigenvalue's canonical basis included) and the
+        # values times 2^p, with no RuntimeWarning on the way. At 2^520 and
+        # beyond ||S||_F overflows, at 2^-600 and below its square
+        # underflows. _gram_eigen's values are squares, so it runs where
+        # they stay normal, |p| <= 300.
+        scaled = np.ldexp(S, power)
+        assert np.array_equal(np.ldexp(scaled, -power), S)  # the scaled input is exact
+        gram = abs(power) <= 300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _decompositions(scaled, gram)
+        for (values, vectors, degree), (ref_values, ref_vectors, _) in zip(got, _decompositions(S, gram)):
+            assert np.array_equal(values, np.ldexp(ref_values, degree * power))
+            assert np.array_equal(vectors, ref_vectors)
 
     def test_zero_matrix(self):
         vals, vecs = sp.smallest_k(np.zeros((4, 4)), 2)

@@ -863,11 +863,22 @@ def _scoring_inputs(g):
 def _assert_scoring_matches_reference(Zinit1, Zinit2, R1):
     """The stacked pass picks the reference loop's Q0 bit for bit, and
     scores each candidate within 1e-15 of the loop's residual; returns the
-    reference's count of roundings that repaired a column."""
+    reference's count of roundings that repaired a column.
+
+    A residual at rounding level, at most 16 eps ||Zc Rc||_F for candidate
+    Zc Rc (an exact fit, as on complete12), is noise that any reordering of
+    the same operations moves: there the stacked residual must lie at that
+    level too. On the golden graphs such residuals reach 3.8 eps ||Zc Rc||_F
+    and the next ones lie above 400 eps ||Zc Rc||_F."""
     Q0, residuals = kway._score_candidates(Zinit1, Zinit2, R1)
     ref_Q0, ref_residuals, repairs = reference_score_candidates(Zinit1, Zinit2, R1)
     assert np.array_equal(Q0, ref_Q0)
-    assert np.all(np.abs(residuals - ref_residuals) <= 1e-15 * np.abs(ref_residuals))
+    K = R1.shape[0]
+    noise = 16 * np.finfo(float).eps * np.array(
+        [np.linalg.norm(Zc @ Rc) for Zc in (Zinit1, Zinit2) for Rc in (np.eye(K), reference_init_rotation_R2(Zc))])
+    signal = np.asarray(ref_residuals) > noise
+    assert np.all((np.abs(residuals - ref_residuals) <= 1e-15 * np.abs(ref_residuals))[signal])
+    assert np.all(residuals[~signal] <= noise[~signal])
     return repairs
 
 
