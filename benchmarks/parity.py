@@ -137,7 +137,7 @@ def record(target, seeds, stride):
     print(f"recorded {len(records)} calls ({failed} non-zero exits) in {os.path.join(target, 'record.json')}")
 
 
-def _error_class(rec):
+def error_class(rec):
     """The class of the error a call ended in, or None on success."""
     if rec["raised"]:
         return rec["raised"].split(":")[0]
@@ -201,7 +201,7 @@ def compare(a_dir, b_dir):
         if not parts:
             continue
         differing.append((key, parts))
-        ca, cb = (ra["code"], _error_class(ra)), (rb["code"], _error_class(rb))
+        ca, cb = (ra["code"], error_class(ra)), (rb["code"], error_class(rb))
         if ca != cb:
             outcome_changes.append((key, ca, cb))
         for field, move, relative in _moves(ra["stdout"], rb["stdout"]):

@@ -350,14 +350,13 @@ def tridiagonal_eigenvalues(d, e, first, stop):
     n = len(d)
     eps = np.finfo(float).eps
     e2 = e * e
-    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
     r = np.zeros(n)
     r[:-1] += np.abs(e)
     r[1:] += np.abs(e)
     gl, gu = float((d - r).min()), float((d + r).max())
     tnorm = max(abs(gl), abs(gu))
-    fudge = 2.1 * (n * eps * tnorm + 2.0 * pivmin)
-    width = 4.0 * eps * tnorm + 2.0 * pivmin
+    fudge = 2.1 * (n * eps * tnorm)
+    width = 4.0 * eps * tnorm
     gap = CLUSTER_GAP * _one_norm(d, e)
     j = np.arange(first - 1, stop + 1)
     index = j[:, None]

@@ -48,7 +48,7 @@ from .errors import (
 from .graph import Graph, orient
 from .kway import cluster
 from .laplacian import is_balanced, laplacian
-from .ncut2 import orient_sign, round_2way, two_way_vector
+from .ncut2 import orient_sign, round_2way
 
 _MODE_MAP = {
     "ncut": "ncut",
@@ -207,8 +207,9 @@ def cmd_cluster(g, args):
         "residual": result.residual,
     }
     if args.k == 2 and mode == "ncut":
-        # the 2-way vector is column 2 of the K = 2 relaxation just solved
-        two = round_2way(g, orient_sign(two_way_vector(g, result.Z.Z)))
+        # the 2-way vector is column 2 of the K = 2 relaxation just solved, at
+        # its scale: rounding is homogeneous in z, so only the residual sees it
+        two = round_2way(g, orient_sign(result.Z.Z[:, 1]))
         report["two_way"] = {
             "partition": [sorted(two.partition[0].members), sorted(two.partition[1].members)],
             "ncut": two.ncut,

@@ -314,7 +314,7 @@ def first_column_rotation(g, X):
         form = float(vals[0] ** 2 * vols[j])
         if c2 is None:
             c2 = form
-        elif abs(form - c2) > 1e-8 * max(c2, 1.0):
+        elif abs(form - c2) > 1e-8 * c2:
             raise ValueError("columns must be D-normalized to a common value")
     r1 = np.sqrt(vols / d)
     # the unit vectors satisfy sum e e^T = I, so the completion reaches K columns

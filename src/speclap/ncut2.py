@@ -43,21 +43,18 @@ def ncut2_value(g, A):
 
 
 def solve_relaxed_2way(g):
-    """Z = D^{-1/2} Y with Y the unit eigenvector of L_sym for nu_2."""
-    return two_way_vector(g, solve_relaxed(g, 2, "ncut").Z)
-
-
-def two_way_vector(g, Z):
-    """Column 2 of a K = 2 ncut relaxation Z, rescaled to Z^T D Z = 1: the
-    2-way vector D^{-1/2} Y with Y a unit eigenvector."""
-    z = np.asarray(Z, dtype=float)[:, 1]
+    """Z = D^{-1/2} Y with Y the unit eigenvector of L_sym for nu_2: column 2
+    of the K = 2 ncut relaxation, rescaled to Z^T D Z = 1."""
+    z = solve_relaxed(g, 2, "ncut").Z[:, 1]
     return z / np.sqrt(z @ (degree_vector(g) * z))
 
 
 def orient_sign(Z):
     """Flip Z when its positive side is more spread out than its negative
     side (compare each side against its own mean). Entries within rounding
-    of zero belong to neither side, and a tie within rounding keeps Z."""
+    of zero belong to neither side, and a tie within rounding keeps Z.
+    "Within rounding" is TIE_RTOL times max |Z|, so c Z (c > 0) decides as
+    Z does."""
     Z = np.asarray(Z, dtype=float)
     tol = eigen.TIE_RTOL * np.abs(Z).max(initial=0.0)
     pos = Z > tol
@@ -78,7 +75,9 @@ def round_2way(g, Z):
     whether moving it to the positive side strictly reduces ||X - Z||.
     Entries and reductions within rounding of zero count as zero. The other
     side must have volume: DegenerateSubset if it starts without, and a
-    move that would leave it without is skipped."""
+    move that would leave it without is skipped. Both tolerances are
+    TIE_RTOL times the size of Z, so c Z (c > 0) gives the same partition
+    and ncut, with X and the residual times c: Z can come at any scale."""
     Z = np.asarray(Z, dtype=float)
     d_vec = degree_vector(g)
     d = float(d_vec.sum())

@@ -1,5 +1,6 @@
 """The micro-benchmarks under benchmarks/, run at their smallest size, the
-source line count, and the CLI parity tool on a small subset of its calls.
+source line count, the CLI parity tool on a small subset of its calls, and
+the quality yardstick's brute force against acceptance 5's.
 
 They reach into speclap's internals (bench_eigen times the `_kernels` stages
 and wraps `sturm_counts` to count passes), so a source change that renames
@@ -14,9 +15,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import speclap as sp
+from speclap import cli
+
+from conftest import random_connected
+from test_kway import set_partitions
+
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
+import quality  # noqa: E402
 
 AGAINST = ["bench_eigen.py", "--sizes", "12", "--repeats", "1", "--against", "src/speclap/_kernels.py"]
 BENCHMARKS = [
@@ -69,3 +79,28 @@ def test_parity_records_compare_clean(tmp_path):
     assert proc.returncode == 1
     assert f"  {moved['argv']}: stdout\n" in proc.stdout
     assert f"e-13 relative ({moved['argv']})" in proc.stdout.split("  objective: ")[1]  # 2^-40 = 9.1e-13
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (7, 3), (9, 2), (9, 3)])
+def test_quality_optimum_matches_set_partitions(n, k):
+    # the vectorised enumeration and objective give the least sp.objective
+    # over every partition, on unsigned and signed graphs
+    rng = np.random.default_rng(10 * n + k)
+    labels = quality.partition_labels(n, k)
+    assert len(labels) == sum(1 for _ in set_partitions(n, k))
+    for signed in (False, True):
+        g = random_connected(rng, n, signed=signed)
+        modes = ("sncut", "srcut") if signed else tuple(quality.NORMALIZED)
+        best = quality.optima(g.W, labels, modes)
+        for mode in modes:
+            want = min(sp.objective(g, [[i + 1 for i in b] for b in part], cli._MODE_MAP[mode])
+                       for part in set_partitions(n, k))
+            assert best[mode] == pytest.approx(want, rel=1e-12)
+
+
+def test_quality_counts():
+    assert len(quality.partition_labels(12, 3)) == 86526  # S(12, 3)
+    calls = [quality.Outcome("ncut", "rownorm", objective, error, 2.0) for objective, error in
+             ((2.0, None), (2.0 + 1e-12, None), (2.01, None), (3.0, None), (None, "NoConvergence"))]
+    # 5 calls, 4 succeed, 2 exact, 1 more than 1 % off, worst 1.5, none below, 1 NoConvergence
+    assert quality.summarise(calls) == (5, 4, 2, 1, 1.5, 0, 1)

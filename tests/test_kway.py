@@ -571,12 +571,14 @@ class TestFirstColumnRotation:
         assert np.trace(XR.T @ L @ XR) == pytest.approx(np.trace(X.T @ L @ X), rel=1e-10)
 
     def test_rejects_unnormalized_columns(self, rng):
+        # the form test is relative, so it holds at every scale of X
         g = random_connected(rng, 5)
         X = np.zeros((5, 2))
         X[:3, 0] = 1.0
         X[3:, 1] = 5.0
-        with pytest.raises(ValueError):
-            sp.first_column_rotation(g, X)
+        for power in (0, -20, -40):
+            with pytest.raises(ValueError, match="common value"):
+                sp.first_column_rotation(g, np.ldexp(X, power))
 
 
     def test_orthogonal_and_oriented_for_every_k(self):

@@ -196,11 +196,20 @@ class TestTwoWayInvariants:
             assert quot == pytest.approx(res.ncut, abs=1e-8)
 
     def test_scale_invariance(self, rng):
+        # c Z and the K-way column (Z at the K-way scale) round as Z does,
+        # oriented or not, with the residual times the scale
         for c in (0.5, 3.0, 100.0):
             g = random_connected(rng, 7)
             Z = sp.solve_relaxed_2way(g)
-            assert (sp.round_2way(g, Z).partition[0].members
-                    == sp.round_2way(g, c * Z).partition[0].members)
+            kway = sp.solve_relaxed(g, 2, "ncut").Z[:, 1]
+            for orient in (np.asarray, sp.orient_sign):
+                ref = sp.round_2way(g, orient(Z))
+                for z in (c * Z, kway):
+                    res = sp.round_2way(g, orient(z))
+                    assert res.partition == ref.partition
+                    assert res.ncut == ref.ncut
+                    scale = np.linalg.norm(z) / np.linalg.norm(Z)
+                    assert res.residual == pytest.approx(scale * ref.residual, rel=1e-12)
 
     def test_relaxation_lower_bound(self, rng):
         for _ in range(8):
