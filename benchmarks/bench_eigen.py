@@ -34,7 +34,9 @@ back to back, the order alternating from pair to pair, each side the mean
 of enough calls to take about 5 ms. The table gives each side's median,
 their ratio against / this (above 1: this checkout is faster), the pairs
 this checkout won, and whether every output array, the overwritten matrix
-of tridiagonalize included, is bit-identical.
+of tridiagonalize included, is bit-identical: `yes`, or `NO` and the
+largest difference of an entry relative to the largest entry of its array
+(`NO 4.4e-16` is a rounding-level move, `NO 1.0e+00` a wrong result).
 
 Usage: python benchmarks/bench_eigen.py [--sizes 12,30,48,60,120,250,500,1000] [--repeats 3]
                                         [--against OTHER/src/speclap/_kernels.py]
@@ -42,6 +44,7 @@ Usage: python benchmarks/bench_eigen.py [--sizes 12,30,48,60,120,250,500,1000] [
 
 import argparse
 import importlib.util
+import math
 import statistics
 import time
 
@@ -126,23 +129,35 @@ def stage_calls(kernels, S, k=5):
         "tridiag": tridiagonalize,
         "eigvals": lambda: kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, len(d))),
         "eigvecs": lambda: (kernels.tridiagonal_eigenvectors(d, e, lam[:k]),),
-        "back": lambda: (kernels.back_transform(V, tau, Z.copy()),),
+        # column-major, as smallest_k passes Z: the per-reflector loop took
+        # about 30 % longer on it than on a row-major copy at n = 120
+        "back": lambda: (kernels.back_transform(V, tau, Z.copy(order="F")),),
     }
 
 
-def identical(out, other):
-    """Whether two stage outputs hold the same arrays, bit for bit."""
-    return len(out) == len(other) and all(
-        (a is None and b is None) or (a is not None and b is not None and a.dtype == b.dtype
-                                      and a.shape == b.shape and a.tobytes() == b.tobytes())
-        for a, b in zip(out, other))
+def difference(out, other):
+    """None when two stage outputs hold the same arrays bit for bit, else
+    the largest difference of an entry relative to the largest entry of its
+    array in `other` (inf for arrays of different shapes or a missing one)."""
+    if len(out) != len(other):
+        return math.inf
+    worst = None
+    for a, b in zip(out, other):
+        if a is None or b is None or a.shape != b.shape:
+            if a is not b:
+                return math.inf
+        elif a.dtype != b.dtype or a.tobytes() != b.tobytes():
+            a, b = a.astype(float), b.astype(float)
+            top, moved = float(np.abs(b).max()), float(np.abs(a - b).max())
+            worst = max(worst or 0.0, moved / top if top else math.inf if moved else 0.0)
+    return worst
 
 
 def compare(path, sizes, pairs, rng):
     """Print this checkout's stages against those of the `_kernels.py` at path."""
     other = load_kernels(path)
     print(f"against {path}")
-    print(f"{'n':>5} {'stage':>8} {'this':>11} {'against':>11} {'ratio':>6} {'won':>7} {'identical':>9}")
+    print(f"{'n':>5} {'stage':>8} {'this':>11} {'against':>11} {'ratio':>6} {'won':>7} {'identical':>10}")
     for n in sizes:
         S = planted_laplacian(rng, n)
         ours, theirs = stage_calls(_kernels, S), stage_calls(other, S)
@@ -150,7 +165,7 @@ def compare(path, sizes, pairs, rng):
             t0 = time.perf_counter()
             out = call()
             number = max(1, round(5e-3 / (time.perf_counter() - t0)))
-            same = identical(out, theirs[stage]())
+            moved = difference(out, theirs[stage]())
             times = {"this": [], "against": []}
             for r in range(pairs):
                 sides = [("this", call), ("against", theirs[stage])]
@@ -162,7 +177,7 @@ def compare(path, sizes, pairs, rng):
             t_this, t_against = statistics.median(times["this"]), statistics.median(times["against"])
             won = sum(a < b for a, b in zip(times["this"], times["against"]))
             print(f"{n:>5} {stage:>8} {t_this * 1e3:>9.3f}ms {t_against * 1e3:>9.3f}ms {t_against / t_this:>6.3f}"
-                  f" {f'{won}/{pairs}':>7} {'yes' if same else 'NO':>9}")
+                  f" {f'{won}/{pairs}':>7} {'yes' if moved is None else f'NO {moved:.1e}':>10}")
 
 
 def main():

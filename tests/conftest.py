@@ -380,6 +380,17 @@ def reference_tridiagonalize(A):
     return d, e, V, tau
 
 
+def reference_back_transform(V, tau, Z):
+    """Reference back-transformation: Q Z for the Q = H_0 ... H_{n-3} of
+    tridiagonalize, one reflector at a time from the last, in place on Z."""
+    for j in range(len(tau) - 1, -1, -1):
+        if tau[j]:
+            v = V[j, j + 1 :]
+            Zj = Z[j + 1 :]
+            Zj -= (tau[j] * v)[:, None] * (v @ Zj)
+    return Z
+
+
 def reference_sturm_counts(d, e2, x, pivmin):
     """Reference Sturm counts: _kernels.sturm_counts indexing q row by row
     and allocating each quotient."""

@@ -23,6 +23,7 @@ from conftest import (
     one_rotation_at_a_time,
     random_connected,
     random_orthonormal,
+    reference_back_transform,
     reference_sturm_counts,
     reference_tridiagonal_eigenvalues,
     reference_tridiagonal_eigenvectors,
@@ -624,16 +625,19 @@ TRIDIAGONAL_CASES = (
 )
 
 # (name, S) of the scale test: two with multiple eigenvalues (ring8 twice
-# over, complete12 eleven times), a signed Laplacian and the spectrum
-# 1, 2, 2, 5 in a random basis
+# over, complete12 eleven times), a signed Laplacian, the spectrum
+# 1, 2, 2, 5 in a random basis and a planted Laplacian whose 46 reflectors
+# back-transform in two blocks
 SCALE_CASES = [
     ("ring8", sp.laplacian(ring(8), "unnormalized").M),
     ("complete12", sp.laplacian(complete(12), "unnormalized").M),
     ("w1-sym", sp.laplacian(w1_graph(), "sym").M),
     ("g2-signed", sp.laplacian(g2_signed(), "signed_unnormalized").M),
     ("spectrum-1225", _with_spectrum(np.random.default_rng(3), np.array([1.0, 2.0, 2.0, 5.0]))),
+    ("planted-sym-48", planted_laplacian(np.random.default_rng(48), 48)),
 ]
 SCALE_POWERS = (-1000, -600, -300, 300, 600, 1000)
+BACK_TRANSFORM_SIZES = (3, 12, 34, 35, 66, 67, 120)
 
 
 def _decompositions(S, gram):
@@ -789,12 +793,46 @@ class TestTridiagonalKernels:
         assert counts.tolist() == expected
 
     def test_tridiagonalize_reconstructs(self, rng):
-        S = random_symmetric(rng, 9)
-        d, e, V, tau = _kernels.tridiagonalize(S.copy())
-        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        Q = _kernels.back_transform(V, tau, np.eye(9))
-        assert np.max(np.abs(Q.T @ Q - np.eye(9))) <= 64 * 9 * np.finfo(float).eps
-        assert np.max(np.abs(Q @ T @ Q.T - S)) <= 64 * 9 * np.finfo(float).eps * np.linalg.norm(S)
+        # n = 40 and 100 back-transform in two and four blocks
+        for n in (9, 40, 100):
+            S = random_symmetric(rng, n)
+            d, e, V, tau = _kernels.tridiagonalize(S.copy())
+            T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            Q = _kernels.back_transform(V, tau, np.eye(n))
+            assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 64 * n * np.finfo(float).eps
+            assert np.max(np.abs(Q @ T @ Q.T - S)) <= 64 * n * np.finfo(float).eps * np.linalg.norm(S)
+
+    @pytest.mark.parametrize("n", BACK_TRANSFORM_SIZES)
+    @pytest.mark.parametrize("kind", ["random", "block-diagonal", "tridiagonal"])
+    def test_back_transform_matches_reflector_loop(self, kind, n):
+        # n - 2 reflectors: one block (n = 3, 12, 34), one past a multiple
+        # of WY_BLOCK (n = 35, 67), a multiple of it (n = 66) and four blocks
+        # (n = 120). The block-diagonal input has tau = 0 rows inside the
+        # blocks, the tridiagonal one only tau = 0 rows, and there Q = I
+        # leaves Z as it is. Each output column is within 8 eps times its
+        # norm of the loop's, and at 2^p the output is 2^p times that at 2^0.
+        rng = np.random.default_rng(n)
+        if kind == "random":
+            S = random_symmetric(rng, n)
+        elif kind == "block-diagonal":
+            S = np.kron(np.eye(3), random_symmetric(rng, -(-n // 3)))[:n, :n]
+        else:
+            e = rng.standard_normal(n - 1)
+            S = np.diag(rng.standard_normal(n)) + np.diag(e, 1) + np.diag(e, -1)
+        for columns in (1, 5, n):
+            Z = np.asfortranarray(rng.standard_normal((n, columns)))  # column-major, as smallest_k's
+            for exponent in (0, 300, -300):
+                _, _, V, tau = _kernels.tridiagonalize(np.ldexp(S, exponent))
+                assert tau.all() if kind == "random" else not tau.all()
+                Zp = np.ldexp(Z, exponent)
+                got = _kernels.back_transform(V, tau, Zp.copy(order="F"))
+                ref = reference_back_transform(V, tau, Zp.copy(order="F"))
+                assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * np.linalg.norm(Zp, axis=0))
+                if kind == "tridiagonal":
+                    assert not tau.any() and np.array_equal(got, Zp)
+                if exponent == 0:
+                    unit = got
+                assert np.array_equal(got, np.ldexp(unit, exponent))
 
     @pytest.mark.parametrize("power", SCALE_POWERS)
     @pytest.mark.parametrize("name,S", SCALE_CASES, ids=[c[0] for c in SCALE_CASES])
