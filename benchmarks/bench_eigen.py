@@ -1,7 +1,9 @@
 """Time speclap's smallest_k, sym_eigen, svd and init_rotation_R1 against the numpy.linalg yardsticks.
 
-Each size n gets the normalized Laplacian of a seeded random graph with four
-planted blocks (the matrix a 4-way `speclap cluster` solves). The table
+Each size n gets the normalized Laplacian of a seeded unsigned planted graph
+from `perfbench/gen.py` (imported read-only), four blocks as equal as n
+allows: the graphs the perfbench workloads draw, and the matrix a 4-way
+`speclap cluster` solves on them. The table
 gives the best wall time over the repeats of smallest_k(S, 5), the number
 of Sturm-count passes of its multisection (`sturm_counts` calls) and the
 largest difference of its five eigenvalues from numpy's eigh. Then the
@@ -45,7 +47,9 @@ Usage: python benchmarks/bench_eigen.py [--sizes 12,30,48,60,120,250,500,1000] [
 import argparse
 import importlib.util
 import math
+import os
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -53,15 +57,14 @@ import numpy as np
 import speclap as sp
 from speclap import _kernels
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+import gen  # noqa: E402
 
-def planted_laplacian(rng, n, blocks=4):
-    labels = np.arange(n) * blocks // n
-    same = labels[:, None] == labels[None, :]
-    W = np.where(rng.random((n, n)) < np.where(same, 0.5, 0.05), rng.uniform(0.5, 1.5, (n, n)), 0.0)
-    W = np.triu(W, 1)
-    W = W + W.T
-    W[np.arange(n - 1), np.arange(1, n)] = W[np.arange(1, n), np.arange(n - 1)] = 1.0  # connected
-    return sp.laplacian(sp.Graph(W), "sym").M
+
+def workload_laplacian(rng, n, blocks=4):
+    """The normalized Laplacian of gen.planted's unsigned graph on n nodes."""
+    sizes = [n // blocks + (b < n % blocks) for b in range(blocks)]
+    return sp.laplacian(sp.Graph(gen.planted(rng, sizes, "unsigned").W), "sym").M
 
 
 SYM_EIGEN_MAX_N = 500  # a full solve takes about 1 s at n = 500
@@ -159,7 +162,7 @@ def compare(path, sizes, pairs, rng):
     print(f"against {path}")
     print(f"{'n':>5} {'stage':>8} {'this':>11} {'against':>11} {'ratio':>6} {'won':>7} {'identical':>10}")
     for n in sizes:
-        S = planted_laplacian(rng, n)
+        S = workload_laplacian(rng, n)
         ours, theirs = stage_calls(_kernels, S), stage_calls(other, S)
         for stage, call in ours.items():
             t0 = time.perf_counter()
@@ -195,7 +198,7 @@ def main():
     print(f"{'n':>5} {'smallest_k 5':>13} {'passes':>6} {'max |dλ|':>9} " + " ".join(f"{s:>9}" for s in stages)
           + f" {'kernel_dim':>11} {'sym_eigen':>12} {'max |dλ|':>9} {'numpy eigh':>12}")
     for n in (int(s) for s in args.sizes.split(",")):
-        S = planted_laplacian(rng, n)
+        S = workload_laplacian(rng, n)
         t_k, (vals, _) = best_time(lambda M: sp.smallest_k(M, 5), S, args.repeats)
         t_ref, ref = best_time(np.linalg.eigh, S, args.repeats)
         err = float(np.max(np.abs(vals - ref.eigenvalues[:5])))

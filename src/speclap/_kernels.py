@@ -40,11 +40,11 @@ WHOLE_ROWS_MAX_LEFT columns left of the block (n > 130) those zeros cost
 more than the contiguity saves, and past WHOLE_ROWS_MAX_ENTRIES entries
 (n > 500) numpy's BLAS leaves the small-matrix kernel that rounds every
 entry alike; there the update goes to the block. The back-transformation
-applies the reflectors in compact-WY blocks of WY_BLOCK: each block's
-product is I - Y^T T Y, with T^-1 = diag(1 / tau) + striu(Y Y^T) (the UT
-transform), so a block is three matrix products and one back
-substitution, where one reflector at a time took three numpy calls each
-(one BLAS thread: 1.4 -> 0.40 ms at n = 120, 31.8 -> 5.5 ms at n = 1000).
+applies the reflectors in compact-WY blocks of WY_BLOCK rows of V, taken
+as stored: each block's product is I - Y^T T Y, with T^-1 = diag(1 / tau)
++ striu(Y Y^T) (the UT transform), so a block is three matrix products
+and one back substitution. A reduced column (tau = 0) is a zero row of Y
+with 1 in place of 1 / tau, and adds nothing.
 Multisection's per-pass bookkeeping (clearances, settle and live marks,
 the distinct intervals to shift) runs on Python floats over its few
 brackets, for the reason inverse iteration's recurrences do.
@@ -223,8 +223,9 @@ def tridiagonalize(A):
     Each column costs one matrix-vector product and one symmetric rank-2
     update of the trailing block (Golub & Van Loan 8.3.1, LAPACK dsytd2).
     A column whose entries below the subdiagonal are at most eps ||A||_F
-    long is taken as reduced (tau = 0): dropping them is within the
-    reduction's rounding, and no reflector mixes rows of unrelated size.
+    long is taken as reduced (tau = 0, H_j = I, and row j of V all zero):
+    dropping them is within the reduction's rounding, and no reflector
+    mixes rows of unrelated size.
 
     The update [v w][w; v] is subtracted from the whole rows A[j+1:], one
     contiguous block, and not from the block A[j+1:, j+1:]: numpy walks a
@@ -290,26 +291,27 @@ def back_transform(V, tau, Z):
 
     The reflectors are applied in compact-WY blocks of WY_BLOCK (LAPACK
     dlarft and dlarfb; Schreiber & Van Loan 1989), the last block first.
-    The live rows Y of a block [j0, j1), those with tau_j != 0, give
+    The rows Y of a block [j0, j1), as V stores them, give
     H_j0 ... H_j1-1 = I - Y^T T Y with T upper triangular, and its inverse
     is T^-1 = diag(1 / tau) + striu(Y Y^T) (the UT transform, Joffrain et
     al., ACM TOMS 32(2), 2006). So a block costs three matrix products and
     one solve with T^-1, and the solve is a back substitution: T^-1 is
     upper triangular, so partial pivoting never swaps a row, and its
-    diagonal 1 / tau is never zero, since tau = (beta - alpha) / beta lies
-    in [1, 2] for beta = -sign(alpha) sqrt(alpha^2 + |x|^2). The solve
-    costs O(b^3) per block of b: one block for all n - 2 reflectors took 10
-    times as long at n = 500, so blocks of 32 balance it against the
-    per-block numpy calls.
+    diagonal is never zero, since tau = (beta - alpha) / beta lies in
+    [1, 2] for beta = -sign(alpha) sqrt(alpha^2 + |x|^2). A reduced column
+    (tau = 0, H = I) is a zero row of Y and takes 1 on the diagonal: its
+    entries of Y Y^T and of Y Z are 0, so its component of the solve is
+    0 / 1 and it adds nothing. The solve costs O(b^3) per block of b: one
+    block for all n - 2 reflectors took 10 times as long at n = 500, so
+    blocks of 32 balance it against the per-block numpy calls.
     """
+    diagonal = 1.0 / np.where(tau == 0.0, 1.0, tau)
     for j0 in range((len(tau) - 1) // WY_BLOCK * WY_BLOCK, -1, -WY_BLOCK):
-        live = np.flatnonzero(tau[j0 : j0 + WY_BLOCK]) + j0
-        if live.size:
-            Y = V[live, j0 + 1 :]
-            Tinv = np.triu(Y @ Y.T, 1)
-            np.fill_diagonal(Tinv, 1.0 / tau[live])
-            Zb = Z[j0 + 1 :]
-            Zb -= Y.T @ np.linalg.solve(Tinv, Y @ Zb)
+        Y = V[j0 : j0 + WY_BLOCK, j0 + 1 :]
+        Tinv = np.triu(Y @ Y.T, 1)
+        np.fill_diagonal(Tinv, diagonal[j0 : j0 + WY_BLOCK])
+        Zb = Z[j0 + 1 :]
+        Zb -= Y.T @ np.linalg.solve(Tinv, Y @ Zb)
     return Z
 
 

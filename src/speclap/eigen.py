@@ -326,7 +326,6 @@ def smallest_k(S, k):
     if Z is None:
         raise NoConvergence("inverse iteration did not converge")
     # a settled eigenvalue is the Rayleigh quotient z^T T z of its vector
-    Zs = Z[:, settled]
-    lam[settled] = d @ (Zs * Zs) + 2.0 * (e @ (Zs[:-1] * Zs[1:]))
+    lam = np.where(settled, d @ (Z * Z) + 2.0 * (e @ (Z[:-1] * Z[1:])), lam)
     vectors = _canonicalise(back_transform(V, tau, Z), [g for g in groups if g[1] <= end])
     return np.ldexp(lam[:k], power), vectors[:, :k].copy()

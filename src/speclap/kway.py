@@ -124,8 +124,9 @@ def objective(g, partition, mode="ncut"):
 def rayleigh_sum(g, X, mode="ncut"):
     """Sum over the columns x of X of x^T L x / x^T D x (D = I for ratio
     cuts): on a partition's indicator, its objective; on the relaxed
-    solution, the sum of the K smallest eigenvalues."""
-    Xm = X.X if isinstance(X, IndicatorMatrix) else np.asarray(X, dtype=float)
+    solution, the sum of the K smallest eigenvalues. X enters at unit scale
+    (eigen._unit_scale), where each ratio is the same."""
+    Xm, _ = eigen._unit_scale(X.X if isinstance(X, IndicatorMatrix) else X)
     num, den = _quadratic_forms(g, Xm, mode)
     zero = np.flatnonzero(den <= 0)
     if zero.size:
@@ -158,8 +159,10 @@ def solve_relaxed(g, K, mode="ncut"):
 def init_rotation_R1(Z):
     """Rotation making the columns of Z R1 simultaneously orthogonal and
     D-orthogonal: the eigenvector matrix of Z^T Z, taken as the right
-    singular vectors of Z (eigen._gram_eigen), ascending."""
-    Z = _as_z(Z)
+    singular vectors of Z (eigen._gram_eigen), ascending. Z enters at unit
+    scale (eigen._unit_scale), where the rank test reads the squared
+    singular values."""
+    Z, _ = eigen._unit_scale(_as_z(Z))
     eig = eigen._gram_eigen(Z)
     if eig.values[0] <= 1e-12 * eig.values[-1]:
         raise RankDeficient("Z does not have full column rank")
@@ -283,9 +286,10 @@ def podr(X, Z):
 
 
 def projective_distance(x, y):
-    """Angle between the lines spanned by x and y (antipodal points equal)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Angle between the lines spanned by x and y (antipodal points equal),
+    each at unit scale (eigen._unit_scale)."""
+    x, _ = eigen._unit_scale(x)
+    y, _ = eigen._unit_scale(y)
     nx = np.linalg.norm(x)
     ny = np.linalg.norm(y)
     if nx == 0 or ny == 0:

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -463,6 +465,12 @@ class TestCluster:
         assert out == ""
         assert json.loads(err)["error"] == "NoConvergence"
 
+    def test_inverse_iteration_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sp._kernels, "INVERSE_ITERATIONS", 0)
+        code, out, err = run(capsys, ["cluster", write_graph(tmp_path, "w1.txt", w1_text()), "--k", "3"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "NoConvergence", "message": "inverse iteration did not converge"}
+
     def test_max_iters_is_not_an_option(self, tmp_path, capsys):
         path = write_graph(tmp_path, "w1.txt", w1_text())
         code, out, _ = run(capsys, ["cluster", path, "--k", "2", "--max-iters", "5"])
@@ -710,6 +718,54 @@ class TestExitCodes:
             code, _, err = run(capsys, argv)
             assert code == 2
             assert json.loads(err)["error"] == "NonFiniteWeight"
+
+
+# run in a subprocess under a given BLAS thread count: back_transform of a
+# seeded n = 300 matrix's reflectors on a seeded 300 x 300 Z, from n = 250 on
+# split across threads by DGEMM, and smallest_k(S, 5), saved to argv[1]
+_THREAD_SCRIPT = """
+import sys
+import numpy as np
+from speclap import _kernels, smallest_k
+rng = np.random.default_rng(300)
+S = rng.standard_normal((300, 300))
+S = 0.5 * (S + S.T)
+_, _, V, tau = _kernels.tridiagonalize(S.copy())
+Z = _kernels.back_transform(V, tau, np.asfortranarray(rng.standard_normal((300, 300))))
+values, _ = smallest_k(S, 5)
+np.savez(sys.argv[1], S=S, Z=Z, values=values)
+"""
+
+
+class TestThreadCount:
+    """The contract README states: the library never sets the BLAS thread
+    count, and under any count the assignments and exit codes are the same
+    and the values agree to a few eps times the norm of what they come from.
+    Each side runs in its own process, with OPENBLAS_NUM_THREADS and
+    OMP_NUM_THREADS set before numpy loads."""
+
+    def test_one_and_two_threads_agree(self, tmp_path):
+        gen = _perfbench_gen()
+        W = gen.planted(np.random.default_rng(120), [30] * 4, "unsigned").W
+        graph = write_graph(tmp_path, "planted-120.txt", gen.graph_text(W))
+        root = Path(__file__).resolve().parents[1]
+        seen = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads-{threads}.npz"
+            subprocess.run([sys.executable, "-c", _THREAD_SCRIPT, str(out)], env=env, check=True, timeout=300)
+            cli_run = subprocess.run([sys.executable, "-m", "speclap.cli", "cluster", graph, "--k", "4"],
+                                     env=env, capture_output=True, text=True, timeout=300)
+            seen.append((np.load(out), cli_run))
+        (one, cli_one), (two, cli_two) = seen
+        eps = np.finfo(float).eps
+        assert np.array_equal(one["S"], two["S"])
+        # the bound of test_back_transform_matches_reflector_loop
+        assert np.all(np.abs(one["Z"] - two["Z"]) <= 8 * eps * np.linalg.norm(one["Z"], axis=0))
+        assert np.all(np.abs(one["values"] - two["values"]) <= 8 * eps * np.linalg.norm(one["S"]))
+        assert cli_one.returncode == cli_two.returncode == 0, cli_one.stderr + cli_two.stderr
+        assert cli_one.stdout == cli_two.stdout and json.loads(cli_one.stdout)["k"] == 4
 
 
 class TestNoTolEnv:

@@ -158,6 +158,11 @@ class TestSignedDrawing:
         pos = {i + 1 for i in range(9) if first[i] > 0}
         assert pos in (G1_BIPARTITION[0], G1_BIPARTITION[1])
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bipartite_drawing_needs_two_dimensions(self, n):
+        with pytest.raises(ValueError, match="only defined for n = 2"):
+            sp.signed_drawing(g1_signed(), n, bipartite=True)
+
     def test_unbalanced_energy(self):
         g = g2_signed()
         dm = sp.signed_drawing(g, 2)
@@ -262,6 +267,12 @@ class TestEmission:
         text = out.read_text()
         assert text.count("<circle") == 4
         assert text.count("<line") == 0
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_svg_needs_two_or_three_dimensions(self, tmp_path, dim):
+        with pytest.raises(ValueError, match="2-d and 3-d drawings only"):
+            sp.emit_svg(np.zeros((4, dim)), sp.Graph(np.zeros((4, 4))), tmp_path / "out.svg")
+        assert not (tmp_path / "out.svg").exists()
 
     def test_svg_three_dim_two_files(self, tmp_path, rng):
         g = random_connected(rng, 8)

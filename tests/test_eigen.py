@@ -114,7 +114,8 @@ class TestNonFiniteInput:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             solves = (sp.sym_eigen, lambda M: sp.smallest_k(M, 2), sp.svd, lambda M: sp.svd(M[:, :4]),
-                      lambda M: sp.init_rotation_R1(M[:, :3]))
+                      lambda M: sp.init_rotation_R1(M[:, :3]), lambda M: sp.rayleigh_sum(ring(6), M[:, :3]),
+                      lambda M: sp.projective_distance(M[1], M[0]), lambda M: sp.projective_distance(M[0], M[1]))
             for solve in solves:
                 with pytest.raises(ValueError, match="non-finite"):
                     solve(S)
@@ -338,6 +339,21 @@ class TestRayleighSmallestK:
         with pytest.raises(ValueError):
             sp.smallest_k(np.eye(3), 4)
 
+    def test_inverse_iteration_without_iterations_raises(self, monkeypatch):
+        # no vector passes the growth test in zero iterations
+        monkeypatch.setattr(_kernels, "INVERSE_ITERATIONS", 0)
+        with pytest.raises(NoConvergence, match="inverse iteration"):
+            sp.smallest_k(sp.laplacian(ring(6), "sym").M, 2)
+
+    def test_jacobi_svd_without_sweeps_raises(self, monkeypatch):
+        monkeypatch.setattr(sp.eigen, "MAX_SWEEPS", 0)
+        with pytest.raises(NoConvergence, match="Jacobi SVD"):
+            sp.svd(random_symmetric(np.random.default_rng(3), 3))
+
+    def test_svd_needs_a_matrix(self):
+        with pytest.raises(ValueError, match="2-d"):
+            sp.svd(np.ones(3))
+
 
 class TestVariationalProperties:
     def test_rayleigh_ritz_min_max(self, rng):
@@ -399,8 +415,9 @@ def _with_spectrum(rng, values):
 
 
 def planted_laplacian(rng, n, blocks=4):
-    """Normalised Laplacian of a seeded connected graph with planted blocks
-    (the matrix of benchmarks/bench_eigen.py)."""
+    """Normalised Laplacian of a seeded connected graph with four contiguous
+    planted blocks (p = 0.5 inside, 0.05 between, and a path through all
+    nodes), on which the pinned cases below are built."""
     labels = np.arange(n) * blocks // n
     same = labels[:, None] == labels[None, :]
     W = np.where(rng.random((n, n)) < np.where(same, 0.5, 0.05), rng.uniform(0.5, 1.5, (n, n)), 0.0)

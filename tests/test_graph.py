@@ -40,6 +40,15 @@ class TestGraphType:
         with pytest.raises((SpeclapError, ValueError)):
             sp.Graph(W)
 
+    @pytest.mark.parametrize("W, message", [
+        (np.zeros(3), "must be square"),
+        (np.zeros((2, 3)), "must be square"),
+        (np.zeros((0, 0)), "at least one node"),
+    ])
+    def test_rejects_shape(self, W, message):
+        with pytest.raises(ValueError, match=message):
+            sp.Graph(W)
+
     @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, w):
         W = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, w], [1.0, w, 0.0]])
@@ -66,6 +75,9 @@ class TestGraphType:
             sp.NodeSubset([0], m=4)
         with pytest.raises((SpeclapError, ValueError)):
             sp.NodeSubset([5], m=4)
+
+    def test_node_subset_iterates_in_order(self):
+        assert list(sp.NodeSubset([3, 1, 2])) == [1, 2, 3]
 
 
 class TestDegreeVolume:
@@ -105,6 +117,18 @@ class TestLinksCut:
     def test_links_single_pair(self):
         g = g4()
         assert sp.links(g, sp.NodeSubset([1], m=4), sp.NodeSubset([3], m=4)) == 6
+
+    def test_links_takes_index_lists(self):
+        assert sp.links(g4(), [1, 4], [1, 2, 3, 4]) == sp.volume(g4(), sp.NodeSubset([1, 4], m=4))
+
+    def test_links_subset_past_the_graph_rejected(self):
+        with pytest.raises(ValueError, match="node index 5 out of range"):
+            sp.links(g4(), sp.NodeSubset([1, 5]), [1])
+
+    def test_links_positive_filter_drops_negative_weights(self):
+        W = np.array([[0.0, -3.0, 2.0], [-3.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        A = sp.NodeSubset([1, 2, 3], m=3)
+        assert sp.links(sp.Graph(W), A, A, "positive_only") == 6  # both ordered pairs of 2 and 1
 
     def test_links_negative_filter_on_positive_graph(self):
         g = g4()

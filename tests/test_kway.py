@@ -34,6 +34,7 @@ from conftest import (
     row_cyclic_jacobi,
     w1_graph,
 )
+from test_eigen import SCALE_POWERS
 
 GOLD_4WAY = {
     frozenset({7, 8}),
@@ -144,6 +145,15 @@ class TestObjective:
         g = random_connected(rng, 4)
         with pytest.raises(EmptyBlock):
             sp.objective(g, [[1, 2, 3, 4], []], "ncut")
+
+    @pytest.mark.parametrize("partition, mode, message", [
+        ([[1, 2], [2, 3, 4]], "ncut", "disjoint"),
+        ([[1, 2], [3]], "ncut", "cover all nodes"),
+        ([[1, 2], [3, 4]], "xcut", "unknown mode 'xcut'"),
+    ])
+    def test_bad_partition_or_mode_rejected(self, partition, mode, message):
+        with pytest.raises(ValueError, match=message):
+            sp.objective(ring(4), partition, mode)
 
 
 class TestRayleighSum:
@@ -288,6 +298,11 @@ class TestSolveRelaxed:
         nu = sp.sym_eigen(sp.laplacian(g, "sym").M).values
         assert sp.rayleigh_sum(g, sol.Z, "ncut") == pytest.approx(nu[:3].sum(), abs=1e-8)
 
+    @pytest.mark.parametrize("K", [1, 5])
+    def test_k_out_of_range(self, K):
+        with pytest.raises(ValueError, match=f"K={K} out of range"):
+            sp.solve_relaxed(ring(4), K, "ncut")
+
     def test_frobenius_rescale(self, rng):
         g = random_connected(rng, 6)
         for mode in kway.MODES:
@@ -336,6 +351,10 @@ class TestInitRotations:
         G = (Z @ R1).T @ D @ (Z @ R1)
         assert np.allclose(G - np.diag(np.diag(G)), 0.0, atol=1e-8 * np.trace(G))
 
+    def test_r1_takes_the_continuous_solution(self, rng):
+        sol = sp.solve_relaxed(random_connected(rng, 8), 3, "ncut")
+        assert np.array_equal(sp.init_rotation_R1(sol).R, sp.init_rotation_R1(sol.Z).R)
+
     def test_r1_rank_deficient(self):
         for Z in (np.ones((5, 2)), np.zeros((5, 2))):
             with pytest.raises(RankDeficient):
@@ -373,6 +392,10 @@ class TestInitRotations:
 
 
 class TestRescaleVariants:
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown rescale method 'row_max'"):
+            sp.rescale_variant(np.eye(3), "row_max")
+
     def test_row_sums_already_one(self):
         Z = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
         Z2, deformed = sp.rescale_variant(Z, "row_sum_ls")
@@ -537,7 +560,44 @@ class TestProjectiveDistance:
             sp.projective_distance([0.0, 0.0], [1.0, 0.0])
 
 
+class TestKWayScales:
+    """init_rotation_R1, rayleigh_sum and projective_distance take their
+    array input at unit scale (eigen._unit_scale), as every decomposition
+    does: at 2^p times the input they return what they return at the input,
+    to the bit, with no RuntimeWarning, over the powers of
+    test_eigen.py::TestTridiagonalKernels::test_tiny_and_huge_scales. R1's
+    rank test reads squared singular values, which overflow at 2^520 and
+    underflow at 2^-600; the ratios' x^T x do the same."""
+
+    @pytest.mark.parametrize("power", SCALE_POWERS)
+    def test_tiny_and_huge_scales(self, power):
+        rng = np.random.default_rng(12)
+        Z = rng.standard_normal((12, 3))
+        g = random_connected(rng, 12)
+        X = sp.podx(sp.solve_relaxed(g, 3, "ncut")).X
+        x, y = rng.standard_normal(5), rng.standard_normal(5)
+
+        def ratios(p):
+            return (sp.init_rotation_R1(np.ldexp(Z, p)).R, sp.rayleigh_sum(g, np.ldexp(X, p)),
+                    sp.projective_distance(np.ldexp(x, p), y), sp.projective_distance(x, np.ldexp(y, p)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            R, *values = ratios(power)
+        ref_R, *ref_values = ratios(0)
+        assert np.array_equal(R, ref_R) and values == ref_values
+
+
 class TestFirstColumnRotation:
+    @pytest.mark.parametrize("column, message", [
+        ([0.0, 0.0, 0.0, 0.0], "empty column"),
+        ([0.0, 0.5, 0.25, 0.5], "entries must be equal"),
+    ])
+    def test_bad_indicator_rejected(self, column, message):
+        X = np.c_[[1.0, 0.0, 0.0, 0.0], column]
+        with pytest.raises(ValueError, match=message):
+            sp.first_column_rotation(sp.Graph(W4), X)
+
     def test_two_block_closed_form(self):
         from conftest import W4
         g = sp.Graph(W4)

@@ -46,6 +46,10 @@ class TestLaplacianConstruction:
         with pytest.raises(SpeclapError):
             sp.laplacian(sp.Graph(W), "sym")
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown Laplacian kind 'rw_sym'"):
+            sp.laplacian(sp.Graph(A5), "rw_sym")
+
     def test_first_isolated_vertex_is_named(self):
         W = np.zeros((5, 5))
         W[1, 2] = W[2, 1] = 1.0  # nodes 1, 4 and 5 are isolated
@@ -143,6 +147,12 @@ class TestKernelDimension:
         g2 = sp.Graph(W)
         for kind in KINDS:
             assert sp.kernel_dimension(sp.laplacian(g2, kind)) == 2, kind
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_edgeless_graph_is_all_kernel(self, n):
+        # its Laplacians are the zero matrix, whose kernel is everything
+        for kind in ("unnormalized", "signed_unnormalized"):
+            assert sp.kernel_dimension(sp.laplacian(sp.Graph(np.zeros((n, n))), kind)) == n, kind
 
     def test_unbalanced_graph_trivial_kernel(self):
         for kind in ("signed_unnormalized", "signed_sym"):
@@ -279,6 +289,11 @@ class TestUnsignConjugation:
         gu, X = sp.unsign_conjugation(g, np.ones(5))
         assert np.array_equal(gu.W, g.W)
         assert np.array_equal(X, np.eye(5))
+
+    @pytest.mark.parametrize("x", [np.ones(4), np.ones(6), np.r_[np.ones(4), 0.0], np.r_[np.ones(4), 2.0]])
+    def test_bipartition_not_plus_minus_one_per_node_rejected(self, rng, x):
+        with pytest.raises(ValueError, match=r"must be a \+/-1 vector of length m"):
+            sp.unsign_conjugation(random_connected(rng, 5), x)
 
     def test_inconsistent_bipartition_rejected(self, rng):
         g = random_connected(rng, 5)

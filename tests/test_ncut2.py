@@ -141,6 +141,29 @@ class TestRounding:
         assert res.partition[0].members == best[1]
         assert res.residual == pytest.approx(best[0], abs=1e-12)
 
+    def test_one_zero_entry_moves_and_another_stays(self):
+        # 5-node path, zeros at nodes 3 and 5, tried in that order: each is
+        # kept on the positive side only when ||X - Z|| falls by more than
+        # TIE_RTOL ||Z||; node 3's move raises it, node 5's lowers it
+        g = path(5)
+        Z = np.array([-2.0, 1.0, 0.0, 1.0, 0.0])
+        d = sp.degree_vector(g)
+
+        def indicator(members):
+            mask = np.isin(np.arange(1, 6), members)
+            alpha = d[mask].sum()
+            beta = alpha / (d.sum() - alpha)
+            a = np.linalg.norm(Z) / np.sqrt(mask.sum() + beta**2 * (5 - mask.sum()))
+            return a, beta, np.linalg.norm(np.where(mask, a, -beta * a) - Z)
+
+        margin = sp.eigen.TIE_RTOL * np.linalg.norm(Z)
+        start, node3, node5 = indicator([2, 4]), indicator([2, 3, 4]), indicator([2, 4, 5])
+        assert node3[2] > start[2] and node5[2] < start[2] - margin
+        res = sp.round_2way(g, Z)
+        assert [sorted(p.members) for p in res.partition] == [[2, 4, 5], [1, 3]]
+        assert (res.X.a, res.X.beta, res.residual) == pytest.approx(node5, rel=1e-15)
+        assert res.ncut == pytest.approx(sp.ncut2_value(g, [2, 4, 5]), rel=1e-15)
+
     def test_degree_weighted_orthogonality(self, rng):
         g = random_connected(rng, 8)
         res = sp.round_2way(g, sp.solve_relaxed_2way(g))
