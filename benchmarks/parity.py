@@ -3,7 +3,9 @@
 `record DIR` runs each call in this process through `speclap.cli.main`:
 every call of the three perfbench workload schedules at the given seeds
 (built by `perfbench/workloads.py`, imported read-only), then a fixed set
-of calls on the test suite's golden graphs W1, G1 and G2:
+of calls on the test suite's golden graphs W1, G1 and G2 and on path(5),
+whose K = 2 ncut vector has an exact zero at node 3, so `cluster --k 2`
+reaches the zero-entry move of the 2-way rounding:
 
 * `cluster --k K --mode MODE [--rescale R] --json FILE` for K = 2-5, every
   mode and every rescale method or none;
@@ -48,7 +50,8 @@ import conftest  # noqa: E402
 import workloads  # noqa: E402
 
 TMP = "<tmp>"
-GOLDEN = {"W1": conftest.w1_graph, "G1": conftest.g1_signed, "G2": conftest.g2_signed}
+GOLDEN = {"W1": conftest.w1_graph, "G1": conftest.g1_signed, "G2": conftest.g2_signed,
+          "P5": lambda: conftest.path(5)}
 MODES = ("ncut", "rcut", "sncut", "srcut")
 RESCALES = (None, "rowsum", "rownorm-ls", "rownorm")
 DRAW_FLAGS = ((), ("--signed",), ("--signed", "--bipartite"))
@@ -68,7 +71,7 @@ def schedule_calls(seeds, directory):
 
 
 def golden_calls(directory):
-    """argv of the fixed calls on W1, G1 and G2."""
+    """argv of the fixed calls on the GOLDEN graphs."""
     out = os.path.join(directory, "out")
     os.mkdir(out)
     calls = []

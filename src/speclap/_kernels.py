@@ -1,63 +1,24 @@
-"""Hot numerical kernels: the tridiagonal eigensolver path and the one-sided
-Jacobi SVD.
-
-The SVD is cyclic one-sided Jacobi on at most 5 columns: eigen's QR first
-reduces a tall matrix to its square triangular factor, and the kernel
-rotates one column pair at a time on Python floats, each rotation one list
-update of the pair's columns of A and V together. On so few entries a
-numpy call per dot product and update costs more in call overhead than the
-arithmetic, as in inverse iteration below. It skips a pair on one rule, its
-cosine at most tol, with no absolute floor beside it: a rule in the
-columns' own scale leaves no pair of small columns unrotated.
+"""Hot numerical kernels: the stages of every symmetric eigensolve and the
+one-sided Jacobi SVD. Nothing is compiled.
 
 Every symmetric eigensolve, full or partial, takes four stages (Golub &
-Van Loan ch. 8, after LAPACK dsytrd, dstebz and dstein): Householder
-tridiagonalisation with the reflectors stored, Sturm-count multisection for
-the eigenvalues, inverse iteration on the tridiagonal matrix for the
-vectors, and back-transformation by the reflectors. Multisection stops
-early on a settled eigenvalue, one its Sturm counts prove farther than
-CLUSTER_GAP ||T||_1 from every other (inverse iteration's cluster
-threshold, shared with tridiagonal_eigenvectors): its bracket need only be
-SETTLE_RATIO of that clearance wide, and the caller takes its value from
-the Rayleigh quotient of its vector (Parlett, The Symmetric Eigenvalue
-Problem, ch. 4; MRRR finishes its eigenvalues the same way). The other
-eigenvalues are bisected to 4 eps ||T||. Inverse iteration runs
-its O(n) recurrences (the shifted factorisation and each solve) one vector
-at a time on Python floats: a Laplacian solve needs at most K + 1 vectors,
-and across so few, one numpy call per row and step costs more in call
-overhead than the arithmetic. That cost grows with the number of vectors:
-at n = 120 the two forms break even near 40 vectors, and for all n vectors
-(a full decomposition) the per-vector loops take about three times as long.
-Nothing is compiled.
+Van Loan ch. 8, after LAPACK dsytrd, dstebz and dstein):
 
-The reduction is the stage that grows fastest with n. Each column's rank-2
-update goes to the whole rows A[j+1:], one contiguous block, not to the
-trailing block A[j+1:, j+1:]: numpy walks a strided 2-d view one row at a
-time, and on a 119 x 119 block that subtraction took 19.1 us against 5.4 us
-on contiguous memory. The columns left of the block have exact zeros
-subtracted, so every output bit is the block update's. Past
-WHOLE_ROWS_MAX_LEFT columns left of the block (n > 130) those zeros cost
-more than the contiguity saves, and past WHOLE_ROWS_MAX_ENTRIES entries
-(n > 500) numpy's BLAS leaves the small-matrix kernel that rounds every
-entry alike; there the update goes to the block. The back-transformation
-applies the reflectors in compact-WY blocks of WY_BLOCK rows of V, taken
-as stored: each block's product is I - Y^T T Y, with T^-1 = diag(1 / tau)
-+ striu(Y Y^T) (the UT transform), so a block is three matrix products
-and one back substitution. A reduced column (tau = 0) is a zero row of Y
-with 1 in place of 1 / tau, and adds nothing.
-Multisection's per-pass bookkeeping (clearances, settle and live marks,
-the distinct intervals to shift) runs on Python floats over its few
-brackets, for the reason inverse iteration's recurrences do.
+1. `tridiagonalize`: Householder reduction to tridiagonal form T, with the
+   reflectors stored;
+2. `tridiagonal_eigenvalues`: Sturm-count multisection (`sturm_counts`)
+   for the eigenvalues, stopping early on a settled eigenvalue, whose
+   value the caller takes from the Rayleigh quotient of its vector;
+3. `tridiagonal_eigenvectors`: inverse iteration on T for the vectors;
+4. `back_transform`: the reflectors applied to the vectors in compact-WY
+   blocks.
 
-A Sturm count is one IEEE pass of the pivot recurrence, and its one rule
-is #(lambda < x) with a zero pivot counted by its sign. It needs no pivot
-floor and no second, guarded pass: skipping the division at a zero e_i
-leaves no 0/0 to guard against.
-
-Round-robin Jacobi (`jacobi_eigen`, with `round_robin_schedule` and
-`_max_off_diagonal`) is not called by the library. It stays because
-perfbench/spans.py traces it by name (its TARGETS list), and the tests use
-it as their independent full eigensolver; it goes once that entry does.
+`jacobi_svd`, cyclic one-sided Jacobi on at most 5 columns, is the engine
+of every SVD. `jacobi_eigen`, round-robin Jacobi, is not called by the
+library. Each function states the measurements and reasons behind its
+form where it applies: the whole-rows update in `tridiagonalize` (and
+WHOLE_ROWS_MAX_LEFT, WHOLE_ROWS_MAX_ENTRIES), the block size at WY_BLOCK,
+and the recurrences on Python floats in `tridiagonal_eigenvectors`.
 """
 
 import functools
@@ -203,14 +164,17 @@ def jacobi_svd(A, V, tol, max_sweeps):
 
 
 # the rank-2 update of column j goes to the whole rows A[j+1:] while at most
-# this many columns lie left of the block A[j+1:, j+1:], and to the block
-# after that: measured, not a knob (at n = 500, whole rows for every column
-# took 110 ms, as the block alone did, and this rule 99 ms)
+# this many columns lie left of the block A[j+1:, j+1:] (columns j < 128, so
+# the block takes over only for n > 130), and to the block after that, where
+# the zeros subtracted left of it cost more than the contiguity saves:
+# measured, not a knob (at n = 500, whole rows for every column took 110 ms,
+# as the block alone did, and this rule 99 ms)
 WHOLE_ROWS_MAX_LEFT = 128
-# and only while those rows hold at most this many entries: past about
-# 10^6 multiply-adds, numpy's BLAS (OpenBLAS) leaves its small-matrix
-# kernel, and the blocked kernel's rounding of an entry depends on where it
-# sits in the product, so whole rows and the block no longer agree to the bit
+# and only while those rows hold at most this many entries (so not the first
+# columns from n = 501 on, nor any column from n = 569 on): past about 10^6
+# multiply-adds, numpy's BLAS (OpenBLAS) leaves its small-matrix kernel, and
+# the blocked kernel's rounding of an entry depends on where it sits in the
+# product, so whole rows and the block no longer agree to the bit
 WHOLE_ROWS_MAX_ENTRIES = 250_000
 
 
@@ -233,13 +197,9 @@ def tridiagonalize(A):
     subtraction took 19.1 us against 5.4 us on contiguous memory. v and w
     are extended by exact zeros in columns 0..j, so those columns have
     zeros subtracted and every other entry gets the block update to the
-    bit. Once more than WHOLE_ROWS_MAX_LEFT columns lie left of the block
-    (columns j >= 128, so only for n > 130) they cost more than the
-    contiguity saves, and the update goes to the block. It goes there too
-    while the rows hold more than WHOLE_ROWS_MAX_ENTRIES entries (the
-    first columns from n = 501 on, and every column from n = 569 on): there
-    numpy's BLAS rounds a product entry by where it sits, so whole rows
-    and the block would differ in the last bits. Column j writes
+    bit. Past WHOLE_ROWS_MAX_LEFT columns left of the block, or
+    WHOLE_ROWS_MAX_ENTRIES entries in the rows, the update goes to the
+    block (the constants say why). Column j writes
     v, w and w again, zero-padded, into its own 3 x n slab [w; v; w]: the
     top two rows are the right factor, the bottom two the transposed left
     one, and V is a view of the slabs' middle rows. No factor is copied
@@ -281,8 +241,9 @@ def tridiagonalize(A):
 
 # reflectors per compact-WY block of back_transform: measured, not a knob
 # (one BLAS thread: within 5 % of the best of 16, 64, 128 and one single
-# block from n = 12 to 1000 but for n = 48, where 64 took 17 % less; 128
-# was 1.6 times slower from n = 500 on, one single block 10 times)
+# block for all n - 2 reflectors from n = 12 to 1000 but for n = 48, where
+# 64 took 17 % less; 128 was 1.6 times slower from n = 500 on, one single
+# block 10 times)
 WY_BLOCK = 32
 
 
@@ -301,9 +262,8 @@ def back_transform(V, tau, Z):
     [1, 2] for beta = -sign(alpha) sqrt(alpha^2 + |x|^2). A reduced column
     (tau = 0, H = I) is a zero row of Y and takes 1 on the diagonal: its
     entries of Y Y^T and of Y Z are 0, so its component of the solve is
-    0 / 1 and it adds nothing. The solve costs O(b^3) per block of b: one
-    block for all n - 2 reflectors took 10 times as long at n = 500, so
-    blocks of 32 balance it against the per-block numpy calls.
+    0 / 1 and it adds nothing. The solve costs O(b^3) per block of b, which
+    WY_BLOCK balances against the per-block numpy calls.
     """
     diagonal = 1.0 / np.where(tau == 0.0, 1.0, tau)
     for j0 in range((len(tau) - 1) // WY_BLOCK * WY_BLOCK, -1, -WY_BLOCK):
@@ -375,7 +335,8 @@ def tridiagonal_eigenvalues(d, e, first, stop):
     on both sides exceeds CLUSTER_GAP ||T||_1 and its bracket is at most
     SETTLE_RATIO times the smaller clearance wide: inverse iteration then
     converges from the midpoint, and the Rayleigh quotient of its vector
-    gives the eigenvalue to rounding (Parlett ch. 4). Any other interval is
+    gives the eigenvalue to rounding (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4; MRRR finishes its eigenvalues the same way). Any other interval is
     closed once its width is below 4 eps ||T||. Returns the midpoints and
     the boolean settled marks.
     """
@@ -395,8 +356,8 @@ def tridiagonal_eigenvalues(d, e, first, stop):
     lo = np.where(j < n, gl - fudge, np.inf)
     hi = np.where(j >= 0, gu + fudge, -np.inf)
     while True:
-        # the marks and intervals of the pass, on Python floats: on so few
-        # brackets a numpy call each costs more than the arithmetic
+        # the marks and intervals of the pass, on Python floats, as
+        # tridiagonal_eigenvectors' recurrences and for the same reason
         lows, highs = lo.tolist(), hi.tolist()
         clear = [lower - upper for lower, upper in zip(lows[1:], highs)]
         settled, a, b, live = [], [], [], 0
@@ -511,8 +472,10 @@ def tridiagonal_eigenvectors(d, e, lam):
     The factorisation and the solves are O(n) recurrences, run one vector
     at a time on Python floats: with at most K + 1 vectors, one numpy call
     per row and step across all vectors cost more in call overhead than the
-    arithmetic. Their cost grows with the number of vectors (at n = 120 the
-    break-even is near 40), so many vectors run slower this way. Scaling,
+    arithmetic. Their cost grows with the number of vectors, so many
+    vectors run slower this way: at n = 120 the two forms break even near
+    40 vectors, and for all n vectors (a full decomposition) the per-vector
+    loops take about three times as long. Scaling,
     the re-orthogonalisation, the growth test and the normalisation stay
     numpy calls over all vectors.
     """

@@ -50,6 +50,15 @@ MAX_SWEEPS = 100
 TIE_RTOL = 1e-9
 
 
+def _first_max(M, scale, axis=-1):
+    """Index along axis of the first entry of M within TIE_RTOL * scale of
+    the largest: the one tie rule of the library, under which the lowest
+    index wins among entries equal to rounding. scale broadcasts against M
+    with axis kept; -values gives the first minimum, and an entry of -inf
+    never wins unless all are."""
+    return np.argmax(M >= M.max(axis=axis, keepdims=True) - TIE_RTOL * scale, axis=axis)
+
+
 @dataclass(frozen=True)
 class SymmetricEigen:
     values: np.ndarray  # ascending
@@ -67,13 +76,13 @@ def _column_signs(M):
     """+1 or -1 per column of M: the sign of its largest-magnitude entry.
 
     Entries within TIE_RTOL of the largest are tied, and the lowest index
-    among them decides. Multiplying the columns by these signs gives the
-    deterministic orientation every decomposition here returns.
+    among them decides (_first_max). Multiplying the columns by these signs
+    gives the deterministic orientation every decomposition here returns.
     """
     if M.size == 0:
         return np.ones(M.shape[1])
     mag = np.abs(M)
-    first = np.argmax(mag >= (1.0 - TIE_RTOL) * mag.max(axis=0), axis=0)
+    first = _first_max(mag, mag.max(axis=0), axis=0)
     return np.where(M[first, np.arange(M.shape[1])] < 0, -1.0, 1.0)
 
 
@@ -115,14 +124,22 @@ def _canonical_basis(V):
     return V @ _extend_basis(np.empty((V.shape[1], 0)), V)
 
 
-def _unit_scale(M):
-    """(M / 2^power, power): M as a float array, checked finite, divided by
-    the power of two that brings its largest |entry| into [0.5, 1); power
-    is 0 for a zero or empty M. The division is exact wherever the result
-    stays in the normal range. The one scale decision of this module."""
+def _finite(M):
+    """M as a float array, checked finite: ValueError before any work. The
+    one finiteness check of the library's numeric inputs."""
     M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
+    return M
+
+
+def _unit_scale(M):
+    """(M / 2^power, power): M as a float array, checked finite (_finite),
+    divided by the power of two that brings its largest |entry| into
+    [0.5, 1); power is 0 for a zero or empty M. The division is exact
+    wherever the result stays in the normal range. The one scale decision
+    of this module."""
+    M = _finite(M)
     power = math.frexp(np.abs(M).max(initial=0.0))[1]
     return np.ldexp(M, -power), power
 

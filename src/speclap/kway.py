@@ -17,11 +17,10 @@ from .errors import (
     ZeroVector,
     ZeroVolume,
 )
-from .graph import NodeSubset, connected_components, degree_vector
+from .graph import NodeSubset, _as_subset, connected_components, degree_vector
 from .laplacian import laplacian, quadratic_form
 
 MODES = ("ncut", "rcut", "signed_ncut", "signed_rcut")
-TIE = eigen.TIE_RTOL
 TARGET_FROBENIUS = 100.0
 RESCALE_METHODS = ("row_sum_ls", "row_norm_ls", "row_normalize")
 # a safety cap, not a setting: a round that lowers phi by less than 1e-12 ends the alternation
@@ -101,7 +100,7 @@ def objective(g, partition, mode="ncut"):
     0/1 indicator, sum_j cut'(A_j) / size(A_j) with cut' = cut + 2 * the
     negative weight inside A_j in signed modes, and size the volume for
     normalized cuts and the node count for ratio cuts."""
-    blocks = [p if isinstance(p, NodeSubset) else NodeSubset(p, m=g.m) for p in partition]
+    blocks = [_as_subset(g, p) for p in partition]
     seen = set()
     for b in blocks:
         if len(b) == 0:
@@ -171,8 +170,10 @@ def init_rotation_R1(Z):
 
 def init_rotation_R2(Z):
     """Greedy pick of K rows of Z that are as mutually orthogonal as
-    possible, starting from row 0; the chosen rows, unit-normalized, become
-    the columns of R."""
+    possible, starting from row 0: each next pick is the first free row
+    within rounding of the least summed |overlap| with the rows picked
+    (eigen._first_max of its negation). The chosen rows, unit-normalized,
+    become the columns of R."""
     Z = _as_z(Z)
     N, K = Z.shape
     picks = [0]
@@ -181,7 +182,7 @@ def init_rotation_R2(Z):
         c = c + np.abs(Z @ Z[picks[-1]])
         free = c.copy()
         free[picks] = np.inf
-        picks.append(_first_min(free, c.max()))
+        picks.append(int(eigen._first_max(-free, c.max())))
     R = Z[picks].T
     norms = np.linalg.norm(R, axis=0)
     norms[norms == 0] = 1.0
@@ -194,8 +195,6 @@ def rescale_variant(Z, method="row_normalize"):
     constraints (row normalization does not preserve them); it depends on
     the method only. Z must be finite (ValueError before any work)."""
     Z = _as_z(Z)
-    if not np.isfinite(Z).all():
-        raise ValueError("matrix has non-finite entries")
     if method == "row_sum_ls":
         lam = np.linalg.solve(Z.T @ Z, Z.T @ np.ones(Z.shape[0]))
         if np.any(np.abs(lam) < 1e-6):
@@ -225,21 +224,20 @@ def flip_columns(ZR):
     """Negate every column with a strictly negative mean (a mean within
     rounding of zero is not negative). ZR is N x K or a stack (..., N, K)
     of such; returns the flipped input and the diagonal sign matrices."""
-    ZR = np.asarray(ZR, dtype=float)
-    signs = np.where(ZR.mean(axis=-2) < -TIE * np.abs(ZR).max(axis=-2), -1.0, 1.0)[..., None, :]
+    ZR = _as_z(ZR)
+    signs = np.where(ZR.mean(axis=-2) < -eigen.TIE_RTOL * np.abs(ZR).max(axis=-2), -1.0, 1.0)[..., None, :]
     return ZR * signs, signs * np.eye(ZR.shape[-1])
 
 
 def _round_rows(Y, a):
     """The indicators of Y, N x K or a stack (..., N, K), scaled by a (a
     scalar, or one scale per stack member shaped to broadcast): per row the
-    leftmost largest entry (entries within rounding of the largest are
-    tied); an empty column takes the lowest-index row of the leftmost
-    fullest column, until none is empty. The one rounding rule of podx and
-    of cluster's candidate scoring."""
+    leftmost largest entry (eigen._first_max, at the row's largest |entry|);
+    an empty column takes the lowest-index row of the leftmost fullest
+    column, until none is empty. The one rounding rule of podx and of
+    cluster's candidate scoring."""
     K = Y.shape[-1]
-    tied = Y >= Y.max(axis=-1, keepdims=True) - TIE * np.abs(Y).max(axis=-1, keepdims=True)
-    labels = tied.argmax(axis=-1)
+    labels = eigen._first_max(Y, np.abs(Y).max(axis=-1, keepdims=True))
     onehot = labels[..., None] == np.arange(K)
     if not onehot.any(axis=-2).all():
         for b in np.ndindex(labels.shape[:-1]):
@@ -327,16 +325,9 @@ def first_column_rotation(g, X):
 
 
 def _as_z(Z):
-    if isinstance(Z, ContinuousSolution):
-        return Z.Z
-    return np.asarray(Z, dtype=float)
-
-
-def _first_min(values, scale):
-    """Index of the first entry within TIE * scale of the smallest: exact ties
-    must not be broken by the last bits of the eigensolver's output."""
-    values = np.asarray(values, dtype=float)
-    return int(np.argmax(values <= values.min() + TIE * scale))
+    """Z (or a ContinuousSolution's Z) as a float array, checked finite
+    (eigen._finite)."""
+    return eigen._finite(Z.Z if isinstance(Z, ContinuousSolution) else Z)
 
 
 def _score_candidates(Zinit1, Zinit2, R1):
@@ -345,10 +336,11 @@ def _score_candidates(Zinit1, Zinit2, R1):
     Rc = I or R2 of Zc, are rounded in one stack (_round_rows) as they stand
     and with flipped columns (flip_columns), each at the scale ||its Z||_F /
     sqrt(N); a flipped candidate wins over its plain one when its residual
-    ||X - Y||_F is smaller beyond rounding, and the smallest residual wins
-    (_first_min). Q0 is expressed against the relaxed solution Z1, of which
-    Zinit2 is the rescaled Z1 R1, so the iteration proper always runs on the
-    undeformed relaxed solution."""
+    ||X - Y||_F is smaller beyond rounding, and the first residual within
+    rounding of the smallest wins (eigen._first_max of -residuals). Q0 is
+    expressed against the relaxed solution Z1, of which Zinit2 is the
+    rescaled Z1 R1, so the iteration proper always runs on the undeformed
+    relaxed solution."""
     eye = np.eye(R1.shape[0])
     Zc = np.array((Zinit1, Zinit1, Zinit2, Zinit2))
     Rc = np.array((eye, init_rotation_R2(Zinit1).R, eye, init_rotation_R2(Zinit2).R))
@@ -359,9 +351,9 @@ def _score_candidates(Zinit1, Zinit2, R1):
     scales = np.sqrt((W * W).sum(axis=(1, 2))) / math.sqrt(Zc.shape[1])
     D = _round_rows(Y, scales[:, None, None]) - Y
     res_plain, res_flip = np.sqrt((D * D).sum(axis=(1, 2))).reshape(2, 4)
-    flip = res_flip < res_plain * (1.0 - TIE)
+    flip = res_flip < res_plain * (1.0 - eigen.TIE_RTOL)
     residuals = np.where(flip, res_flip, res_plain)
-    best = _first_min(residuals, residuals.max())
+    best = eigen._first_max(-residuals, residuals.max())
     return (eye, eye, R1, R1)[best] @ Rc[best] @ (Rp[best] if flip[best] else eye), residuals
 
 

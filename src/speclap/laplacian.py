@@ -47,8 +47,8 @@ def laplacian(g, kind="unnormalized"):
 def quadratic_form(g, x, signed=False):
     """x^T L x (signed: x^T Lbar x) as sum_i d_i x_i^2 - x^T W x, without
     building the Laplacian: a float for a vector, one value per column for
-    an m x k matrix."""
-    x = np.asarray(x, dtype=float)
+    an m x k matrix. x must be finite (eigen._finite)."""
+    x = eigen._finite(x)
     if x.ndim not in (1, 2) or x.shape[0] != g.m:
         raise ValueError("x must be a vector or matrix with one row per node")
     q = degree_vector(g, signed) @ (x * x) - (x * (g.W @ x)).sum(axis=0)

@@ -7,8 +7,8 @@ import numpy as np
 
 from . import eigen
 from .errors import AllOneSide, DegenerateSubset, ZeroVolume
-from .graph import NodeSubset, degree_vector
-from .kway import objective, solve_relaxed
+from .graph import NodeSubset, _as_subset, degree_vector
+from .kway import _as_z, objective, solve_relaxed
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class TwoWayResult:
 
 def ncut2_value(g, A):
     """cut(A) * (1/vol(A) + 1/vol(A-bar)): the ncut objective of (A, A-bar)."""
-    A = A if isinstance(A, NodeSubset) else NodeSubset(A, m=g.m)
+    A = _as_subset(g, A)
     comp = NodeSubset(set(range(1, g.m + 1)) - A.members, m=g.m)
     if len(A) == 0 or len(comp) == 0:
         raise DegenerateSubset("A must be a nonempty proper subset")
@@ -55,19 +55,13 @@ def orient_sign(Z):
     of zero belong to neither side, and a tie within rounding keeps Z.
     "Within rounding" is TIE_RTOL times max |Z|, so c Z (c > 0) decides as
     Z does."""
-    Z = np.asarray(Z, dtype=float)
+    Z = _as_z(Z)
     tol = eigen.TIE_RTOL * np.abs(Z).max(initial=0.0)
-    pos = Z > tol
-    neg = Z < -tol
-    res_pos = 0.0
-    if pos.any():
-        res_pos = float(np.linalg.norm(Z[pos] - Z[pos].mean()))
-    res_neg = 0.0
-    if neg.any():
-        res_neg = float(np.linalg.norm(Z[neg] - Z[neg].mean()))
-    if res_pos > res_neg + tol:
-        return -Z
-    return Z
+
+    def spread(side):
+        return float(np.linalg.norm(Z[side] - Z[side].mean())) if side.any() else 0.0
+
+    return -Z if spread(Z > tol) > spread(Z < -tol) + tol else Z
 
 
 def round_2way(g, Z):
@@ -77,45 +71,40 @@ def round_2way(g, Z):
     side must have volume: DegenerateSubset if it starts without, and a
     move that would leave it without is skipped. Both tolerances are
     TIE_RTOL times the size of Z, so c Z (c > 0) gives the same partition
-    and ncut, with X and the residual times c: Z can come at any scale."""
-    Z = np.asarray(Z, dtype=float)
+    and ncut, with X and the residual times c: Z can come at any scale.
+    The zero entries are tried in index order, each against the indicator
+    the moves before it left."""
+    Z = _as_z(Z)
     d_vec = degree_vector(g)
     d = float(d_vec.sum())
     N = g.m
     norm_z = float(np.linalg.norm(Z))
     tol = eigen.TIE_RTOL * np.abs(Z).max(initial=0.0)
-    pos = Z > tol
-    zero = np.nonzero(np.abs(Z) <= tol)[0]
-    if not pos.any() or not (Z < -tol).any():
+    if not (Z > tol).any() or not (Z < -tol).any():
         raise AllOneSide("Z must take both signs")
 
-    def build(mask):
-        n_a = int(mask.sum())
+    def side(mask):
+        """The indicator of A = mask with ||X|| = ||Z||, and its residual
+        ||X - Z||; None when A-bar has no volume."""
         alpha = float(d_vec[mask].sum())
         if alpha >= d:
-            raise DegenerateSubset("both sides must have positive volume")
+            return None
         beta = alpha / (d - alpha)
-        a = norm_z / np.sqrt(n_a + beta * beta * (N - n_a))
-        return a, beta, np.where(mask, a, -beta * a)
+        n_a = int(mask.sum())
+        X = TwoWayIndicator(a=float(norm_z / np.sqrt(n_a + beta * beta * (N - n_a))), beta=beta, assignment=mask)
+        return X, float(np.linalg.norm(X.vector() - Z))
 
-    a, beta, X = build(pos)
-    for i in zero:
-        trial = pos.copy()
+    best = side(Z > tol)
+    if best is None:
+        raise DegenerateSubset("both sides must have positive volume")
+    for i in np.flatnonzero(np.abs(Z) <= tol):
+        trial = best[0].assignment.copy()
         trial[i] = True
-        try:
-            ta, tbeta, tX = build(trial)
-        except DegenerateSubset:
-            continue
-        if np.linalg.norm(tX - Z) < np.linalg.norm(X - Z) - eigen.TIE_RTOL * norm_z:
-            pos, a, beta, X = trial, ta, tbeta, tX
+        moved = side(trial)
+        if moved is not None and moved[1] < best[1] - eigen.TIE_RTOL * norm_z:
+            best = moved
 
-    A = NodeSubset((np.nonzero(pos)[0] + 1).tolist(), m=N)
+    X, residual = best
+    A = NodeSubset((np.flatnonzero(X.assignment) + 1).tolist(), m=N)
     comp = NodeSubset(set(range(1, N + 1)) - A.members, m=N)
-    ind = TwoWayIndicator(a=float(a), beta=float(beta), assignment=pos)
-    return TwoWayResult(
-        partition=(A, comp),
-        ncut=ncut2_value(g, A),
-        Z=Z,
-        X=ind,
-        residual=float(np.linalg.norm(X - Z)),
-    )
+    return TwoWayResult(partition=(A, comp), ncut=ncut2_value(g, A), Z=Z, X=X, residual=residual)

@@ -914,6 +914,45 @@ class TestMultipleEigenvalues:
         assert (col * sp.eigen._column_signs(col))[0, 0] == 0.5
 
 
+class TestFirstMax:
+    """_first_max, the library's one tie rule: the first index within
+    TIE_RTOL * scale of the largest entry wins."""
+
+    @pytest.mark.parametrize("values, expect", [
+        ([0.3, 2.0, 2.0, 1.0], 1),  # an exact tie
+        ([0.3, 2.0, 2.0 + 1e-9, 1.0], 1),  # within TIE_RTOL * scale (scale 2): tied
+        ([0.3, 2.0, 2.0 + 1e-8, 1.0], 2),  # a gap beyond it: the larger wins
+        ([5.0, 5.0, 5.0], 0),
+    ])
+    def test_lowest_index_among_ties(self, values, expect):
+        assert sp.eigen._first_max(np.array(values), 2.0) == expect
+
+    def test_scale_sets_the_tie_width(self):
+        values = np.array([1.0, 1.0 + 1e-9])
+        assert sp.eigen._first_max(values, 1.0) == 0
+        assert sp.eigen._first_max(values, 0.01) == 1
+
+    def test_axes(self):
+        M = np.array([[1.0, 3.0, 3.0 + 1e-12], [2.0, 3.0 + 1e-6, 0.0], [2.0 + 1e-12, 0.0, 3.0]])
+        scale = np.abs(M).max(axis=-1, keepdims=True)
+        assert sp.eigen._first_max(M, scale).tolist() == [1, 1, 2]
+        assert sp.eigen._first_max(M, scale, axis=1).tolist() == [1, 1, 2]
+        assert sp.eigen._first_max(M, np.abs(M).max(axis=0), axis=0).tolist() == [1, 1, 0]
+        # a stack of matrices: the last axis of each
+        assert sp.eigen._first_max(np.stack((M, M[::-1])), 3.0).tolist() == [[1, 1, 2], [2, 1, 1]]
+
+    def test_first_minimum_by_negation(self):
+        values = np.array([4.0, 1.0 + 1e-10, 1.0, 0.5 + 1.0])
+        assert sp.eigen._first_max(-values, values.max()) == 1
+        assert sp.eigen._first_max(-values, 1e-3) == 2  # 1e-10 apart is no tie at scale 1e-3
+        # entries already taken are +inf, as in init_rotation_R2's free rows:
+        # they never win, and a tie among the rest still goes to the lowest
+        free = np.array([np.inf, 2.0, 0.5, np.inf, 0.5 + 1e-12])
+        assert sp.eigen._first_max(-free, 2.0) == 2
+        free[2] = np.inf
+        assert sp.eigen._first_max(-free, 2.0) == 4
+
+
 def _relaxed_z(mode, K):
     return sp.solve_relaxed(random_connected(np.random.default_rng(K), 12), K, mode).Z
 

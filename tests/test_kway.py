@@ -155,6 +155,16 @@ class TestObjective:
         with pytest.raises(ValueError, match=message):
             sp.objective(ring(4), partition, mode)
 
+    @pytest.mark.parametrize("value", [
+        lambda g, A: sp.objective(g, [A, sp.NodeSubset([2, 3, 4])]),
+        lambda g, A: sp.ncut2_value(g, A),
+    ], ids=["objective", "ncut2_value"])
+    def test_out_of_range_subset_named(self, value):
+        # a NodeSubset built without m is checked against the graph as
+        # volume checks it, not reported as a cover failure
+        with pytest.raises(ValueError, match="node index 9 out of range"):
+            value(path(4), sp.NodeSubset([1, 9]))
+
 
 class TestRayleighSum:
     def test_signed_per_column_identity(self, rng):
@@ -1050,3 +1060,22 @@ class TestTieBreaks:
     def test_rounding_noise_mean_not_flipped(self):
         Z = np.array([[1.0], [-1.0 - 1e-15]])
         assert sp.flip_columns(Z)[1][0, 0] == 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, z, Z: sp.round_2way(g, z),
+    lambda g, z, Z: sp.orient_sign(z),
+    lambda g, z, Z: sp.podx(Z),
+    lambda g, z, Z: sp.init_rotation_R2(Z),
+    lambda g, z, Z: sp.flip_columns(Z),
+    lambda g, z, Z: sp.energy(g, z),
+], ids=["round_2way", "orient_sign", "podx", "init_rotation_R2", "flip_columns", "energy"])
+def test_nan_input_rejected(call):
+    """A NaN entry is refused with the eigen layer's ValueError, without a
+    numpy RuntimeWarning on the way."""
+    z = np.array([1.0, -1.0, np.nan, 0.5])
+    Z = np.column_stack((z, [1.0, 2.0, 3.0, 4.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            call(path(4), z, Z)
