@@ -30,8 +30,9 @@ With --against PATH, the tables give way to a comparison of this
 checkout's four stages with those of another `_kernels.py`, loaded by its
 file path (the module imports only numpy and the standard library). Both
 versions run each stage on the same inputs, made by this checkout: the
-planted Laplacian at unit scale, its tridiagonal form, the six lowest
-eigenvalues and five vectors. Each of --repeats pairs times both versions
+planted Laplacian as smallest_k enters it (at unit scale and exactly
+symmetric), its tridiagonal form, the six lowest eigenvalues and five
+vectors. Each of --repeats pairs times both versions
 back to back, the order alternating from pair to pair, each side the mean
 of enough calls to take about 5 ms. The table gives each side's median,
 their ratio against / this (above 1: this checkout is faster), the pairs
@@ -55,7 +56,7 @@ import time
 import numpy as np
 
 import speclap as sp
-from speclap import _kernels
+from speclap import _kernels, eigen
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import gen  # noqa: E402
@@ -115,11 +116,10 @@ def load_kernels(path):
 def stage_calls(kernels, S, k=5):
     """smallest_k(S, k)'s four stages as calls of the module `kernels`, each
     on the output of the stage before as this checkout's `_kernels` makes
-    it, at the unit scale smallest_k runs them at. Each call returns a
-    tuple of its output arrays; tridiagonalize's ends with the matrix it
-    overwrote."""
-    unit = np.ldexp(1.0, np.frexp(np.abs(S).max())[1])
-    A = S / unit
+    it, starting from the matrix smallest_k reduces: S scaled and
+    symmetrised by eigen._symmetric_input. Each call returns a tuple of its
+    output arrays; tridiagonalize's ends with the matrix it overwrote."""
+    A, _, _ = eigen._symmetric_input(S)
     d, e, V, tau = _kernels.tridiagonalize(A.copy())
     lam, _ = _kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, len(d)))
     Z = _kernels.tridiagonal_eigenvectors(d, e, lam[:k])

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import eigen
 from .errors import DimensionTooLarge, NotConnected, NoNegativeEdges
-from .graph import connected_components, orient
+from .graph import _nonnegative, connected_components, orient
 from .laplacian import is_balanced, laplacian, quadratic_form
 
 # fixed stylesheet: the geometry is the contract, the style is not
@@ -47,10 +47,14 @@ def _drawing(g, kind, n, first):
 
 
 def spectral_drawing(g, n):
-    """Orthogonal balanced drawing from eigenvectors u_2..u_{n+1} of L."""
+    """Orthogonal balanced drawing from eigenvectors u_2..u_{n+1} of L.
+    The graph must be connected and its weights nonnegative (a negative
+    weight raises NegativeWeightInUnsignedMode; signed_drawing draws
+    signed graphs)."""
     _, c = connected_components(g)
     if c != 1:
         raise NotConnected(f"graph has {c} components")
+    _nonnegative(g, "spectral_drawing", "signed_drawing (draw --signed)")
     return _drawing(g, "unnormalized", n, 1)
 
 

@@ -102,6 +102,14 @@ def degree_vector(g, signed=False):
     return g.W.sum(axis=1)
 
 
+def _nonnegative(g, what, instead):
+    """Raise NegativeWeightInUnsignedMode when g has a negative weight:
+    `what` is defined for nonnegative weights only, `instead` names what
+    takes signed graphs."""
+    if g.has_negative_edges:
+        raise NegativeWeightInUnsignedMode(f"{what} needs nonnegative weights: use {instead} for signed graphs")
+
+
 def volume(g, A, signed=False):
     """Sum of (signed) degrees over the subset A."""
     A = _as_subset(g, A)
@@ -187,23 +195,15 @@ def orient(g):
 
 def incidence_matrix(og, signed=False):
     """Node-by-edge matrix with +/- sqrt(w) entries; the signed variant puts
-    +sqrt(-w) in both endpoint rows of a negative edge."""
-    m = og.base.m
-    n = len(og.edges)
-    B = np.zeros((m, n))
+    +sqrt(-w) in both endpoint rows of a negative edge, the unsigned one
+    refuses negative weights (_nonnegative)."""
+    if not signed:
+        _nonnegative(og.base, "the unsigned incidence matrix", "signed=True")
+    B = np.zeros((og.base.m, len(og.edges)))
     for col, (i, j, w) in enumerate(og.edges):
-        if w > 0:
-            r = np.sqrt(w)
-            B[i - 1, col] = r
-            B[j - 1, col] = -r
-        else:
-            if not signed:
-                raise NegativeWeightInUnsignedMode(
-                    f"edge ({i}, {j}) has negative weight {w}"
-                )
-            r = np.sqrt(-w)
-            B[i - 1, col] = r
-            B[j - 1, col] = r
+        r = np.sqrt(abs(w))
+        B[i - 1, col] = r
+        B[j - 1, col] = np.copysign(r, -w)
     return IncidenceMatrix(B=B)
 
 

@@ -10,14 +10,13 @@ import numpy as np
 from . import eigen
 from .errors import (
     EmptyBlock,
-    NegativeWeightInUnsignedMode,
     NoConvergence,
     NotConnected,
     RankDeficient,
     ZeroVector,
     ZeroVolume,
 )
-from .graph import NodeSubset, _as_subset, connected_components, degree_vector
+from .graph import NodeSubset, _as_subset, _nonnegative, connected_components, degree_vector
 from .laplacian import laplacian, quadratic_form
 
 MODES = ("ncut", "rcut", "signed_ncut", "signed_rcut")
@@ -79,10 +78,8 @@ def _mode_kind(g, mode):
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     signed = mode.startswith("signed")
-    if not signed and g.has_negative_edges:
-        raise NegativeWeightInUnsignedMode(
-            f"mode {mode!r} needs nonnegative weights: use signed_{mode} for signed graphs"
-        )
+    if not signed:
+        _nonnegative(g, f"mode {mode!r}", f"signed_{mode}")
     return signed, mode.endswith("ncut")
 
 
@@ -298,7 +295,10 @@ def projective_distance(x, y):
 def first_column_rotation(g, X):
     """Orthogonal R whose first column is (sqrt(vol(A_j)/d))_j, so that the
     first column of X R is constant; completed by Gram-Schmidt over
-    (R^1, e_2, ..., e_K, e_1), each column oriented by eigen's sign rule."""
+    (R^1, e_2, ..., e_K, e_1), each column oriented by eigen's sign rule.
+    The volumes are those of plain degrees, so a graph with a negative weight
+    raises NegativeWeightInUnsignedMode."""
+    _nonnegative(g, "first_column_rotation", "signed_ncut (no first-column constraint)")
     Xm = X.X if isinstance(X, IndicatorMatrix) else np.asarray(X, dtype=float)
     N, K = Xm.shape
     D = degree_vector(g)

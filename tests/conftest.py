@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from speclap import Graph, NodeSubset, _kernels, cut, eigen, links, volume
-from speclap.errors import ZeroVolume
+from speclap.errors import NegativeWeightInUnsignedMode, ZeroVolume
 
 # 5-node example graph: adjacency and unnormalized Laplacian.
 A5 = np.array([
@@ -341,6 +341,28 @@ def edge_sum_form(g, x, signed=False):
     diff = x[:, None] - x[None, :]
     return float(0.5 * (W * diff * diff).sum())
 
+
+
+# incidence_matrix as it was before the unsigned refusal moved ahead of its
+# loop: one branch per edge sign, the refusal met at the first negative edge.
+def reference_incidence_matrix(og, signed=False):
+    m = og.base.m
+    n = len(og.edges)
+    B = np.zeros((m, n))
+    for col, (i, j, w) in enumerate(og.edges):
+        if w > 0:
+            r = np.sqrt(w)
+            B[i - 1, col] = r
+            B[j - 1, col] = -r
+        else:
+            if not signed:
+                raise NegativeWeightInUnsignedMode(
+                    f"edge ({i}, {j}) has negative weight {w}"
+                )
+            r = np.sqrt(-w)
+            B[i - 1, col] = r
+            B[j - 1, col] = r
+    return B
 
 
 def reference_tridiagonalize(A):

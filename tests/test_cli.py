@@ -402,6 +402,18 @@ class TestDraw:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("g", [g1_signed(), g2_signed()], ids=["G1", "G2"])
+    def test_signed_graph_without_signed_flag_exit_2(self, tmp_path, capsys, g):
+        svg, csv = tmp_path / "g.svg", tmp_path / "g.csv"
+        argv = ["draw", graph_file(tmp_path, "g.txt", g), "--dim", "2", "--svg", str(svg), "--csv", str(csv)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "NegativeWeightInUnsignedMode"
+        assert "draw --signed" in payload["message"]
+        assert not svg.exists() and not csv.exists()
+
     def test_signed_drawing(self, tmp_path, capsys):
         path = graph_file(tmp_path, "g2.txt", g2_signed())
         code, out, _ = run(capsys, ["draw", path, "--signed"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import speclap as sp
-from speclap.errors import DimensionTooLarge, NotConnected, NoNegativeEdges
+from speclap.errors import DimensionTooLarge, NegativeWeightInUnsignedMode, NotConnected, NoNegativeEdges
 
 from conftest import (
     G1_BIPARTITION,
@@ -111,6 +111,13 @@ class TestSpectralDrawing:
     def test_dimension_too_large(self):
         with pytest.raises(DimensionTooLarge):
             sp.spectral_drawing(path(3), 3)
+
+    @pytest.mark.parametrize("g", [g1_signed(), g2_signed()], ids=["G1", "G2"])
+    def test_signed_graph_refused(self, g):
+        # L of G1 and of G2 is indefinite: its smallest eigenvectors give no
+        # minimal-energy drawing
+        with pytest.raises(NegativeWeightInUnsignedMode, match="signed_drawing"):
+            sp.spectral_drawing(g, 2)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_non_positive_dimension_rejected(self, n):

@@ -3,7 +3,9 @@ the Gram eigensolve of the rounding, SVD and the variational property
 suite."""
 
 import dataclasses
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,12 @@ from conftest import (
     L1BAR_EIGENVALUES,
     _reference_factor_shifted,
     complete,
+    g1_signed,
     g2_signed,
     jacobi_gram_eigen,
     jacobi_sym_eigen,
     one_rotation_at_a_time,
+    path,
     random_connected,
     random_orthonormal,
     reference_back_transform,
@@ -912,6 +916,62 @@ class TestMultipleEigenvalues:
         # entries 0 and 1 have the same magnitude up to rounding
         col = np.array([[-0.5], [0.5 + 1e-16], [0.5], [0.5]])
         assert (col * sp.eigen._column_signs(col))[0, 0] == 0.5
+
+
+def _load_perfbench_gen():
+    """perfbench/gen.py, imported read-only by its file path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _permutation_cases():
+    """(name, S): the golden Laplacians, and the sym Laplacians of
+    perfbench's planted graphs (four blocks as equal as n allows)."""
+    cases = [(f"{name}-{kind}", sp.laplacian(g, kind).M)
+             for name, g in (("ring12", ring(12)), ("complete12", complete(12)))
+             for kind in ("unnormalized", "sym")]
+    cases += [("path5", sp.laplacian(path(5)).M), ("W1", sp.laplacian(w1_graph()).M)]
+    cases += [(name, sp.laplacian(g, "signed_unnormalized").M)
+              for name, g in (("G1-signed", g1_signed()), ("G2-signed", g2_signed()))]
+    gen = _load_perfbench_gen()
+    for n in (12, 48, 120):
+        sizes = [n // 4 + (b < n % 4) for b in range(4)]
+        W = gen.planted(np.random.default_rng(n), sizes, "unsigned").W
+        cases.append((f"planted-sym-{n}", sp.laplacian(sp.Graph(W), "sym").M))
+    return cases
+
+
+PERMUTATION_CASES = _permutation_cases()
+
+
+class TestPermutationInvariance:
+    """smallest_k(P S P^T, k) is smallest_k(S, k) with its rows permuted:
+    the same eigenvalues, each simple eigenvector permuted up to its sign,
+    and each tie group that k does not cut the permuted subspace."""
+
+    @pytest.mark.parametrize("name,S", PERMUTATION_CASES, ids=[c[0] for c in PERMUTATION_CASES])
+    def test_permuted_input(self, name, S):
+        n = S.shape[0]
+        scale = np.linalg.norm(S)
+        groups = sp.eigen._tie_groups(np.linalg.eigvalsh(S), sp.eigen.DEFAULT_TOL * scale)
+        perm = np.random.default_rng(n).permutation(n)
+        ends = [end for _, end in groups if end <= 7]
+        assert ends  # every case has a group that ends within k <= 7
+        for k in ends:
+            vals, vecs = sp.smallest_k(S, k)
+            pvals, pvecs = sp.smallest_k(S[np.ix_(perm, perm)], k)
+            assert np.max(np.abs(pvals - vals)) <= 8 * np.finfo(float).eps * scale
+            moved = vecs[perm]
+            for start, end in groups[: ends.index(k) + 1]:
+                V, pV = moved[:, start:end], pvecs[:, start:end]
+                if end - start == 1:
+                    sign = 1.0 if float(V[:, 0] @ pV[:, 0]) >= 0 else -1.0
+                    assert np.max(np.abs(pV - sign * V)) <= 1e-10
+                else:
+                    assert np.max(np.abs(pV @ pV.T - V @ V.T)) <= 1e-10
 
 
 class TestFirstMax:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import speclap as sp
-from speclap.errors import NonFiniteWeight, SpeclapError
+from speclap.errors import NegativeWeightInUnsignedMode, NonFiniteWeight, SpeclapError
 
 from conftest import (
     A5,
@@ -13,9 +13,12 @@ from conftest import (
     L5,
     W4,
     complete,
+    g1_signed,
+    g2_signed,
     random_connected,
     random_sparse,
     reference_components,
+    reference_incidence_matrix,
     ring,
     w1_graph,
 )
@@ -246,6 +249,21 @@ class TestOrientationIncidence:
         W = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(SpeclapError):
             sp.incidence_matrix(sp.orient(sp.Graph(W)), signed=False)
+
+    @pytest.mark.parametrize("g", [g1_signed(), g2_signed()], ids=["G1", "G2"])
+    def test_incidence_unsigned_refuses_signed_graphs(self, g):
+        with pytest.raises(NegativeWeightInUnsignedMode, match="use signed=True for signed graphs"):
+            sp.incidence_matrix(sp.orient(g))
+
+    @pytest.mark.parametrize("g, signed", [
+        (g1_signed(), True), (g2_signed(), True), (w1_graph(), False), (ring(12), False),
+        (random_connected(np.random.default_rng(25), 10), False),
+    ], ids=["G1-signed", "G2-signed", "W1", "ring12", "random10"])
+    def test_incidence_matches_two_branch_reference(self, g, signed):
+        og = sp.orient(g)
+        B = sp.incidence_matrix(og, signed=signed).B
+        ref = reference_incidence_matrix(og, signed=signed)
+        assert B.shape == ref.shape and B.tobytes() == ref.tobytes()
 
     def test_adjacency_five_node(self):
         assert np.array_equal(sp.adjacency_matrix(g5()), A5)

@@ -608,6 +608,15 @@ class TestFirstColumnRotation:
         with pytest.raises(ValueError, match=message):
             sp.first_column_rotation(sp.Graph(W4), X)
 
+    def test_signed_graph_refused(self):
+        # G1's plain degrees give the blocks {1..4} and {5..9} volumes 7 and
+        # 5, so X is D-normalized and only the negative weights are at fault
+        X = np.zeros((9, 2))
+        X[:4, 0] = 1 / np.sqrt(7.0)
+        X[4:, 1] = 1 / np.sqrt(5.0)
+        with pytest.raises(NegativeWeightInUnsignedMode, match="first_column_rotation"):
+            sp.first_column_rotation(g1_signed(), X)
+
     def test_two_block_closed_form(self):
         from conftest import W4
         g = sp.Graph(W4)
