@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .errors import DimensionTooLarge, NotConnected, NoNegativeEdges
-from .graph import _nonnegative, connected_components, orient
+from .errors import DimensionTooLarge, NoNegativeEdges
+from .graph import _connected, _nonnegative, connected_components, orient
 from .laplacian import is_balanced, laplacian, quadratic_form
 
 # fixed stylesheet: the geometry is the contract, the style is not
@@ -51,9 +51,7 @@ def spectral_drawing(g, n):
     The graph must be connected and its weights nonnegative (a negative
     weight raises NegativeWeightInUnsignedMode; signed_drawing draws
     signed graphs)."""
-    _, c = connected_components(g)
-    if c != 1:
-        raise NotConnected(f"graph has {c} components")
+    _connected(connected_components(g)[1])
     _nonnegative(g, "spectral_drawing", "signed_drawing (draw --signed)")
     return _drawing(g, "unnormalized", n, 1)
 

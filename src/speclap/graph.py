@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeWeightInUnsignedMode, NonFiniteWeight
+from .errors import EmptyBlock, NegativeWeightInUnsignedMode, NonFiniteWeight, NotConnected
 
 
 class Graph:
@@ -84,6 +84,35 @@ def _as_subset(g, A):
     return NodeSubset(A, m=g.m)
 
 
+def _labels(g, partition):
+    """Each node's 0-based block in the partition, a sequence of node
+    collections: the one check that it is a partition of g's nodes. Every
+    block is read (_as_subset) before any is checked; then, block by block,
+    an empty block raises EmptyBlock and a block meeting an earlier one
+    ValueError, and last a node in no block ValueError."""
+    blocks = [_as_subset(g, p).members for p in partition]
+    # a Python list, not an array: up to n = 1000, one pass over the members
+    # costs no more than the few numpy calls each block would take
+    labels = [-1] * g.m
+    for j, b in enumerate(blocks):
+        if not b:
+            raise EmptyBlock("every block must be nonempty")
+        for i in b:
+            if labels[i - 1] >= 0:
+                raise ValueError("blocks must be disjoint")
+            labels[i - 1] = j
+    if -1 in labels:
+        raise ValueError("blocks must cover all nodes")
+    return np.array(labels)
+
+
+def _blocks(labels, K):
+    """The partition as K NodeSubsets, block j holding the 1-based nodes
+    whose 0-based label is j: the one form the library returns a partition
+    in."""
+    return tuple(NodeSubset((np.flatnonzero(labels == j) + 1).tolist(), m=len(labels)) for j in range(K))
+
+
 @dataclass(frozen=True)
 class OrientedGraph:
     base: Graph
@@ -108,6 +137,13 @@ def _nonnegative(g, what, instead):
     takes signed graphs."""
     if g.has_negative_edges:
         raise NegativeWeightInUnsignedMode(f"{what} needs nonnegative weights: use {instead} for signed graphs")
+
+
+def _connected(c):
+    """Raise NotConnected unless the component count c (connected_components)
+    is 1."""
+    if c != 1:
+        raise NotConnected(f"graph has {c} components")
 
 
 def volume(g, A, signed=False):

@@ -8,15 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .errors import (
-    EmptyBlock,
-    NoConvergence,
-    NotConnected,
-    RankDeficient,
-    ZeroVector,
-    ZeroVolume,
-)
-from .graph import NodeSubset, _as_subset, _nonnegative, connected_components, degree_vector
+from .errors import NoConvergence, RankDeficient, ZeroVector, ZeroVolume
+from .graph import _blocks, _connected, _labels, _nonnegative, connected_components, degree_vector
 from .laplacian import laplacian, quadratic_form
 
 MODES = ("ncut", "rcut", "signed_ncut", "signed_rcut")
@@ -36,9 +29,7 @@ class IndicatorMatrix:
 
     def blocks(self):
         """One NodeSubset per column of X: the 1-based rows it holds."""
-        N, K = self.X.shape
-        asg = self.assignment
-        return tuple(NodeSubset((np.nonzero(asg == j)[0] + 1).tolist(), m=N) for j in range(K))
+        return _blocks(self.assignment, self.X.shape[1])
 
 
 @dataclass(frozen=True)
@@ -97,23 +88,11 @@ def objective(g, partition, mode="ncut"):
     0/1 indicator, sum_j cut'(A_j) / size(A_j) with cut' = cut + 2 * the
     negative weight inside A_j in signed modes, and size the volume for
     normalized cuts and the node count for ratio cuts."""
-    blocks = [_as_subset(g, p) for p in partition]
-    seen = set()
-    for b in blocks:
-        if len(b) == 0:
-            raise EmptyBlock("every block must be nonempty")
-        if seen & b.members:
-            raise ValueError("blocks must be disjoint")
-        seen |= b.members
-    if seen != set(range(1, g.m + 1)):
-        raise ValueError("blocks must cover all nodes")
-    X = np.zeros((g.m, len(blocks)))
-    for j, b in enumerate(blocks):
-        X[[i - 1 for i in b.members], j] = 1.0
-    num, den = _quadratic_forms(g, X, mode)
+    labels = _labels(g, partition)
+    num, den = _quadratic_forms(g, np.eye(labels.max() + 1)[labels], mode)
     empty = np.flatnonzero(den <= 0)
     if empty.size:
-        raise ZeroVolume(f"block {sorted(blocks[empty[0]].members)} has zero volume")
+        raise ZeroVolume(f"block {(np.flatnonzero(labels == empty[0]) + 1).tolist()} has zero volume")
     return float((num / den).sum())
 
 
@@ -140,9 +119,7 @@ def solve_relaxed(g, K, mode="ncut"):
     prefix = "signed_" if signed else ""
     if normalized:
         if not signed:
-            _, c = connected_components(g)
-            if c != 1:
-                raise NotConnected(f"graph has {c} components")
+            _connected(connected_components(g)[1])
         lap = laplacian(g, prefix + "sym")
         values, Y = eigen.smallest_k(lap.M, K)
         Z = Y / np.sqrt(lap.degree)[:, None]

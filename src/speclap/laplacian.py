@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
-from .errors import IsolatedVertex, NotConnected
-from .graph import Graph, _walk, degree_vector
+from .errors import IsolatedVertex, NegativeWeightInUnsignedMode
+from .graph import Graph, _connected, _walk, degree_vector
 
 KINDS = ("unnormalized", "sym", "rw", "signed_unnormalized", "signed_sym")
 
@@ -32,9 +32,16 @@ def laplacian(g, kind="unnormalized"):
     L = np.diag(d) - g.W
     if kind in ("unnormalized", "signed_unnormalized"):
         return LaplacianMatrix(kind=kind, M=L, degree=d)
-    isolated = np.flatnonzero(d <= 0)
-    if isolated.size:
-        raise IsolatedVertex(int(isolated[0]) + 1)
+    # the normalised kinds divide by d: a node whose degree is <= 0 is
+    # isolated, or has edges whose negative weights cancel its positive ones
+    bad = np.flatnonzero(d <= 0)
+    if bad.size:
+        i = int(bad[0])
+        if not g.W[i].any():
+            raise IsolatedVertex(i + 1)
+        raise NegativeWeightInUnsignedMode(
+            f"the {kind} Laplacian needs a positive plain degree at every node, and node {i + 1} "
+            f"has edges but plain degree {float(d[i])}: use signed_sym for signed graphs")
     if kind in ("sym", "signed_sym"):
         dm = 1.0 / np.sqrt(d)
         M = dm[:, None] * L * dm[None, :]
@@ -84,8 +91,7 @@ def is_balanced(g):
     graphs come out balanced with everyone on the +1 side.
     """
     _, c, s = _walk(g)
-    if c != 1:
-        raise NotConnected(f"graph has {c} components")
+    _connected(c)
     if _first_broken_edge(g, s) is not None:
         return BalanceReport(balanced=False, bipartition=None)
     return BalanceReport(balanced=True, bipartition=s)

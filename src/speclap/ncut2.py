@@ -7,7 +7,7 @@ import numpy as np
 
 from . import eigen
 from .errors import AllOneSide, DegenerateSubset, ZeroVolume
-from .graph import NodeSubset, _as_subset, degree_vector
+from .graph import NodeSubset, _as_subset, _blocks, degree_vector
 from .kway import _as_z, objective, solve_relaxed
 
 
@@ -105,6 +105,5 @@ def round_2way(g, Z):
             best = moved
 
     X, residual = best
-    A = NodeSubset((np.flatnonzero(X.assignment) + 1).tolist(), m=N)
-    comp = NodeSubset(set(range(1, N + 1)) - A.members, m=N)
-    return TwoWayResult(partition=(A, comp), ncut=ncut2_value(g, A), Z=Z, X=X, residual=residual)
+    partition = _blocks(np.where(X.assignment, 0, 1), 2)
+    return TwoWayResult(partition=partition, ncut=ncut2_value(g, partition[0]), Z=Z, X=X, residual=residual)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import speclap as sp
-from speclap.errors import NegativeWeightInUnsignedMode, NonFiniteWeight, SpeclapError
+from speclap.errors import NegativeWeightInUnsignedMode, NonFiniteWeight, NotConnected, SpeclapError
 
 from conftest import (
     A5,
@@ -214,6 +214,19 @@ class TestConnectivity:
             split += c > 1
             isolated += bool(np.any(sp.degree_vector(g, signed=True) == 0))
         assert split > 0 and isolated > 0
+
+    @pytest.mark.parametrize("refuse", [
+        lambda g: sp.solve_relaxed(g, 2, "ncut"),
+        lambda g: sp.spectral_drawing(g, 1),
+        sp.is_balanced,
+    ], ids=["solve_relaxed", "spectral_drawing", "is_balanced"])
+    def test_disconnected_graph_refused_alike(self, refuse):
+        # one message for every refusal: {1, 2}, {3, 4} and {5}
+        W = np.zeros((5, 5))
+        W[0, 1] = W[1, 0] = 1.0
+        W[2, 3] = W[3, 2] = 1.0
+        with pytest.raises(NotConnected, match=r"^graph has 3 components$"):
+            refuse(sp.Graph(W))
 
 
 class TestOrientationIncidence:

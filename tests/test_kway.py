@@ -150,6 +150,11 @@ class TestObjective:
         ([[1, 2], [2, 3, 4]], "ncut", "disjoint"),
         ([[1, 2], [3]], "ncut", "cover all nodes"),
         ([[1, 2], [3, 4]], "xcut", "unknown mode 'xcut'"),
+        # two faults: every block is read before any is checked, so the
+        # out-of-range node wins over the empty block before it
+        ([[], sp.NodeSubset([1, 9])], "ncut", "node index 9 out of range"),
+        # an overlap is found block by block, before the missing node 4
+        ([[1, 2], [2, 3]], "ncut", "disjoint"),
     ])
     def test_bad_partition_or_mode_rejected(self, partition, mode, message):
         with pytest.raises(ValueError, match=message):
@@ -884,18 +889,34 @@ class TestCluster:
             assert members == list(range(1, 9))
             assert res.iterations >= 1
 
-    def test_brute_force_bounds_small(self, rng):
+    @pytest.mark.parametrize("mode", kway.MODES)
+    def test_brute_force_bounds_small(self, rng, mode):
+        # signed modes on signed graphs: the bound holds for any Laplacian
         for _ in range(5):
             n = int(rng.integers(5, 8))
             K = int(rng.integers(2, 4))
-            g = random_connected(rng, n)
-            nu = sp.sym_eigen(sp.laplacian(g, "sym").M).values
+            g = random_connected(rng, n, signed=mode.startswith("signed"))
             best = min(
-                sp.objective(g, [[i + 1 for i in b] for b in part], "ncut")
+                sp.objective(g, [[i + 1 for i in b] for b in part], mode)
                 for part in set_partitions(n, K))
-            res = sp.cluster(g, K, mode="ncut")
-            assert nu[:K].sum() <= best + 1e-9
+            res = sp.cluster(g, K, mode=mode)
+            assert sp.solve_relaxed(g, K, mode).eigenvalues.sum() <= best + 1e-9
             assert res.objective >= best - 1e-9
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("graph, mode", [
+        *((w1_graph, mode) for mode in kway.MODES),
+        *((graph, mode) for graph in (g1_signed, g2_signed) for mode in ("signed_ncut", "signed_rcut")),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_relaxation_bounds_golden_optimum(self, graph, mode, K):
+        """The sum of the K smallest eigenvalues of the mode's Laplacian is
+        at most the objective of every K-way partition (Ky Fan: the
+        partition's indicator columns are orthogonal)."""
+        g = graph()
+        best = min(
+            sp.objective(g, [[i + 1 for i in b] for b in part], mode)
+            for part in set_partitions(g.m, K))
+        assert sp.solve_relaxed(g, K, mode).eigenvalues.sum() <= best + 1e-9
 
 
 GOLDEN_GRAPHS = {

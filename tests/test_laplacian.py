@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import speclap as sp
-from speclap.errors import IsolatedVertex, NotConnected, SpeclapError
+from speclap.errors import IsolatedVertex, NegativeWeightInUnsignedMode, NotConnected, SpeclapError
 from speclap.laplacian import KINDS
 
 from conftest import (
@@ -56,6 +56,31 @@ class TestLaplacianConstruction:
         with pytest.raises(IsolatedVertex) as err:
             sp.laplacian(sp.Graph(W), "rw")
         assert err.value.node == 1
+
+    @pytest.mark.parametrize("kind", ["sym", "rw"])
+    @pytest.mark.parametrize("graph, node", [(g1_signed, 5), (g2_signed, 8)])
+    def test_cancelled_degree_is_not_isolated(self, graph, node, kind):
+        # the node has 6 edges, but its plain degree is 0: not isolated, and
+        # the normalised unsigned kinds are undefined there
+        g = graph()
+        assert np.count_nonzero(g.W[node - 1]) == 6
+        assert sp.degree_vector(g)[node - 1] == 0
+        with pytest.raises(NegativeWeightInUnsignedMode,
+                           match=rf"the {kind} Laplacian .* node {node} has edges but plain degree 0.0: use signed_sym"):
+            sp.laplacian(g, kind)
+
+    def test_isolated_vertex_named_before_cancelled_degree(self):
+        # node 1 has no edge; node 4's weights cancel
+        W = np.zeros((4, 4))
+        W[1, 3] = W[3, 1] = 1.0
+        W[2, 3] = W[3, 2] = -1.0
+        W[1, 2] = W[2, 1] = 3.0
+        with pytest.raises(IsolatedVertex) as err:
+            sp.laplacian(sp.Graph(W), "sym")
+        assert err.value.node == 1
+        W[0, 1] = W[1, 0] = 1.0
+        with pytest.raises(NegativeWeightInUnsignedMode, match="node 4 has edges but plain degree 0.0"):
+            sp.laplacian(sp.Graph(W), "sym")
 
     def test_rows_sum_to_zero_unnormalized(self, rng):
         g = random_connected(rng, 7)
@@ -193,7 +218,7 @@ class TestKernelDimension:
             for kind in KINDS:
                 try:
                     lap = sp.laplacian(g, kind)
-                except IsolatedVertex:  # a signed node with degree <= 0
+                except (IsolatedVertex, NegativeWeightInUnsignedMode):  # a node with degree <= 0
                     continue
                 M = sp.laplacian(g, "sym").M if kind == "rw" else lap.M
                 size = np.abs(np.linalg.eigvalsh(M))
