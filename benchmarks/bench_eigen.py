@@ -5,19 +5,25 @@ from `perfbench/gen.py` (imported read-only), four blocks as equal as n
 allows: the graphs the perfbench workloads draw, and the matrix a 4-way
 `speclap cluster` solves on them. The table
 gives the best wall time over the repeats of smallest_k(S, 5), the number
-of Sturm-count passes of its multisection (`sturm_counts` calls) and the
-largest difference of its five eigenvalues from numpy's eigh. Then the
-best times of its four stages run on their own as smallest_k runs them
-(Householder `tridiagonalize`, the six lowest eigenvalues by Sturm
-multisection in `tridiagonal_eigenvalues`, five vectors by inverse
-iteration in `tridiagonal_eigenvectors`, and `back_transform`; the
-Rayleigh quotients of the settled eigenvalues are in the total only). Then
-kernel_dimension on the same Laplacian (multisection for its two extreme
-eigenvalues and two Sturm counts), the full decomposition sym_eigen, which
-is smallest_k(S, n) (skipped above n = 500, where the per-vector inverse
-iteration over all n vectors takes seconds), with the largest difference of
-all its eigenvalues from eigh, and numpy's eigh itself. The default sizes
-include n = 12 and 48, the sizes the perfbench workloads solve besides 120.
+of Sturm-count passes of its multisection (`sturm_counts` calls), the
+Krylov dimension m its Lanczos reduction stopped at and the number of
+checkpoints it took to get there, and the largest difference of its five
+eigenvalues from numpy's eigh. Then the best times of its four stages, each
+run on its own on the input smallest_k gave it at its last checkpoint: the
+Lanczos reduction to m (`lanczos`, all checkpoints' steps in one call),
+multisection for the six lowest eigenvalues of T_m
+(`tridiagonal_eigenvalues`), inverse iteration for their vectors
+(`tridiagonal_eigenvectors`), and the Ritz product Y = Q_m Z with the
+certificate (`certify`, not run at m = n). The checkpoints before the
+last, and the Rayleigh quotients of the settled eigenvalues, are in the
+total only. Then kernel_dimension on the same Laplacian (the whole Lanczos
+reduction, multisection for its two extreme eigenvalues and two Sturm
+counts), the full decomposition sym_eigen, which is smallest_k(S, n) and
+runs the whole reduction (skipped above n = 500, where the per-vector
+inverse iteration over all n vectors takes seconds), with the largest
+difference of all its eigenvalues from eigh, and numpy's eigh itself. The
+default sizes include n = 12 and 48, the sizes the perfbench workloads
+solve besides 120.
 The SVD gets seeded Gaussian matrices of the shapes the pipeline
 decomposes: K x K for K = 2-5 (Z^T X in the Procrustes step) and N x K (the
 least-squares rescale of Z * Z, and the relaxed Z) for the benchmark's
@@ -31,13 +37,14 @@ checkout's four stages with those of another `_kernels.py`, loaded by its
 file path (the module imports only numpy and the standard library). Both
 versions run each stage on the same inputs, made by this checkout: the
 planted Laplacian as smallest_k enters it (at unit scale and exactly
-symmetric), its tridiagonal form, the six lowest eigenvalues and five
-vectors. Each of --repeats pairs times both versions
+symmetric), its Lanczos basis and tridiagonal form at the last
+checkpoint, the six lowest eigenvalues, their vectors and Ritz values.
+Each of --repeats pairs times both versions
 back to back, the order alternating from pair to pair, each side the mean
 of enough calls to take about 5 ms. The table gives each side's median,
 their ratio against / this (above 1: this checkout is faster), the pairs
-this checkout won, and whether every output array, the overwritten matrix
-of tridiagonalize included, is bit-identical: `yes`, or `NO` and the
+this checkout won, and whether every output array, the certificate's
+verdict included, is bit-identical: `yes`, or `NO` and the
 largest difference of an entry relative to the largest entry of its array
 (`NO 4.4e-16` is a rounding-level move, `NO 1.0e+00` a wrong result).
 
@@ -89,20 +96,40 @@ def stage_times(S, repeats, k=5):
     return tuple(best_time(lambda _, call=call: call(), S, repeats)[0] for call in calls)
 
 
-def sturm_passes(S, k=5):
-    """Sturm-count passes (calls of `_kernels.sturm_counts`) of smallest_k(S, k)."""
-    count, counts = [0], _kernels.sturm_counts
+def solve_trace(S, k=5):
+    """What smallest_k(S, k) did: its Sturm-count passes (calls of
+    `_kernels.sturm_counts`), the Krylov dimension m of its last checkpoint,
+    the number of checkpoints, and the eigenvalues and Ritz values of T_m
+    that its last checkpoint solved for and certified."""
+    trace = {"passes": 0, "checkpoints": 0}
+    counts, reduce, vectors = _kernels.sturm_counts, eigen.lanczos, eigen.tridiagonal_eigenvectors
+    certify = eigen.certify
 
     def counted(*args):
-        count[0] += 1
+        trace["passes"] += 1
         return counts(*args)
 
-    _kernels.sturm_counts = counted
+    def reduced(A, Q, d, e, start, stop):
+        trace["checkpoints"] += 1
+        trace["m"] = stop
+        return reduce(A, Q, d, e, start, stop)
+
+    def solved(d, e, lam):
+        trace["lam"] = lam
+        return vectors(d, e, lam)
+
+    def certified(A, Y, theta):
+        trace["theta"] = theta
+        return certify(A, Y, theta)
+
+    _kernels.sturm_counts, eigen.lanczos, eigen.tridiagonal_eigenvectors = counted, reduced, solved
+    eigen.certify = certified
     try:
         sp.smallest_k(S, k)
     finally:
-        _kernels.sturm_counts = counts
-    return count[0]
+        _kernels.sturm_counts, eigen.lanczos, eigen.tridiagonal_eigenvectors = counts, reduce, vectors
+        eigen.certify = certify
+    return trace
 
 
 def load_kernels(path):
@@ -114,27 +141,35 @@ def load_kernels(path):
 
 
 def stage_calls(kernels, S, k=5):
-    """smallest_k(S, k)'s four stages as calls of the module `kernels`, each
-    on the output of the stage before as this checkout's `_kernels` makes
-    it, starting from the matrix smallest_k reduces: S scaled and
-    symmetrised by eigen._symmetric_input. Each call returns a tuple of its
-    output arrays; tridiagonalize's ends with the matrix it overwrote."""
+    """smallest_k(S, k)'s four stages at its last checkpoint as calls of the
+    module `kernels`, each on the output of the stage before as this
+    checkout's `_kernels` makes it, starting from the matrix smallest_k
+    reduces: S scaled and symmetrised by eigen._symmetric_input. Each call
+    returns a tuple of its output arrays; the Ritz stage's ends with the
+    certificate's verdict (true at m = n, where smallest_k runs none)."""
     A, _, _ = eigen._symmetric_input(S)
-    d, e, V, tau = _kernels.tridiagonalize(A.copy())
-    lam, _ = _kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, len(d)))
-    Z = _kernels.tridiagonal_eigenvectors(d, e, lam[:k])
+    n = A.shape[0]
+    trace = solve_trace(S, k)
+    m, lam = trace["m"], trace["lam"]
+    Q, d, e = np.zeros((n, n)), np.zeros(n), np.zeros(n - 1)
+    _kernels.lanczos(A, Q, d, e, 0, m)
+    d, e = d[:m], e[: m - 1]
+    Z = _kernels.tridiagonal_eigenvectors(d, e, lam)
 
-    def tridiagonalize():
-        B = A.copy()
-        return (*kernels.tridiagonalize(B), B)
+    def lanczos():
+        out = np.zeros((n, n)), np.zeros(n), np.zeros(n - 1)
+        kernels.lanczos(A, *out, 0, m)
+        return out
+
+    def ritz():
+        Y = Q[:m].T @ Z
+        return Y, np.array(m == n or kernels.certify(A, Y, trace["theta"]))
 
     return {
-        "tridiag": tridiagonalize,
-        "eigvals": lambda: kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, len(d))),
-        "eigvecs": lambda: (kernels.tridiagonal_eigenvectors(d, e, lam[:k]),),
-        # column-major, as smallest_k passes Z: the per-reflector loop took
-        # about 30 % longer on it than on a row-major copy at n = 120
-        "back": lambda: (kernels.back_transform(V, tau, Z.copy(order="F")),),
+        "lanczos": lanczos,
+        "eigvals": lambda: kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, m)),
+        "eigvecs": lambda: (kernels.tridiagonal_eigenvectors(d, e, lam),),
+        "ritz": ritz,
     }
 
 
@@ -194,8 +229,9 @@ def main():
         compare(args.against, [int(s) for s in args.sizes.split(",")], args.repeats, rng)
         return
 
-    stages = ("tridiag", "eigvals", "eigvecs", "back")
-    print(f"{'n':>5} {'smallest_k 5':>13} {'passes':>6} {'max |dλ|':>9} " + " ".join(f"{s:>9}" for s in stages)
+    stages = ("lanczos", "eigvals", "eigvecs", "ritz")
+    print(f"{'n':>5} {'smallest_k 5':>13} {'passes':>6} {'m':>5} {'ckpts':>5} {'max |dλ|':>9} "
+          + " ".join(f"{s:>9}" for s in stages)
           + f" {'kernel_dim':>11} {'sym_eigen':>12} {'max |dλ|':>9} {'numpy eigh':>12}")
     for n in (int(s) for s in args.sizes.split(",")):
         S = workload_laplacian(rng, n)
@@ -209,7 +245,9 @@ def main():
             full = f"{t_full * 1e3:>10.2f}ms {float(np.max(np.abs(eig.values - ref.eigenvalues))):>9.1e}"
         else:
             full = f"{'-':>12} {'-':>9}"
-        print(f"{n:>5} {t_k * 1e3:>11.2f}ms {sturm_passes(S):>6} {err:>9.1e} {split} {t_ker * 1e3:>9.2f}ms"
+        trace = solve_trace(S)
+        print(f"{n:>5} {t_k * 1e3:>11.2f}ms {trace['passes']:>6} {trace['m']:>5} {trace['checkpoints']:>5}"
+              f" {err:>9.1e} {split} {t_ker * 1e3:>9.2f}ms"
               f" {full} {t_ref * 1e3:>10.3f}ms")
 
     print(f"\n{'shape':>7} {'svd':>12} {'numpy svd':>12} {'ratio':>8} {'max |dσ|':>10} {'init_R1':>12}")

@@ -1,24 +1,25 @@
 """Hot numerical kernels: the stages of every symmetric eigensolve and the
 one-sided Jacobi SVD. Nothing is compiled.
 
-Every symmetric eigensolve, full or partial, takes four stages (Golub &
-Van Loan ch. 8, after LAPACK dsytrd, dstebz and dstein):
+Every symmetric eigensolve, full or partial, takes four stages (Parlett,
+The Symmetric Eigenvalue Problem, ch. 11 and 13; LAPACK dstebz and dstein
+for the tridiagonal ones):
 
-1. `tridiagonalize`: Householder reduction to tridiagonal form T, with the
-   reflectors stored;
+1. `lanczos`: the Lanczos reduction to tridiagonal form T_m = Q_m^T A Q_m,
+   with full reorthogonalisation, resumable at any Krylov dimension m;
 2. `tridiagonal_eigenvalues`: Sturm-count multisection (`sturm_counts`)
-   for the eigenvalues, stopping early on a settled eigenvalue, whose
-   value the caller takes from the Rayleigh quotient of its vector;
-3. `tridiagonal_eigenvectors`: inverse iteration on T for the vectors;
-4. `back_transform`: the reflectors applied to the vectors in compact-WY
-   blocks.
+   for the eigenvalues of T_m, stopping early on a settled eigenvalue,
+   whose value the caller takes from the Rayleigh quotient of its vector;
+3. `tridiagonal_eigenvectors`: inverse iteration on T_m for the vectors Z;
+4. `certify`: whether the Ritz pairs (Y = Q_m Z) are the smallest
+   eigenpairs of A, by their residual and one Cholesky inertia test.
 
 `jacobi_svd`, cyclic one-sided Jacobi on at most 5 columns, is the engine
 of every SVD. `jacobi_eigen`, round-robin Jacobi, is not called by the
 library. Each function states the measurements and reasons behind its
-form where it applies: the whole-rows update in `tridiagonalize` (and
-WHOLE_ROWS_MAX_LEFT, WHOLE_ROWS_MAX_ENTRIES), the block size at WY_BLOCK,
-and the recurrences on Python floats in `tridiagonal_eigenvectors`.
+form where it applies: the unit start vector of `lanczos`, the shift of
+`certify`, and the recurrences on Python floats in
+`tridiagonal_eigenvectors`.
 """
 
 import functools
@@ -163,116 +164,97 @@ def jacobi_svd(A, V, tol, max_sweeps):
     return sweeps
 
 
-# the rank-2 update of column j goes to the whole rows A[j+1:] while at most
-# this many columns lie left of the block A[j+1:, j+1:] (columns j < 128, so
-# the block takes over only for n > 130), and to the block after that, where
-# the zeros subtracted left of it cost more than the contiguity saves:
-# measured, not a knob (at n = 500, whole rows for every column took 110 ms,
-# as the block alone did, and this rule 99 ms)
-WHOLE_ROWS_MAX_LEFT = 128
-# and only while those rows hold at most this many entries (so not the first
-# columns from n = 501 on, nor any column from n = 569 on): past about 10^6
-# multiply-adds, numpy's BLAS (OpenBLAS) leaves its small-matrix kernel, and
-# the blocked kernel's rounding of an entry depends on where it sits in the
-# product, so whole rows and the block no longer agree to the bit
-WHOLE_ROWS_MAX_ENTRIES = 250_000
+def lanczos(A, Q, d, e, start, stop):
+    """Steps start..stop-1 of the Lanczos reduction Q^T A Q = T of the
+    symmetric n x n A, in place on Q (n x n), d (n) and e (n - 1), which
+    enter as zeros (Parlett, The Symmetric Eigenvalue Problem, ch. 13). The
+    first `stop` rows of Q are then orthonormal, and T = (d, e) is the
+    tridiagonal form of A on them; at stop = n it is the whole reduction.
 
-
-def tridiagonalize(A):
-    """Householder reduction Q^T A Q = T of the symmetric A, in place.
-
-    Returns (d, e, V, tau): the diagonal and subdiagonal of T, and the
-    reflectors H_j = I - tau_j v_j v_j^T with Q = H_0 H_1 ... H_{n-3}; row j
-    of V holds v_j, which is zero in columns 0..j and 1 in column j + 1.
-    Each column costs one matrix-vector product and one symmetric rank-2
-    update of the trailing block (Golub & Van Loan 8.3.1, LAPACK dsytd2).
-    A column whose entries below the subdiagonal are at most eps ||A||_F
-    long is taken as reduced (tau = 0, H_j = I, and row j of V all zero):
-    dropping them is within the reduction's rounding, and no reflector
-    mixes rows of unrelated size.
-
-    The update [v w][w; v] is subtracted from the whole rows A[j+1:], one
-    contiguous block, and not from the block A[j+1:, j+1:]: numpy walks a
-    strided 2-d view one row at a time, and on a 119 x 119 block that
-    subtraction took 19.1 us against 5.4 us on contiguous memory. v and w
-    are extended by exact zeros in columns 0..j, so those columns have
-    zeros subtracted and every other entry gets the block update to the
-    bit. Past WHOLE_ROWS_MAX_LEFT columns left of the block, or
-    WHOLE_ROWS_MAX_ENTRIES entries in the rows, the update goes to the
-    block (the constants say why). Column j writes
-    v, w and w again, zero-padded, into its own 3 x n slab [w; v; w]: the
-    top two rows are the right factor, the bottom two the transposed left
-    one, and V is a view of the slabs' middle rows. No factor is copied
-    together per column, for three times V's memory. The diagonal is read
-    off A at the end: no update touches row j after column j's.
+    Row j of Q is q_j. Step j orthogonalises w = A q_j against q_0 .. q_j
+    by classical Gram-Schmidt run twice (full reorthogonalisation), adds
+    both coefficients on q_j into d_j and writes q_j+1 = w / ||w|| into row
+    j + 1, with e_j = ||w||: a later call resumes at start = this call's
+    stop. The coefficients on q_0 .. q_j-1 are e_j-1 and rounding, and T
+    drops them. Where ||w|| <= eps ||A||_F, the basis spans an invariant
+    subspace to rounding: e_j = 0, so T splits there, and the reduction
+    restarts. Every start, the first and each restart, is the unit vector
+    with the largest part outside the basis (the first, on a tie: e_0 for
+    q_0), orthogonalised twice against it. That part is at least
+    1 / sqrt(n), since the squares of the n parts add up to n - j - 1 >= 1.
+    A unit vector, not a dense one, starts the reduction because it keeps
+    a graded matrix's small entries apart from its large ones: on
+    diag(logspace(0, -20, 12)) plus a 1e-22 perturbation, the five
+    smallest eigenvectors agree with Jacobi's to 8e-14 from e_0, and only
+    to 4e-8 from a dense start vector (_start_vectors).
     """
     n = A.shape[0]
     negligible = np.finfo(float).eps * np.linalg.norm(A)
-    e = np.zeros(max(n - 1, 0))
-    slabs = np.zeros((max(n - 2, 0), 3, n))
-    V = slabs[:, 1]
-    tau = np.zeros(max(n - 2, 0))
-    work = np.empty(max(n - 1, 0) * n)  # the rank-2 updates, not one n^2 temporary each
-    for j in range(n - 2):
-        x = A[j, j + 1 :]  # row j is column j: A stays symmetric
-        alpha, tail = float(x[0]), x[1:]
-        xnorm = math.sqrt(float(tail @ tail))
-        if xnorm <= negligible:
-            e[j] = alpha
-            continue
-        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
-        t = (beta - alpha) / beta
-        wvw = slabs[j]
-        v = np.divide(x, alpha - beta, out=wvw[1, j + 1 :])
-        v[0] = 1.0
-        p = t * (A[j + 1 :, j + 1 :] @ v)
-        w = np.multiply(v, 0.5 * t * float(p @ v), out=wvw[0, j + 1 :])
-        np.subtract(p, w, out=w)
-        wvw[2] = wvw[0]
-        whole = j < WHOLE_ROWS_MAX_LEFT and (n - j - 1) * n <= WHOLE_ROWS_MAX_ENTRIES
-        start = 0 if whole else j + 1  # the first column updated
-        rows = A[j + 1 :, start:]
-        rows -= np.matmul(wvw[1:, j + 1 :].T, wvw[:2, start:], out=work[: rows.size].reshape(rows.shape))
-        e[j], tau[j] = beta, t
-    if n >= 2:
-        e[n - 2] = A[n - 2, n - 1]
-    return A.diagonal().copy(), e, V, tau
+    if start == 0 < stop:
+        Q[0, 0] = 1.0
+    for j in range(start, stop):
+        B = Q[: j + 1]
+        w = A @ Q[j]
+        alpha = 0.0
+        for _ in range(2):
+            h = B @ w
+            w -= h @ B
+            alpha += float(h[j])
+        d[j] = alpha
+        if j + 1 == n:
+            break
+        beta = math.sqrt(float(w @ w))
+        if beta <= negligible:
+            w = np.zeros(n)
+            w[np.argmax(1.0 - (B * B).sum(axis=0))] = 1.0
+            for _ in range(2):
+                w -= (B @ w) @ B
+            beta = math.sqrt(float(w @ w))
+        else:
+            e[j] = beta
+        np.divide(w, beta, out=Q[j + 1])
 
 
-# reflectors per compact-WY block of back_transform: measured, not a knob
-# (one BLAS thread: within 5 % of the best of 16, 64, 128 and one single
-# block for all n - 2 reflectors from n = 12 to 1000 but for n = 48, where
-# 64 took 17 % less; 128 was 1.6 times slower from n = 500 on, one single
-# block 10 times)
-WY_BLOCK = 32
+def certify(A, Y, theta):
+    """Whether the Ritz pairs (theta, Y) of the symmetric n x n A, with the
+    p columns of Y orthonormal to rounding, are its p smallest eigenpairs.
 
+    The residual R = A Y - Y diag(theta) must be at most 8 eps ||A||_F in
+    the Frobenius norm, and one Cholesky factorisation of
+    A + 2 ||A||_F Y Y^T - sigma I must succeed, for sigma = max theta +
+    ||R||_F + 8 (n + 1)^2 eps ||A||_F. Together they prove that no
+    eigenvalue was missed:
 
-def back_transform(V, tau, Z):
-    """Q Z for the Q = H_0 ... H_{n-3} of tridiagonalize, in place on Z.
+    - Weyl's inequality: the update 2 ||A||_F Y Y^T is positive
+      semidefinite of rank p, so the smallest eigenvalue of the factored
+      matrix plus sigma is at most the (p + 1)-th smallest of A. The
+      factorisation proves that it is above sigma, so at most p
+      eigenvalues of A lie below sigma.
+    - Kahan's residual bound (Parlett ch. 11): p eigenvalues of A lie
+      within ||R||_2 <= ||R||_F of the theta, so below sigma.
 
-    The reflectors are applied in compact-WY blocks of WY_BLOCK (LAPACK
-    dlarft and dlarfb; Schreiber & Van Loan 1989), the last block first.
-    The rows Y of a block [j0, j1), as V stores them, give
-    H_j0 ... H_j1-1 = I - Y^T T Y with T upper triangular, and its inverse
-    is T^-1 = diag(1 / tau) + striu(Y Y^T) (the UT transform, Joffrain et
-    al., ACM TOMS 32(2), 2006). So a block costs three matrix products and
-    one solve with T^-1, and the solve is a back substitution: T^-1 is
-    upper triangular, so partial pivoting never swaps a row, and its
-    diagonal is never zero, since tau = (beta - alpha) / beta lies in
-    [1, 2] for beta = -sign(alpha) sqrt(alpha^2 + |x|^2). A reduced column
-    (tau = 0, H = I) is a zero row of Y and takes 1 on the diagonal: its
-    entries of Y Y^T and of Y Z are 0, so its component of the solve is
-    0 / 1 and it adds nothing. The solve costs O(b^3) per block of b, which
-    WY_BLOCK balances against the per-block numpy calls.
+    So A's p smallest eigenvalues are those p, each within ||R||_F of its
+    Ritz value, and the next lies above sigma: the second zero of a
+    disconnected graph, or the other half of a near-multiple pair, cannot
+    be lost. The last term of sigma covers the rounding of ||R||_F, of
+    forming the matrix and of the factorisation, whose backward error is
+    at most n (n + 1) eps ||B||_2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm. 10.3) with ||B||_2 <= 4 ||A||_F here. A
+    failed factorisation proves nothing either way.
     """
-    diagonal = 1.0 / np.where(tau == 0.0, 1.0, tau)
-    for j0 in range((len(tau) - 1) // WY_BLOCK * WY_BLOCK, -1, -WY_BLOCK):
-        Y = V[j0 : j0 + WY_BLOCK, j0 + 1 :]
-        Tinv = np.triu(Y @ Y.T, 1)
-        np.fill_diagonal(Tinv, diagonal[j0 : j0 + WY_BLOCK])
-        Zb = Z[j0 + 1 :]
-        Zb -= Y.T @ np.linalg.solve(Tinv, Y @ Zb)
-    return Z
+    n = A.shape[0]
+    eps = np.finfo(float).eps
+    norm = float(np.linalg.norm(A))
+    residual = float(np.linalg.norm(A @ Y - Y * theta))
+    if residual > 8.0 * eps * norm:
+        return False
+    B = A + (2.0 * norm) * (Y @ Y.T)
+    B.flat[:: n + 1] -= float(theta.max()) + residual + 8.0 * (n + 1) ** 2 * eps * norm
+    try:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def sturm_counts(d, e2, x):

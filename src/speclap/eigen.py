@@ -1,11 +1,14 @@
 """Dense symmetric eigensolver and SVD.
 
-Every symmetric eigensolve takes one path, `smallest_k`: Householder
-reduction to tridiagonal form, Sturm multisection for the k smallest
-eigenvalues and inverse iteration for their vectors. `sym_eigen`, the full
-decomposition, is `smallest_k` with k = n. `kernel_dimension` needs no
-eigenvector: `_kernel_dimension` counts eigenvalues on the same tridiagonal
-form by Sturm counts alone. Every SVD takes one engine,
+Every symmetric eigensolve takes one path, `smallest_k`: a Lanczos
+reduction to tridiagonal form, run to checkpoints. At each, Sturm
+multisection gives the k + 1 smallest eigenvalues of the tridiagonal
+matrix and inverse iteration their vectors, and the reduction stops once a
+Cholesky inertia test certifies those Ritz pairs, or once it is whole.
+`sym_eigen`, the full decomposition, is `smallest_k` with k = n, which
+always runs the whole reduction. `kernel_dimension` needs no eigenvector:
+`_kernel_dimension` counts eigenvalues on the whole tridiagonal form by
+Sturm counts alone. Every SVD takes one engine,
 `_jacobi_svd_sorted`: one Householder QR reduces a tall matrix to its
 square triangular factor, and one-sided Jacobi rotations on Python floats
 make the columns orthogonal (Drmac & Veselic 2008). `svd` is the full
@@ -13,7 +16,8 @@ decomposition, and the K x K eigenproblem of the rounding, Z^T Z, is solved
 as the SVD of Z (`_gram_eigen`). Multiple eigenvalues' vectors come back in
 one canonical basis and under one sign rule. Every spectral computation in
 the library goes through this module, and none calls an external
-eigensolver (numpy.linalg.qr is a factorisation, not an eigensolver).
+eigensolver (numpy.linalg.qr and numpy.linalg.cholesky are factorisations,
+not eigensolvers).
 
 One scale rule, as in LAPACK's dsyev and dgesvd: every decomposition (and
 `rayleigh`) divides its input once, where it enters, by the power of two
@@ -31,12 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (
-    back_transform,
+    certify,
     jacobi_svd,
+    lanczos,
     sturm_counts,
     tridiagonal_eigenvalues,
     tridiagonal_eigenvectors,
-    tridiagonalize,
 )
 from .errors import NoConvergence, NotSymmetric, ZeroVector
 
@@ -285,18 +289,19 @@ def rayleigh(S, x):
 
 def _kernel_dimension(S):
     """Number of eigenvalues of the symmetric S with |lambda| <= t =
-    1e-9 max |lambda|, without eigenvectors: on the tridiagonal form of S
-    at unit scale (_symmetric_input), multisection finds the two extreme
-    eigenvalues, whose larger magnitude is max |lambda|, and the count is
-    the difference of two Sturm counts, of the eigenvalues below t and
-    below -t. An isolated extreme eigenvalue
+    1e-9 max |lambda|, without eigenvectors: on the whole Lanczos
+    tridiagonal form of S at unit scale (_symmetric_input), multisection
+    finds the two extreme eigenvalues, whose larger magnitude is
+    max |lambda|, and the count is the difference of two Sturm counts, of
+    the eigenvalues below t and below -t. An isolated extreme eigenvalue
     stops at the settle rule's width, at most a millionth of the spectrum's
     width off: t needs only a few digits. The zero matrix counts n."""
     A, _, _ = _symmetric_input(S)
     n = A.shape[0]
     if not A.any():
         return n
-    d, e, _, _ = tridiagonalize(A)
+    d, e = np.zeros(n), np.zeros(n - 1)
+    lanczos(A, np.zeros((n, n)), d, e, 0, n)
     (lowest,), _ = tridiagonal_eigenvalues(d, e, 0, 1)
     (highest,), _ = tridiagonal_eigenvalues(d, e, n - 1, n)
     t = 1e-9 * max(abs(lowest), abs(highest))
@@ -304,23 +309,62 @@ def _kernel_dimension(S):
     return int(below_t - below_minus_t)
 
 
+# smallest_k's first checkpoint is at Krylov dimension
+# KRYLOV_PER_PAIR (k + 1) + KRYLOV_BASE, each later one KRYLOV_GROWTH times
+# the last, capped at n. Measured, not knobs: the first certifies all six
+# 4-way solves of perfbench's cluster-n120 at seeds 1-3 (m = 68 of 120), on
+# planted 4-block Laplacians the smallest certified m for k = 4 was 56-70
+# at n = 120 and 78-94 at n = 250, and from 8 to 16 per pair and growth
+# 1.25 to 2 timed alike within the host's noise from n = 48 to 1000 (one
+# BLAS thread), where 6 per pair was slower at n = 120
+KRYLOV_PER_PAIR = 12
+KRYLOV_BASE = 8
+KRYLOV_GROWTH = 1.5
+
+
+def _lowest_eigenvalues(d, e, k, thresh):
+    """(lam, settled, groups, end): the lowest eigenvalues of the
+    tridiagonal T = (d, e) by multisection (tridiagonal_eigenvalues) and
+    their settled marks, at least k + 1 of them and more, doubling, while
+    the tie group (_tie_groups at thresh) holding the k-th runs on to the
+    last computed; groups are their tie groups, and end is where the group
+    holding the k-th ends."""
+    m = len(d)
+    lam, settled = tridiagonal_eigenvalues(d, e, 0, min(k + 1, m))
+    while True:
+        groups = _tie_groups(lam, thresh)
+        end = next(t for _, t in groups if t >= k)  # of the group holding k - 1
+        if end < len(lam) or len(lam) == m:
+            return lam, settled, groups, end
+        more, more_settled = tridiagonal_eigenvalues(d, e, len(lam), min(2 * len(lam), m))
+        lam, settled = np.concatenate((lam, more)), np.concatenate((settled, more_settled))
+
+
 def smallest_k(S, k):
     """The k smallest eigenvalues and their eigenvectors, without a full
-    decomposition (Golub & Van Loan ch. 8; LAPACK dsytrd, dstebz, dstein).
+    decomposition: a Lanczos reduction run to checkpoints, each solved as
+    LAPACK's dstebz and dstein solve a tridiagonal matrix (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 11 and 13).
 
     S enters at unit scale (_symmetric_input), and the eigenvalues are
-    multiplied back by the same power of two. Householder reduction to a
-    tridiagonal T, Sturm-count multisection for the eigenvalues, inverse
-    iteration on T for their vectors, and the stored reflectors to carry
-    those back. An eigenvalue that multisection settled (farther than
-    CLUSTER_GAP ||T||_1 from every other, bracketed
-    to SETTLE_RATIO of that clearance; see tridiagonal_eigenvalues) is the
-    Rayleigh quotient z^T T z of its unit vector z, the others the
-    midpoints of their brackets at full width. Eigenvalues within
-    DEFAULT_TOL * ||S||_F of each other are one multiple eigenvalue, whose
-    eigenvectors come back in the canonical basis (_canonical_basis); every
-    column is oriented by _column_signs. A tie group that k cuts is computed
-    whole before the cut, so the result is the first k columns of
+    multiplied back by the same power of two. At each checkpoint m the
+    Lanczos reduction (_kernels.lanczos) has reached T_m = Q_m^T A Q_m.
+    Sturm-count multisection gives T_m's k + 1 smallest eigenvalues, and
+    more while the tie group holding the k-th runs on; inverse iteration
+    on T_m gives their vectors Z, and Y = Q_m Z, one matrix product, the
+    Ritz vectors. The reduction stops once _kernels.certify proves these
+    the smallest eigenpairs of A (their residual at most 8 eps ||A||_F, and
+    a Cholesky inertia test showing none missed below them), or at m = n,
+    where T_n is the whole reduction. A failed certificate only extends m.
+    An eigenvalue that multisection settled (farther than
+    CLUSTER_GAP ||T||_1 from every other, bracketed to SETTLE_RATIO of
+    that clearance; see tridiagonal_eigenvalues) is the Rayleigh quotient
+    z^T T z of its unit vector z, the others the midpoints of their
+    brackets at full width. Eigenvalues within DEFAULT_TOL * ||S||_F of
+    each other are one multiple eigenvalue, whose eigenvectors come back in
+    the canonical basis (_canonical_basis); every column is oriented by
+    _column_signs. A tie group that k cuts is computed whole before the
+    cut, so the result is the first k columns of
     sym_eigen(S) = smallest_k(S, n) to rounding.
     """
     A, power, scale = _symmetric_input(S)
@@ -329,20 +373,24 @@ def smallest_k(S, k):
         raise ValueError(f"k={k} out of range 1..{n}")
     if not A.any():
         return np.zeros(k), np.eye(n)[:, :k]
-    d, e, V, tau = tridiagonalize(A)
-    lam, settled = tridiagonal_eigenvalues(d, e, 0, min(k + 1, n))
+    Q, d, e = np.zeros((n, n)), np.zeros(n), np.zeros(n - 1)
+    m, stop = 0, min(KRYLOV_PER_PAIR * (k + 1) + KRYLOV_BASE, n)
     while True:
-        groups = _tie_groups(lam, DEFAULT_TOL * scale)
-        end = next(t for _, t in groups if t >= k)  # of the group holding k - 1
-        if end < len(lam) or len(lam) == n:
-            break
-        more, more_settled = tridiagonal_eigenvalues(d, e, len(lam), min(2 * len(lam), n))
-        lam, settled = np.concatenate((lam, more)), np.concatenate((settled, more_settled))
-    lam, settled = lam[:end], settled[:end]
-    Z = tridiagonal_eigenvectors(d, e, lam)
-    if Z is None:
-        raise NoConvergence("inverse iteration did not converge")
-    # a settled eigenvalue is the Rayleigh quotient z^T T z of its vector
-    lam = np.where(settled, d @ (Z * Z) + 2.0 * (e @ (Z[:-1] * Z[1:])), lam)
-    vectors = _canonicalise(back_transform(V, tau, Z), [g for g in groups if g[1] <= end])
-    return np.ldexp(lam[:k], power), vectors[:, :k].copy()
+        lanczos(A, Q, d, e, m, stop)
+        m = stop
+        T = d[:m], e[: m - 1]
+        lam, settled, groups, end = _lowest_eigenvalues(*T, k, DEFAULT_TOL * scale)
+        if end < m or m == n:
+            # below n, the pair past the group bounds the certificate's shift
+            p = end if m == n else end + 1
+            Z = tridiagonal_eigenvectors(*T, lam[:p])
+            if Z is None:
+                raise NoConvergence("inverse iteration did not converge")
+            # a settled eigenvalue is the Rayleigh quotient z^T T z of its vector
+            theta = np.where(settled[:p], T[0] @ (Z * Z) + 2.0 * (T[1] @ (Z[:-1] * Z[1:])), lam[:p])
+            Y = Q[:m].T @ Z
+            if m == n or certify(A, Y, theta):
+                break
+        stop = min(math.ceil(KRYLOV_GROWTH * m), n)
+    vectors = _canonicalise(Y[:, :end], [g for g in groups if g[1] <= end])
+    return np.ldexp(theta[:k], power), vectors[:, :k].copy()

@@ -88,7 +88,12 @@ def objective(g, partition, mode="ncut"):
     0/1 indicator, sum_j cut'(A_j) / size(A_j) with cut' = cut + 2 * the
     negative weight inside A_j in signed modes, and size the volume for
     normalized cuts and the node count for ratio cuts."""
-    labels = _labels(g, partition)
+    return _labels_objective(g, _labels(g, partition), mode)
+
+
+def _labels_objective(g, labels, mode):
+    """objective of the partition given by each node's 0-based block, the
+    labels: ZeroVolume names the first block without size."""
     num, den = _quadratic_forms(g, np.eye(labels.max() + 1)[labels], mode)
     empty = np.flatnonzero(den <= 0)
     if empty.size:

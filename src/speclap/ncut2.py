@@ -7,8 +7,8 @@ import numpy as np
 
 from . import eigen
 from .errors import AllOneSide, DegenerateSubset, ZeroVolume
-from .graph import NodeSubset, _as_subset, _blocks, degree_vector
-from .kway import _as_z, objective, solve_relaxed
+from .graph import _as_subset, _blocks, degree_vector
+from .kway import _as_z, _labels_objective, solve_relaxed
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,18 @@ class TwoWayResult:
 
 def ncut2_value(g, A):
     """cut(A) * (1/vol(A) + 1/vol(A-bar)): the ncut objective of (A, A-bar)."""
-    A = _as_subset(g, A)
-    comp = NodeSubset(set(range(1, g.m + 1)) - A.members, m=g.m)
-    if len(A) == 0 or len(comp) == 0:
+    labels = np.ones(g.m, dtype=np.intp)
+    labels[_as_subset(g, A).indices0()] = 0
+    return _ncut2(g, labels)
+
+
+def _ncut2(g, labels):
+    """ncut2_value of A = the nodes labelled 0, A-bar = those labelled 1,
+    scored as objective scores the same labels."""
+    if labels.all() or not labels.any():
         raise DegenerateSubset("A must be a nonempty proper subset")
     try:
-        return objective(g, (A, comp), "ncut")
+        return _labels_objective(g, labels, "ncut")
     except ZeroVolume:
         raise DegenerateSubset("both sides must have positive volume") from None
 
@@ -105,5 +111,5 @@ def round_2way(g, Z):
             best = moved
 
     X, residual = best
-    partition = _blocks(np.where(X.assignment, 0, 1), 2)
-    return TwoWayResult(partition=partition, ncut=ncut2_value(g, partition[0]), Z=Z, X=X, residual=residual)
+    labels = np.where(X.assignment, 0, 1)
+    return TwoWayResult(partition=_blocks(labels, 2), ncut=_ncut2(g, labels), Z=Z, X=X, residual=residual)

@@ -365,54 +365,6 @@ def reference_incidence_matrix(og, signed=False):
     return B
 
 
-def reference_tridiagonalize(A):
-    """Reference Householder tridiagonalisation: _kernels.tridiagonalize
-    with each rank-2 update's two factors built by np.stack. Same (d, e, V,
-    tau) contract, in place on A."""
-    n = A.shape[0]
-    negligible = np.finfo(float).eps * np.linalg.norm(A)
-    d = np.empty(n)
-    e = np.zeros(max(n - 1, 0))
-    V = np.zeros((max(n - 2, 0), n))
-    tau = np.zeros(max(n - 2, 0))
-    work = np.empty(max(n - 1, 0) ** 2)  # the rank-2 updates, not one n^2 temporary each
-    for j in range(n - 2):
-        d[j] = A[j, j]
-        x = A[j, j + 1 :]  # row j is column j: A stays symmetric
-        alpha = float(x[0])
-        xnorm = math.sqrt(float(x[1:] @ x[1:]))
-        if xnorm <= negligible:
-            e[j] = alpha
-            continue
-        beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
-        t = (beta - alpha) / beta
-        v = x / (alpha - beta)
-        v[0] = 1.0
-        B = A[j + 1 :, j + 1 :]
-        p = t * (B @ v)
-        w = p - (0.5 * t * float(p @ v)) * v
-        m = n - j - 1
-        B -= np.matmul(np.stack((v, w), axis=1), np.stack((w, v)), out=work[: m * m].reshape(m, m))
-        e[j], tau[j] = beta, t
-        V[j, j + 1 :] = v
-    if n >= 2:
-        d[n - 2], e[n - 2] = A[n - 2, n - 2], A[n - 2, n - 1]
-    if n >= 1:
-        d[n - 1] = A[n - 1, n - 1]
-    return d, e, V, tau
-
-
-def reference_back_transform(V, tau, Z):
-    """Reference back-transformation: Q Z for the Q = H_0 ... H_{n-3} of
-    tridiagonalize, one reflector at a time from the last, in place on Z."""
-    for j in range(len(tau) - 1, -1, -1):
-        if tau[j]:
-            v = V[j, j + 1 :]
-            Zj = Z[j + 1 :]
-            Zj -= (tau[j] * v)[:, None] * (v @ Zj)
-    return Z
-
-
 def reference_sturm_counts(d, e2, x, pivmin):
     """Reference Sturm counts: _kernels.sturm_counts indexing q row by row
     and allocating each quotient."""

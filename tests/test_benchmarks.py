@@ -3,11 +3,13 @@ source line count, the CLI parity tool on a small subset of its calls, and
 the quality yardstick's brute force against acceptance 5's.
 
 They reach into speclap's internals (bench_eigen times the `_kernels` stages
-and wraps `sturm_counts` to count passes), so a source change that renames
+and wraps `sturm_counts`, `lanczos`, `tridiagonal_eigenvectors` and
+`certify` to trace a solve), so a source change that renames
 or re-signs one of those breaks them; each run here takes well under a
 second. bench_eigen --against also runs against this checkout's own
-`_kernels.py` at n = 12 and 48 (one and two back-transform blocks), where
-every stage must come out bit-identical.
+`_kernels.py` at n = 12 (the whole Lanczos reduction) and n = 120 (a
+certified checkpoint below n), where every stage must come out
+bit-identical.
 """
 
 import json
@@ -29,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))
 import quality  # noqa: E402
 
-AGAINST = ["bench_eigen.py", "--sizes", "12,48", "--repeats", "1", "--against", "src/speclap/_kernels.py"]
+AGAINST = ["bench_eigen.py", "--sizes", "12,120", "--repeats", "1", "--against", "src/speclap/_kernels.py"]
 BENCHMARKS = [
     ["bench_eigen.py", "--sizes", "12", "--repeats", "1"],
     AGAINST,
@@ -52,9 +54,9 @@ def test_benchmark_runs(args):
     proc = _run(args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     if args is AGAINST:
-        rows = [line.split() for line in proc.stdout.splitlines() if line.split()[:1] in (["12"], ["48"])]
-        assert [row[:2] for row in rows] == [[n, stage] for n in ("12", "48")
-                                             for stage in ("tridiag", "eigvals", "eigvecs", "back")]
+        rows = [line.split() for line in proc.stdout.splitlines() if line.split()[:1] in (["12"], ["120"])]
+        assert [row[:2] for row in rows] == [[n, stage] for n in ("12", "120")
+                                             for stage in ("lanczos", "eigvals", "eigvecs", "ritz")]
         assert all(row[-1] == "yes" for row in rows), proc.stdout
 
 

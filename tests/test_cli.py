@@ -273,21 +273,21 @@ CORPUS_OUTPUT = {
     "header-count-negative": _error("ParseError", "line 3: node count must be >= 1"),
     "header-too-large": _error("ParseError", "line 2: node count 10000000000 is too large"),
     "empty": _error("ParseError", "line 0: empty graph file"),
-    "crlf": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572087}\n', ""),
-    "tabs": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572087}\n', ""),
-    "formfeed": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572087}\n', ""),
-    "comments-blank": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572087}\n', ""),
-    "plus-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7154552864484498}\n', ""),
-    "underscore-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.09788696740969216}\n', ""),
-    "arabic-indic-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572087}\n', ""),
-    "underscore-weight": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7187084605187}\n', ""),
+    "crlf": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572104}\n', ""),
+    "tabs": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572104}\n', ""),
+    "formfeed": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572104}\n', ""),
+    "comments-blank": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572104}\n', ""),
+    "plus-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7154552864484494}\n', ""),
+    "underscore-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.09788696740969272}\n', ""),
+    "arabic-indic-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572104}\n', ""),
+    "underscore-weight": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7187084605186991}\n', ""),
     "zero-weights": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.5857864376269051}\n', ""),
     "one-node": (0, '{"balanced": true, "smallest_signed_laplacian_eigenvalue": 0.0, "bipartition": [1]}\n', ""),
     "bad-utf8-header": _error("UnicodeDecodeError",
                               "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     "bad-utf8-record": _error("UnicodeDecodeError",
                               "'utf-8' codec can't decode byte 0xff in position 22: invalid start byte"),
-    "cr-only": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572087}\n', ""),
+    "cr-only": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572104}\n', ""),
     "bad-record-after-comment-header": _error("ParseError", "line 4: bad edge record '1 2 x'"),
     "header-no-newline": _error("NotConnected", "graph has 4 components"),
     "comment-and-blank-records": _error("NotConnected", "graph has 4 components"),
@@ -732,9 +732,10 @@ class TestExitCodes:
             assert json.loads(err)["error"] == "NonFiniteWeight"
 
 
-# run in a subprocess under a given BLAS thread count: back_transform of a
-# seeded n = 300 matrix's reflectors on a seeded 300 x 300 Z, from n = 250 on
-# split across threads by DGEMM, and smallest_k(S, 5), saved to argv[1]
+# run in a subprocess under a given BLAS thread count: the whole Lanczos
+# reduction of a seeded n = 300 matrix, the Ritz product of its basis with a
+# seeded 300 x 300 Z, which DGEMM splits across threads at this size, and
+# smallest_k(S, 5), saved to argv[1]
 _THREAD_SCRIPT = """
 import sys
 import numpy as np
@@ -742,10 +743,11 @@ from speclap import _kernels, smallest_k
 rng = np.random.default_rng(300)
 S = rng.standard_normal((300, 300))
 S = 0.5 * (S + S.T)
-_, _, V, tau = _kernels.tridiagonalize(S.copy())
-Z = _kernels.back_transform(V, tau, np.asfortranarray(rng.standard_normal((300, 300))))
+Q, d, e = np.zeros((300, 300)), np.zeros(300), np.zeros(299)
+_kernels.lanczos(S, Q, d, e, 0, 300)
+Y = Q.T @ rng.standard_normal((300, 300))
 values, _ = smallest_k(S, 5)
-np.savez(sys.argv[1], S=S, Z=Z, values=values)
+np.savez(sys.argv[1], S=S, Q=Q, d=d, e=e, Y=Y, values=values)
 """
 
 
@@ -773,9 +775,12 @@ class TestThreadCount:
         (one, cli_one), (two, cli_two) = seen
         eps = np.finfo(float).eps
         assert np.array_equal(one["S"], two["S"])
-        # the bound of test_back_transform_matches_reflector_loop
-        assert np.all(np.abs(one["Z"] - two["Z"]) <= 8 * eps * np.linalg.norm(one["Z"], axis=0))
-        assert np.all(np.abs(one["values"] - two["values"]) <= 8 * eps * np.linalg.norm(one["S"]))
+        norm = np.linalg.norm(one["S"])
+        for name in ("d", "e", "values"):
+            assert np.all(np.abs(one[name] - two[name]) <= 8 * eps * norm)
+        # each basis vector and each Ritz vector to 8 eps of its norm
+        assert np.all(np.abs(one["Q"] - two["Q"]) <= 8 * eps)
+        assert np.all(np.abs(one["Y"] - two["Y"]) <= 8 * eps * np.linalg.norm(one["Y"], axis=0))
         assert cli_one.returncode == cli_two.returncode == 0, cli_one.stderr + cli_two.stderr
         assert cli_one.stdout == cli_two.stdout and json.loads(cli_one.stdout)["k"] == 4
 

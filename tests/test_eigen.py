@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,11 +28,9 @@ from conftest import (
     path,
     random_connected,
     random_orthonormal,
-    reference_back_transform,
     reference_sturm_counts,
     reference_tridiagonal_eigenvalues,
     reference_tridiagonal_eigenvectors,
-    reference_tridiagonalize,
     ring,
     row_cyclic_jacobi,
     scalar_jacobi_svd,
@@ -105,7 +104,7 @@ class TestNonFiniteInput:
         def no_work(*args):
             raise AssertionError("a kernel ran on a non-finite matrix")
 
-        for name in ("jacobi_svd", "tridiagonalize"):
+        for name in ("jacobi_svd", "lanczos"):
             monkeypatch.setattr(sp.eigen, name, no_work)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -412,23 +411,37 @@ class TestVariationalProperties:
         assert np.allclose(np.sort(s ** 2), vals, atol=1e-8)
 
 
+def tridiagonal_form(A):
+    """(d, e): the whole Lanczos tridiagonal form of the symmetric A, as
+    sym_eigen and _kernel_dimension reduce it."""
+    n = A.shape[0]
+    d, e = np.zeros(n), np.zeros(max(n - 1, 0))
+    _kernels.lanczos(A, np.zeros((n, n)), d, e, 0, n)
+    return d, e
+
+
 def _with_spectrum(rng, values):
     Q = random_orthonormal(rng, len(values), len(values))
     S = (Q * values) @ Q.T
     return 0.5 * (S + S.T)
 
 
-def planted_laplacian(rng, n, blocks=4):
-    """Normalised Laplacian of a seeded connected graph with four contiguous
-    planted blocks (p = 0.5 inside, 0.05 between, and a path through all
-    nodes), on which the pinned cases below are built."""
+def planted_weights(rng, n, blocks=4):
+    """Weights of a seeded connected graph with four contiguous planted
+    blocks (p = 0.5 inside, 0.05 between, and a path through all nodes)."""
     labels = np.arange(n) * blocks // n
     same = labels[:, None] == labels[None, :]
     W = np.where(rng.random((n, n)) < np.where(same, 0.5, 0.05), rng.uniform(0.5, 1.5, (n, n)), 0.0)
     W = np.triu(W, 1)
     W = W + W.T
     W[np.arange(n - 1), np.arange(1, n)] = W[np.arange(1, n), np.arange(n - 1)] = 1.0
-    return sp.laplacian(sp.Graph(W), "sym").M
+    return W
+
+
+def planted_laplacian(rng, n, blocks=4):
+    """Normalised Laplacian of planted_weights' graph, on which the pinned
+    cases below are built."""
+    return sp.laplacian(sp.Graph(planted_weights(rng, n, blocks)), "sym").M
 
 
 def _near_gap_spectrum(rng, factor):
@@ -443,7 +456,7 @@ def _near_gap_spectrum(rng, factor):
         return 0.5 * (S + S.T)
 
     A, power, _ = sp.eigen._symmetric_input(build(0.0))
-    d, e, _, _ = _kernels.tridiagonalize(A)
+    d, e = tridiagonal_form(A)
     return build(factor * _kernels.CLUSTER_GAP * np.ldexp(_kernels._one_norm(d, e), power))
 
 
@@ -528,7 +541,7 @@ def _check_against_eigh(S, vals, vecs):
 
 
 class TestSmallestKOracle:
-    """smallest_k (Householder, Sturm multisection, inverse iteration)
+    """smallest_k (Lanczos, Sturm multisection, inverse iteration)
     against numpy.linalg.eigh, against the first k columns of sym_eigen
     (smallest_k with k = n) and against those of the Jacobi reference, a
     solver that shares nothing with the tridiagonal path but the tie groups,
@@ -589,6 +602,81 @@ class TestSmallestKOracle:
         assert np.max(np.abs(vecs - V * sp.eigen._column_signs(V))) <= 1e-10
 
 
+class TestCheckpoints:
+    """smallest_k's stop rule: the Lanczos reduction runs to checkpoints and
+    stops below n only where the certificate (_kernels.certify) proves the
+    Ritz pairs the smallest eigenpairs. Every case agrees with
+    numpy.linalg.eigh within TestNumpyOracle's bound."""
+
+    @pytest.fixture
+    def log(self, monkeypatch):
+        """Each checkpoint's (m, e), and each certificate's (A, Y, theta,
+        verdict), as smallest_k makes them."""
+        log = SimpleNamespace(checkpoints=[], certificates=[])
+        lanczos, certify = sp.eigen.lanczos, sp.eigen.certify
+
+        def reduce(A, Q, d, e, start, stop):
+            lanczos(A, Q, d, e, start, stop)
+            log.checkpoints.append((stop, e[: stop - 1].copy()))
+
+        def certified(A, Y, theta):
+            verdict = certify(A, Y, theta)
+            log.certificates.append((A, Y.copy(), theta.copy(), verdict))
+            return verdict
+
+        monkeypatch.setattr(sp.eigen, "lanczos", reduce)
+        monkeypatch.setattr(sp.eigen, "certify", certified)
+        return log
+
+    def test_planted_stops_below_n(self, log):
+        # the gain of the Lanczos path: a 4-way solve at n = 120 stops early
+        S = planted_laplacian(np.random.default_rng(120), 120)
+        _check_against_eigh(S, *sp.smallest_k(S, 4))
+        assert log.checkpoints[-1][0] < 120 and log.certificates[-1][3]
+
+    def test_second_zero_is_not_lost(self, log):
+        # two planted components, of 80 and 40 nodes: the plain Laplacian
+        # has two zero eigenvalues. The reduction from e_0 stays inside the
+        # first component until it breaks down, so its early checkpoints
+        # show one zero Ritz value. One of them has a residual that passes,
+        # and the Cholesky inertia test refuses it. The result holds both
+        # zeros.
+        rng = np.random.default_rng(60)
+        W = np.zeros((120, 120))
+        W[:80, :80], W[80:, 80:] = planted_weights(rng, 80), planted_weights(rng, 40)
+        S = sp.laplacian(sp.Graph(W), "unnormalized").M
+        vals, vecs = sp.smallest_k(S, 2)
+        _check_against_eigh(S, vals, vecs)
+        eps = np.finfo(float).eps
+        bound = 120 * (sp.eigen.DEFAULT_TOL + 64 * eps) * np.linalg.norm(S)
+        assert np.all(np.abs(vals) <= bound)
+        refused = [np.linalg.norm(A @ Y - Y * theta) <= 8 * eps * np.linalg.norm(A)
+                   for A, Y, theta, verdict in log.certificates
+                   if np.count_nonzero(np.abs(theta) <= 1e-9 * np.linalg.norm(A)) == 1 and not verdict]
+        assert any(refused)
+        assert not any(verdict for *_, verdict in log.certificates)
+
+    @pytest.mark.parametrize("name,g", [("complete12", complete(12)), ("ring8", ring(8))])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_breakdown_restart(self, log, name, g, k):
+        # multiple eigenvalues: the reduction breaks down (e_j = 0) and
+        # restarts before it has reached every copy
+        S = sp.laplacian(g, "unnormalized").M
+        _check_against_eigh(S, *sp.smallest_k(S, k))
+        assert not log.checkpoints[-1][1].all()
+
+    def test_wanted_vectors_orthogonal_to_the_start(self, log):
+        # e_0, the start vector, is an eigenvector of the largest
+        # eigenvalue, and the four wanted ones vanish at node 0: the
+        # reduction breaks down at once and restarts from e_1
+        S = np.zeros((121, 121))
+        S[0, 0], S[1:, 1:] = 2.0, planted_laplacian(np.random.default_rng(121), 120)
+        vals, vecs = sp.smallest_k(S, 4)
+        ref = _check_against_eigh(S, vals, vecs)
+        assert np.max(np.abs(ref.eigenvectors[0, :4])) <= 1e-14 and np.max(np.abs(vecs[0])) <= 1e-14
+        assert log.checkpoints[-1][0] < 121 and log.checkpoints[-1][1][0] == 0.0
+
+
 def _tridiagonal_case(kind, n, m):
     """(d, e, lam): a seeded tridiagonal T and m ascending shifts on its
     spectrum. split: e_i = 0 mid-way; zero-pivot: e_0 = 0 and a shift
@@ -609,13 +697,23 @@ def _tridiagonal_case(kind, n, m):
     return d, e, np.linalg.eigvalsh(T)[:m]
 
 
-def _assert_tridiagonalize_matches_reference(S):
-    """d, e, V, tau and the overwritten matrix equal the reference's bit for
-    bit, the sign of every zero included."""
-    A, B = S.copy(), S.copy()
-    got, ref = _kernels.tridiagonalize(A), reference_tridiagonalize(B)
-    assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
-    assert A.tobytes() == B.tobytes()
+def _assert_reduces(S):
+    """The whole Lanczos reduction (Q, d, e) of S: Q orthonormal and
+    Q^T T Q = S to 64 n eps, and a run in two segments, as smallest_k's
+    checkpoints make it, equal to one run bit for bit."""
+    n = S.shape[0]
+    eps = np.finfo(float).eps
+    runs = []
+    for segments in (((0, n),), ((0, n // 3), (n // 3, n))):
+        Q, d, e = np.zeros((n, n)), np.zeros(n), np.zeros(max(n - 1, 0))
+        for start, stop in segments:
+            _kernels.lanczos(S, Q, d, e, start, stop)
+        runs.append((Q, d, e))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    assert np.max(np.abs(Q @ Q.T - np.eye(n))) <= 64 * n * eps
+    assert np.max(np.abs(Q.T @ T @ Q - S)) <= 64 * n * eps * np.linalg.norm(S)
+    return Q, d, e
 
 
 def _multisection_case(kind, n):
@@ -647,8 +745,7 @@ TRIDIAGONAL_CASES = (
 
 # (name, S) of the scale test: two with multiple eigenvalues (ring8 twice
 # over, complete12 eleven times), a signed Laplacian, the spectrum
-# 1, 2, 2, 5 in a random basis and a planted Laplacian whose 46 reflectors
-# back-transform in two blocks
+# 1, 2, 2, 5 in a random basis and a planted Laplacian
 SCALE_CASES = [
     ("ring8", sp.laplacian(ring(8), "unnormalized").M),
     ("complete12", sp.laplacian(complete(12), "unnormalized").M),
@@ -658,7 +755,6 @@ SCALE_CASES = [
     ("planted-sym-48", planted_laplacian(np.random.default_rng(48), 48)),
 ]
 SCALE_POWERS = (-1000, -600, -300, 300, 600, 1000)
-BACK_TRANSFORM_SIZES = (3, 12, 34, 35, 66, 67, 120)
 
 
 def _decompositions(S, gram):
@@ -730,25 +826,19 @@ class TestTridiagonalKernels:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 120, 200, 300])
     def test_tridiagonalize_matches_reference(self, n):
-        # n = 200 and 300 pass WHOLE_ROWS_MAX_LEFT: their first columns
-        # update whole rows and their last ones the trailing block, and both
-        # forms must give the block update's bits
-        assert 200 - 2 > _kernels.WHOLE_ROWS_MAX_LEFT
+        # the Lanczos reduction reproduces its input (_assert_reduces), and
+        # at 2^300 and 2^-300 gives the same basis and d, e times 2^p to the
+        # bit. Reduced from e_0, the block-diagonal matrix breaks down at
+        # the end of each block: e_j = 0 there and the reduction restarts
         rng = np.random.default_rng(n)
-        # a random matrix, and a block-diagonal one: the last column of
-        # each block is already reduced (tau = 0); each also at 2^300 and
-        # 2^-300
         for S in (random_symmetric(rng, n), np.kron(np.eye(3), random_symmetric(rng, -(-n // 3)))):
-            for exponent in (0, 300, -300):
-                _assert_tridiagonalize_matches_reference(np.ldexp(S, exponent))
-
-    def test_tridiagonalize_matches_reference_past_whole_rows_max_entries(self):
-        # at n = 720 whole rows for the first columns would pass 10^6
-        # multiply-adds, where numpy's BLAS (OpenBLAS) rounds a product entry
-        # by where it sits in the product: those columns update the block
-        n = 720
-        assert (n - 1) * n > _kernels.WHOLE_ROWS_MAX_ENTRIES
-        _assert_tridiagonalize_matches_reference(random_symmetric(np.random.default_rng(n), n))
+            Q, d, e = _assert_reduces(S)
+            if S.shape[0] > n:
+                assert np.count_nonzero(e == 0.0) >= 2
+            for exponent in (300, -300):
+                scaled = _assert_reduces(np.ldexp(S, exponent))
+                assert all(a.tobytes() == np.ldexp(b, p).tobytes()
+                           for a, b, p in zip(scaled, (Q, d, e), (0, exponent, exponent)))
 
     @pytest.mark.parametrize("kind,n", MULTISECTION_CASES, ids=[f"{k}-n{n}" for k, n in MULTISECTION_CASES])
     def test_multisection_matches_reference(self, kind, n):
@@ -768,7 +858,7 @@ class TestTridiagonalKernels:
     def test_multisection_matches_reference_on_oracle_cases(self, name, S):
         # the tridiagonal forms smallest_k and sym_eigen bisect: the lowest
         # six, the rest and the whole spectrum
-        d, e, _, _ = _kernels.tridiagonalize(sp.eigen._symmetric_input(S)[0])
+        d, e = tridiagonal_form(sp.eigen._symmetric_input(S)[0])
         n = len(d)
         for first, stop in ((0, min(6, n)), (min(6, n), n), (0, n)):
             lam, settled = _kernels.tridiagonal_eigenvalues(d, e, first, stop)
@@ -783,7 +873,7 @@ class TestTridiagonalKernels:
         # less than the spectrum's width; any other closes at full width.
         S = dict(ORACLE_CASES)[name]
         A, power, _ = sp.eigen._symmetric_input(S)
-        d, e, _, _ = _kernels.tridiagonalize(A)
+        d, e = tridiagonal_form(A)
         lam, marks = _kernels.tridiagonal_eigenvalues(d, e, 0, 4)
         assert marks.tolist() == [True, settled, settled, True]
         ref = np.ldexp(np.linalg.eigvalsh(S), -power)
@@ -814,46 +904,15 @@ class TestTridiagonalKernels:
         assert counts.tolist() == expected
 
     def test_tridiagonalize_reconstructs(self, rng):
-        # n = 40 and 100 back-transform in two and four blocks
+        # random matrices reduce without a breakdown; the Laplacians of
+        # complete(12) (eigenvalues 0 and 12, 11 times) and ring(8) (four
+        # pairs) break down and restart, and still reproduce the matrix
         for n in (9, 40, 100):
-            S = random_symmetric(rng, n)
-            d, e, V, tau = _kernels.tridiagonalize(S.copy())
-            T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-            Q = _kernels.back_transform(V, tau, np.eye(n))
-            assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 64 * n * np.finfo(float).eps
-            assert np.max(np.abs(Q @ T @ Q.T - S)) <= 64 * n * np.finfo(float).eps * np.linalg.norm(S)
-
-    @pytest.mark.parametrize("n", BACK_TRANSFORM_SIZES)
-    @pytest.mark.parametrize("kind", ["random", "block-diagonal", "tridiagonal"])
-    def test_back_transform_matches_reflector_loop(self, kind, n):
-        # n - 2 reflectors: one block (n = 3, 12, 34), one past a multiple
-        # of WY_BLOCK (n = 35, 67), a multiple of it (n = 66) and four blocks
-        # (n = 120). The block-diagonal input has tau = 0 rows inside the
-        # blocks, the tridiagonal one only tau = 0 rows, and there Q = I
-        # leaves Z as it is. Each output column is within 8 eps times its
-        # norm of the loop's, and at 2^p the output is 2^p times that at 2^0.
-        rng = np.random.default_rng(n)
-        if kind == "random":
-            S = random_symmetric(rng, n)
-        elif kind == "block-diagonal":
-            S = np.kron(np.eye(3), random_symmetric(rng, -(-n // 3)))[:n, :n]
-        else:
-            e = rng.standard_normal(n - 1)
-            S = np.diag(rng.standard_normal(n)) + np.diag(e, 1) + np.diag(e, -1)
-        for columns in (1, 5, n):
-            Z = np.asfortranarray(rng.standard_normal((n, columns)))  # column-major, as smallest_k's
-            for exponent in (0, 300, -300):
-                _, _, V, tau = _kernels.tridiagonalize(np.ldexp(S, exponent))
-                assert tau.all() if kind == "random" else not tau.all()
-                Zp = np.ldexp(Z, exponent)
-                got = _kernels.back_transform(V, tau, Zp.copy(order="F"))
-                ref = reference_back_transform(V, tau, Zp.copy(order="F"))
-                assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * np.linalg.norm(Zp, axis=0))
-                if kind == "tridiagonal":
-                    assert not tau.any() and np.array_equal(got, Zp)
-                if exponent == 0:
-                    unit = got
-                assert np.array_equal(got, np.ldexp(unit, exponent))
+            _, _, e = _assert_reduces(random_symmetric(rng, n))
+            assert e.all()
+        for g in (complete(12), ring(8)):
+            _, _, e = _assert_reduces(sp.laplacian(g, "unnormalized").M)
+            assert not e.all()
 
     @pytest.mark.parametrize("power", SCALE_POWERS)
     @pytest.mark.parametrize("name,S", SCALE_CASES, ids=[c[0] for c in SCALE_CASES])

@@ -28,6 +28,19 @@ class TestNcutValue:
         W[2, 3] = W[3, 2] = 1.0
         assert sp.ncut2_value(sp.Graph(W), [1, 2]) == 0.0
 
+    def test_bit_identical_to_objective(self, rng):
+        # ncut2_value and round_2way score A's labels with objective's
+        # formula: the same float, to the bit, as objective on (A, A-bar)
+        for _ in range(10):
+            g = random_connected(rng, 9)
+            A = [i + 1 for i in range(9) if rng.random() < 0.5] or [1]
+            if len(A) == 9:
+                A = A[1:]
+            rest = [i for i in range(1, 10) if i not in A]
+            assert sp.ncut2_value(g, A) == sp.objective(g, [A, rest], "ncut")
+            res = sp.round_2way(g, sp.solve_relaxed_2way(g))
+            assert res.ncut == sp.objective(g, res.partition, "ncut")
+
     def test_single_edge(self):
         W = np.zeros((2, 2))
         W[0, 1] = W[1, 0] = 1.0
