@@ -656,9 +656,9 @@ class TestCheckpoints:
         assert any(refused)
         assert not any(verdict for *_, verdict in log.certificates)
 
-    @pytest.mark.parametrize("name,g", [("complete12", complete(12)), ("ring8", ring(8))])
+    @pytest.mark.parametrize("g", [complete(12), ring(8)], ids=["complete12", "ring8"])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_breakdown_restart(self, log, name, g, k):
+    def test_breakdown_restart(self, log, g, k):
         # multiple eigenvalues: the reduction breaks down (e_j = 0) and
         # restarts before it has reached every copy
         S = sp.laplacian(g, "unnormalized").M

@@ -1055,7 +1055,7 @@ class TestRotationOrderIndependence:
 
 
 class TestSolverIndependence:
-    """The relaxation's n x n solve by Householder, Sturm multisection and
+    """The relaxation's n x n solve by Lanczos, Sturm multisection and
     inverse iteration, or by a full Jacobi decomposition sliced to K: the
     two differ by rounding only, which must not change a partition, a block
     label, a round count or an error."""
