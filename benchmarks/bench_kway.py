@@ -7,14 +7,18 @@ mode runs with every rescale method. `kway.solve_relaxed` is computed once
 per graph and mode and then replaced by a lookup, so the times cover only
 what `cluster` does after the eigensolver. The stages of a call are read off
 wrappers around `kway.podx`, `kway.podr` and `kway.objective`, the way
-perfbench's harness splits a traced call: initialisation (R1, the two
-rescales, R2 and the candidate scoring) runs from the start of the call to
-the start of the podx right before the first podr, the alternation from
-there to the start of `objective` (or to the NoConvergence raise), and the
-objective after it. Then each shape the one-sided Jacobi SVD is called on,
-timed on its own with the matrices of the same calls: `eigen.svd` of the
-K x K Z^T X of podr's first round, `eigen._gram_eigen` of the N x K relaxed
-Z (init_rotation_R1) and `kway._pinv` of Z * Z (the row_norm_ls rescale).
+perfbench's harness splits a traced call: initialisation (R1, the rescales,
+R2 and the candidate scoring) runs from the start of the call to the start
+of the podx right before the first podr, the alternation from there to the
+start of `objective` (or to the NoConvergence raise), and the objective
+after it. The normalized cuts solve for R1 and rescale both Z and Z R1; the
+ratio cuts take R1 = I, since their relaxation constrains Z^T Z = c^2 I, and
+rescale Z once with one R2, so their initialisation costs less. Then each
+shape the one-sided Jacobi SVD is called on, timed on its own with the
+matrices of the same calls: `eigen.svd` of the K x K Z^T X of podr's first
+round, `eigen._gram_eigen` of the N x K relaxed Z of the ncut and
+signed_ncut calls (init_rotation_R1) and `kway._pinv` of Z * Z (the
+row_norm_ls rescale).
 
 The table gives microseconds per call: the median over the repeats (after
 one warm-up pass) of the mean over all calls at that size; the K x K
@@ -135,7 +139,8 @@ def main():
             podr_inputs = [(X.X if isinstance(X, kway.IndicatorMatrix) else X, Z) for _, _, (X, Z) in results]
             per_repeat["svd KxK"].append(time_each(lambda X, Z: eigen.svd(Z.T @ X), podr_inputs))
             zs = [(job[4].Z,) for job in jobs]
-            per_repeat["gram NxK"].append(time_each(eigen._gram_eigen, zs))
+            normalized = [(job[4].Z,) for job in jobs if job[2].endswith("ncut")]
+            per_repeat["gram NxK"].append(time_each(eigen._gram_eigen, normalized))
             per_repeat["pinv NxK"].append(time_each(lambda Z: kway._pinv(Z * Z), zs))
         rounds = [r for _, r, _ in results if r is not None]
         print(f"{n:>5} {len(jobs):>6} {statistics.fmean(rounds):>6.2f} {len(jobs) - len(rounds):>5} "

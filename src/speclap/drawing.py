@@ -83,8 +83,10 @@ def _map_to_viewbox(R):
 
 
 def _svg_text(R2, g):
-    # Python floats: formatting a numpy scalar costs several times more
-    XY = _map_to_viewbox(R2).tolist()
+    # each node's coordinates are formatted once, from Python floats
+    # (formatting a numpy scalar costs several times more), and reused by
+    # every edge that meets the node
+    XY = [(f"{x:.2f}", f"{y:.2f}") for x, y in _map_to_viewbox(R2).tolist()]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_VIEW:.0f} {_VIEW:.0f}">',
         f"<style>{_SVG_STYLE}</style>",
@@ -93,11 +95,10 @@ def _svg_text(R2, g):
         cls = ' class="neg"' if w < 0 else ""
         x1, y1 = XY[i - 1]
         x2, y2 = XY[j - 1]
-        parts.append(
-            f'<line{cls} x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"/>'
-        )
+        parts.append(f'<line{cls} x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
+    radius = f"{_RADIUS:.0f}"
     for x, y in XY:
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{_RADIUS:.0f}"/>')
+        parts.append(f'<circle cx="{x}" cy="{y}" r="{radius}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

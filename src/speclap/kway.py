@@ -139,7 +139,9 @@ def init_rotation_R1(Z):
     D-orthogonal: the eigenvector matrix of Z^T Z, taken as the right
     singular vectors of Z (eigen._gram_eigen), ascending. Z enters at unit
     scale (eigen._unit_scale), where the rank test reads the squared
-    singular values."""
+    singular values. cluster calls it for the normalized cuts only: a ratio
+    cut's relaxation constrains Z^T Z = c^2 I (D = I), whose canonical
+    eigenbasis is I, so there R1 = I needs no solve."""
     Z, _ = eigen._unit_scale(_as_z(Z))
     eig = eigen._gram_eigen(Z)
     if eig.values[0] <= 1e-12 * eig.values[-1]:
@@ -322,10 +324,12 @@ def _score_candidates(Zinit1, Zinit2, R1):
     rounding of the smallest wins (eigen._first_max of -residuals). Q0 is
     expressed against the relaxed solution Z1, of which Zinit2 is the
     rescaled Z1 R1, so the iteration proper always runs on the undeformed
-    relaxed solution."""
+    relaxed solution. When Zinit2 is Zinit1 (R1 = I), R2 is computed once;
+    the last two residuals then repeat the first two, which win the tie."""
     eye = np.eye(R1.shape[0])
+    R2 = init_rotation_R2(Zinit1).R
     Zc = np.array((Zinit1, Zinit1, Zinit2, Zinit2))
-    Rc = np.array((eye, init_rotation_R2(Zinit1).R, eye, init_rotation_R2(Zinit2).R))
+    Rc = np.array((eye, R2, eye, R2 if Zinit2 is Zinit1 else init_rotation_R2(Zinit2).R))
     ZR = Zc @ Rc
     flipped, Rp = flip_columns(ZR)
     Y = np.concatenate((ZR, flipped))
@@ -345,14 +349,18 @@ def cluster(g, K, mode="ncut", rescale="row_normalize"):
     eight candidate roundings are scored in one stacked pass
     (_score_candidates); each alternation round is one podx and one podr.
     The alternation stops once phi = ||X - ZQ|| falls by less than 1e-12 in
-    a round (MAX_ROUNDS caps it) and raises NoConvergence if phi rises."""
+    a round (MAX_ROUNDS caps it) and raises NoConvergence if phi rises.
+    The ratio cuts take R1 = I from their constraint Z^T Z = c^2 I
+    (init_rotation_R1 returns that I), so their two initial solutions Z1 and
+    Z1 R1 are one, rescaled once."""
     if rescale not in RESCALE_METHODS:
         raise ValueError(f"unknown rescale method {rescale!r}")
     sol = solve_relaxed(g, K, mode)
     Z1 = sol.Z
-    R1 = init_rotation_R1(Z1).R
+    normalized = _mode_kind(g, mode)[1]
+    R1 = init_rotation_R1(Z1).R if normalized else np.eye(K)
     Zinit1, deformed = rescale_variant(Z1, rescale)
-    Zinit2, _ = rescale_variant(Z1 @ R1, rescale)
+    Zinit2 = rescale_variant(Z1 @ R1, rescale)[0] if normalized else Zinit1
 
     Q0, _ = _score_candidates(Zinit1, Zinit2, R1)
     Q = TransformQ(R=Q0, Lambda=np.eye(K))

@@ -6,8 +6,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from speclap import Graph, NodeSubset, _kernels, cut, eigen, links, volume
-from speclap.errors import NegativeWeightInUnsignedMode, ZeroVolume
+from speclap import Graph, NodeSubset, _kernels, cut, eigen, kway, links, volume
+from speclap.errors import NegativeWeightInUnsignedMode, NoConvergence, ZeroVolume
 
 # 5-node example graph: adjacency and unnormalized Laplacian.
 A5 = np.array([
@@ -575,3 +575,26 @@ def reference_score_candidates(Zinit1, Zinit2, R1):
     residuals = [res for res, _ in candidates]
     _, Q0 = candidates[reference_first_min(residuals, max(residuals))]
     return Q0, residuals, repairs
+
+
+def reference_cluster(g, K, mode, rescale):
+    """(assignment, objective, Q, iterations, residual) of kway.cluster's
+    pipeline with R1 from init_rotation_R1 in every mode and both initial
+    solutions, Z1 and Z1 R1, rescaled on their own; the alternation as
+    cluster runs it."""
+    Z1 = kway.solve_relaxed(g, K, mode).Z
+    R1 = kway.init_rotation_R1(Z1).R
+    Zinit1, _ = kway.rescale_variant(Z1, rescale)
+    Zinit2, _ = kway.rescale_variant(Z1 @ R1, rescale)
+    Q = kway.TransformQ(R=kway._score_candidates(Zinit1, Zinit2, R1)[0], Lambda=np.eye(K))
+    prev_phi = np.inf
+    for it in range(1, kway.MAX_ROUNDS + 1):
+        X = kway.podx(Z1, Q)
+        Q = kway.podr(X, Z1)
+        phi = float(np.linalg.norm(X.X - Z1 @ Q.Q))
+        if phi > prev_phi + 1e-9:
+            raise NoConvergence(f"alternation round {it} raised phi = ||X - ZQ|| from {prev_phi!r} to {phi!r}")
+        if prev_phi - phi < 1e-12:
+            break
+        prev_phi = phi
+    return X.assignment, kway.objective(g, X.blocks(), mode), Q.Q, it, phi

@@ -956,12 +956,18 @@ class TestMultipleEigenvalues:
             assert np.max(np.abs(eig.vectors - other.vectors)) <= 1e-10
 
     def test_scaled_identity_keeps_the_unit_vectors(self):
-        # G = Z^T Z of an rcut relaxation is (10^4 / K) I to rounding: the
-        # rounding on its diagonal must not pick a permutation for R1
-        g = random_connected(np.random.default_rng(4), 12)
-        for K in range(2, 6):
-            Z = sp.solve_relaxed(g, K, "rcut").Z
-            assert np.array_equal(sp.init_rotation_R1(Z).R, np.eye(K))
+        # G = Z^T Z of a ratio-cut relaxation (rcut, and signed_rcut on
+        # signed graphs) is (10^4 / K) I to rounding: the rounding on its
+        # diagonal must not pick a permutation for R1. This is the I that
+        # cluster takes for the ratio cuts without calling init_rotation_R1.
+        rng = np.random.default_rng(5)
+        cases = [(random_connected(np.random.default_rng(4), 12), "rcut")]
+        cases += [(g, "signed_rcut") for g in (g1_signed(), g2_signed(), *(
+            random_connected(rng, 12, signed=True) for _ in range(3)))]
+        for g, mode in cases:
+            for K in range(2, 6):
+                Z = sp.solve_relaxed(g, K, mode).Z
+                assert np.array_equal(sp.init_rotation_R1(Z).R, np.eye(K))
 
     def test_canonical_basis_ignores_the_basis_given(self, rng):
         V = random_orthonormal(rng, 12, 4)

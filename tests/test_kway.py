@@ -28,6 +28,7 @@ from conftest import (
     path,
     random_connected,
     reference_init_rotation_R2,
+    reference_cluster,
     reference_objective,
     reference_score_candidates,
     ring,
@@ -829,6 +830,42 @@ class TestCluster:
         g = g2_signed() if mode.startswith("signed") else w1_graph()
         sp.cluster(g, 3, mode=mode)
         assert len(kinds) == 1
+
+    @pytest.mark.parametrize("name", ["w1", "g1", "g2"])
+    def test_ratio_cuts_take_r1_from_their_constraint(self, name, monkeypatch):
+        """A ratio cut's relaxation has Z^T Z = c^2 I, so cluster takes
+        R1 = I without calling init_rotation_R1 and rescales Z1 once, and
+        returns what the pipeline that solves for R1 and rescales Z1 R1 on
+        its own returns (conftest.reference_cluster), to the bit, on every
+        K = 2..5 and rescale. The normalized cut still calls it once."""
+        g = GOLDEN_GRAPHS[name]()
+        signed = "signed_" if name != "w1" else ""
+        cases = [(K, rescale) for K in range(2, 6) for rescale in kway.RESCALE_METHODS]
+
+        def outcome(run, K, rescale):
+            try:
+                return run(g, K, signed + "rcut", rescale)
+            except NoConvergence as exc:
+                return str(exc)
+
+        def cluster(g, K, mode, rescale):
+            res = sp.cluster(g, K, mode, rescale)
+            return res.X.assignment, res.objective, res.Q.Q, res.iterations, res.residual
+
+        want = [outcome(reference_cluster, K, rescale) for K, rescale in cases]
+        calls = []
+        r1 = kway.init_rotation_R1
+        monkeypatch.setattr(kway, "init_rotation_R1", lambda Z: calls.append(Z) or r1(Z))
+        for (K, rescale), ref in zip(cases, want):
+            got = outcome(cluster, K, rescale)
+            if isinstance(ref, str):
+                assert got == ref
+                continue
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[2], ref[2])
+            assert (got[1], got[3], got[4]) == (ref[1], ref[3], ref[4])
+        assert sum(isinstance(ref, str) for ref in want) < len(want) and not calls
+        sp.cluster(g, 3, signed + "ncut")
+        assert len(calls) == 1
 
     def test_nine_node_four_way_partition(self):
         res = sp.cluster(w1_graph(), 4, mode="ncut")
