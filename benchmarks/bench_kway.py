@@ -11,19 +11,23 @@ perfbench's harness splits a traced call: initialisation (R1, the rescales,
 R2 and the candidate scoring) runs from the start of the call to the start
 of the podx right before the first podr, the alternation from there to the
 start of `objective` (or to the NoConvergence raise), and the objective
-after it. The normalized cuts solve for R1 and rescale both Z and Z R1; the
-ratio cuts take R1 = I, since their relaxation constrains Z^T Z = c^2 I, and
-rescale Z once with one R2, so their initialisation costs less. Then each
-shape the one-sided Jacobi SVD is called on, timed on its own with the
-matrices of the same calls: `eigen.svd` of the K x K Z^T X of podr's first
-round, `eigen._gram_eigen` of the N x K relaxed Z of the ncut and
-signed_ncut calls (init_rotation_R1) and `kway._pinv` of Z * Z (the
-row_norm_ls rescale).
+after it. The normalized cuts solve for R1, rescale both Z and Z R1 and
+score the four candidate roundings of each; the ratio cuts take R1 = I,
+since their relaxation constrains Z^T Z = c^2 I, so Z R1 is Z: they rescale
+Z once and score its four roundings with one R2. The two families'
+initialisations differ in work, so the table gives them apart: `init ncut`
+averages over the ncut and signed_ncut calls, `init rcut` over the rcut and
+signed_rcut calls. Then each shape the one-sided Jacobi SVD is called on,
+timed on its own with the matrices of the same calls: `eigen.svd` of the
+K x K Z^T X of podr's first round, `eigen._gram_eigen` of the N x K relaxed
+Z of the ncut and signed_ncut calls (init_rotation_R1) and `kway._pinv` of
+Z * Z (the row_norm_ls rescale).
 
 The table gives microseconds per call: the median over the repeats (after
-one warm-up pass) of the mean over all calls at that size; the K x K
-column includes forming Z^T X. `rounds` is the mean number of alternation
-rounds and `fail` the number of calls that raised NoConvergence.
+one warm-up pass) of the mean over the calls at that size, all of them but
+for the two init columns; the K x K column includes forming Z^T X.
+`rounds` is the mean number of alternation rounds and `fail` the number of
+calls that raised NoConvergence.
 
 Usage: python benchmarks/bench_kway.py [--sizes 12,48,120] [--k 3] [--graphs 4] [--repeats 5]
 """
@@ -46,6 +50,7 @@ MODES = (("ncut", "unsigned"), ("rcut", "unsigned"), ("signed_ncut", "unbalanced
          ("signed_rcut", "unbalanced"))
 STAGES = ("init", "alternation", "objective", "total")
 SHAPES = ("svd KxK", "gram NxK", "pinv NxK")
+COLUMNS = ("init ncut", "init rcut") + STAGES[1:] + SHAPES
 
 
 class StageClock:
@@ -126,16 +131,19 @@ def main():
     args = ap.parse_args()
     rng = np.random.default_rng(0)
 
-    print(f"{'n':>5} {'calls':>6} {'rounds':>6} {'fail':>5} " + " ".join(f"{s:>12}" for s in STAGES + SHAPES))
+    print(f"{'n':>5} {'calls':>6} {'rounds':>6} {'fail':>5} " + " ".join(f"{s:>12}" for s in COLUMNS))
     for n in (int(s) for s in args.sizes.split(",")):
         jobs = jobs_for(rng, n, args.k, args.graphs)
-        per_repeat = {s: [] for s in STAGES + SHAPES}
+        per_repeat = {s: [] for s in COLUMNS}
         for job in jobs:  # warm-up
             run_cluster(job)
         for _ in range(args.repeats):
             results = [run_cluster(job) for job in jobs]
-            for s in STAGES:
+            for s in STAGES[1:]:
                 per_repeat[s].append(statistics.fmean(times[s] for times, _, _ in results))
+            for column, normalized in (("init ncut", True), ("init rcut", False)):
+                per_repeat[column].append(statistics.fmean(
+                    times["init"] for (times, _, _), job in zip(results, jobs) if job[2].endswith("ncut") == normalized))
             podr_inputs = [(X.X if isinstance(X, kway.IndicatorMatrix) else X, Z) for _, _, (X, Z) in results]
             per_repeat["svd KxK"].append(time_each(lambda X, Z: eigen.svd(Z.T @ X), podr_inputs))
             zs = [(job[4].Z,) for job in jobs]
@@ -144,7 +152,7 @@ def main():
             per_repeat["pinv NxK"].append(time_each(lambda Z: kway._pinv(Z * Z), zs))
         rounds = [r for _, r, _ in results if r is not None]
         print(f"{n:>5} {len(jobs):>6} {statistics.fmean(rounds):>6.2f} {len(jobs) - len(rounds):>5} "
-              + " ".join(f"{statistics.median(per_repeat[s]) * 1e6:>10.1f}us" for s in STAGES + SHAPES))
+              + " ".join(f"{statistics.median(per_repeat[s]) * 1e6:>10.1f}us" for s in COLUMNS))
 
 
 if __name__ == "__main__":

@@ -176,10 +176,7 @@ def serialize_graph(g):
 
 def cmd_draw(g, args):
     n = args.dim
-    if args.signed:
-        dm = signed_drawing(g, n, bipartite=args.bipartite)
-    else:
-        dm = spectral_drawing(g, n)
+    dm = signed_drawing(g, n, bipartite=args.bipartite) if args.signed else spectral_drawing(g, n)
     report = {
         "dim": n,
         "energy": energy(g, dm, signed=args.signed),
@@ -266,6 +263,8 @@ _PARSER = _build_parser()
 def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
+        if getattr(args, "bipartite", False) and not args.signed:
+            _PARSER.error("draw: --bipartite needs --signed")
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     code, error = 0, None

@@ -141,7 +141,8 @@ def init_rotation_R1(Z):
     scale (eigen._unit_scale), where the rank test reads the squared
     singular values. cluster calls it for the normalized cuts only: a ratio
     cut's relaxation constrains Z^T Z = c^2 I (D = I), whose canonical
-    eigenbasis is I, so there R1 = I needs no solve."""
+    eigenbasis is I, so there R1 = I, Z1 R1 is Z1, and cluster scores that
+    one start alone."""
     Z, _ = eigen._unit_scale(_as_z(Z))
     eig = eigen._gram_eigen(Z)
     if eig.values[0] <= 1e-12 * eig.values[-1]:
@@ -314,55 +315,55 @@ def _as_z(Z):
     return eigen._finite(Z.Z if isinstance(Z, ContinuousSolution) else Z)
 
 
-def _score_candidates(Zinit1, Zinit2, R1):
-    """The initial rotation Q0 of the alternation and the four candidates'
-    residuals. The candidates Zc Rc, for Zc the two rescaled solutions and
-    Rc = I or R2 of Zc, are rounded in one stack (_round_rows) as they stand
-    and with flipped columns (flip_columns), each at the scale ||its Z||_F /
-    sqrt(N); a flipped candidate wins over its plain one when its residual
-    ||X - Y||_F is smaller beyond rounding, and the first residual within
-    rounding of the smallest wins (eigen._first_max of -residuals). Q0 is
-    expressed against the relaxed solution Z1, of which Zinit2 is the
-    rescaled Z1 R1, so the iteration proper always runs on the undeformed
-    relaxed solution. When Zinit2 is Zinit1 (R1 = I), R2 is computed once;
-    the last two residuals then repeat the first two, which win the tie."""
-    eye = np.eye(R1.shape[0])
-    R2 = init_rotation_R2(Zinit1).R
-    Zc = np.array((Zinit1, Zinit1, Zinit2, Zinit2))
-    Rc = np.array((eye, R2, eye, R2 if Zinit2 is Zinit1 else init_rotation_R2(Zinit2).R))
+def _score_candidates(starts):
+    """The initial rotation Q0 of the alternation and two residuals per
+    start. A start (Zc, B) is a rescaled initial solution, the rescaled
+    Z1 B, with its base rotation B. Its two candidates Zc Rc, for Rc = I and
+    R2 of Zc, are rounded in one stack over all starts (_round_rows) as they
+    stand and with flipped columns (flip_columns), each at the scale ||its
+    Z||_F / sqrt(N); a flipped candidate wins over its plain one when its
+    residual ||X - Y||_F is smaller beyond rounding, and the first residual
+    within rounding of the smallest wins (eigen._first_max of -residuals).
+    Q0 = B Rc, times the flip, is expressed against the relaxed solution Z1,
+    so the iteration proper always runs on the undeformed relaxed solution."""
+    eye = np.eye(starts[0][1].shape[0])
+    Zc = np.repeat([Z for Z, _ in starts], 2, axis=0)
+    Rc = np.array([R for Z, _ in starts for R in (eye, init_rotation_R2(Z).R)])
     ZR = Zc @ Rc
     flipped, Rp = flip_columns(ZR)
     Y = np.concatenate((ZR, flipped))
     W = np.concatenate((Zc, flipped))
     scales = np.sqrt((W * W).sum(axis=(1, 2))) / math.sqrt(Zc.shape[1])
     D = _round_rows(Y, scales[:, None, None]) - Y
-    res_plain, res_flip = np.sqrt((D * D).sum(axis=(1, 2))).reshape(2, 4)
+    res_plain, res_flip = np.sqrt((D * D).sum(axis=(1, 2))).reshape(2, -1)
     flip = res_flip < res_plain * (1.0 - eigen.TIE_RTOL)
     residuals = np.where(flip, res_flip, res_plain)
     best = eigen._first_max(-residuals, residuals.max())
-    return (eye, eye, R1, R1)[best] @ Rc[best] @ (Rp[best] if flip[best] else eye), residuals
+    return starts[best // 2][1] @ Rc[best] @ (Rp[best] if flip[best] else eye), residuals
 
 
 def cluster(g, K, mode="ncut", rescale="row_normalize"):
     """Full pipeline: relaxation, candidate initialization, and the rounding/
     refit alternation. Returns the discrete partition with diagnostics. The
-    eight candidate roundings are scored in one stacked pass
-    (_score_candidates); each alternation round is one podx and one podr.
-    The alternation stops once phi = ||X - ZQ|| falls by less than 1e-12 in
-    a round (MAX_ROUNDS caps it) and raises NoConvergence if phi rises.
-    The ratio cuts take R1 = I from their constraint Z^T Z = c^2 I
-    (init_rotation_R1 returns that I), so their two initial solutions Z1 and
-    Z1 R1 are one, rescaled once."""
+    candidate roundings of every distinct initial solution are scored in one
+    stacked pass (_score_candidates); each alternation round is one podx and
+    one podr. The alternation stops once phi = ||X - ZQ|| falls by less than
+    1e-12 in a round (MAX_ROUNDS caps it) and raises NoConvergence if phi
+    rises. The normalized cuts start from Z1 and from Z1 R1 (eight
+    roundings). The ratio cuts start from Z1 alone (four roundings): their
+    constraint Z^T Z = c^2 I gives R1 = I (init_rotation_R1 returns that I),
+    so Z1 R1 is Z1."""
     if rescale not in RESCALE_METHODS:
         raise ValueError(f"unknown rescale method {rescale!r}")
     sol = solve_relaxed(g, K, mode)
     Z1 = sol.Z
-    normalized = _mode_kind(g, mode)[1]
-    R1 = init_rotation_R1(Z1).R if normalized else np.eye(K)
-    Zinit1, deformed = rescale_variant(Z1, rescale)
-    Zinit2 = rescale_variant(Z1 @ R1, rescale)[0] if normalized else Zinit1
+    starts = [(Z1, np.eye(K))]
+    if _mode_kind(g, mode)[1]:
+        R1 = init_rotation_R1(Z1).R
+        starts.append((Z1 @ R1, R1))
+    rescaled = [rescale_variant(Z, rescale) for Z, _ in starts]
 
-    Q0, _ = _score_candidates(Zinit1, Zinit2, R1)
+    Q0, _ = _score_candidates([(Zr, B) for (Zr, _), (_, B) in zip(rescaled, starts)])
     Q = TransformQ(R=Q0, Lambda=np.eye(K))
     prev_phi = np.inf
     for it in range(1, MAX_ROUNDS + 1):
@@ -387,5 +388,5 @@ def cluster(g, K, mode="ncut", rescale="row_normalize"):
         iterations=it,
         residual=phi,
         relaxation_value=float(sol.eigenvalues.sum()),
-        constraints_deformed=deformed,
+        constraints_deformed=rescaled[0][1],
     )

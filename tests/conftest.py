@@ -586,7 +586,7 @@ def reference_cluster(g, K, mode, rescale):
     R1 = kway.init_rotation_R1(Z1).R
     Zinit1, _ = kway.rescale_variant(Z1, rescale)
     Zinit2, _ = kway.rescale_variant(Z1 @ R1, rescale)
-    Q = kway.TransformQ(R=kway._score_candidates(Zinit1, Zinit2, R1)[0], Lambda=np.eye(K))
+    Q = kway.TransformQ(R=kway._score_candidates([(Zinit1, np.eye(K)), (Zinit2, R1)])[0], Lambda=np.eye(K))
     prev_phi = np.inf
     for it in range(1, kway.MAX_ROUNDS + 1):
         X = kway.podx(Z1, Q)

@@ -712,6 +712,15 @@ class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert run(capsys, ["cluster"])[0] == 1
 
+    def test_bipartite_without_signed_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        """draw --bipartite only selects among signed drawings: alone it is
+        refused before the graph file is read, naming both flags."""
+        path = graph_file(tmp_path, "w1.txt", w1_graph())
+        monkeypatch.setattr(cli, "parse_graph", lambda path: pytest.fail("the graph was read"))
+        code, out, err = run(capsys, ["draw", path, "--bipartite"])
+        assert (code, out) == (1, "")
+        assert "--bipartite" in err and "--signed" in err
+
     def test_missing_file_is_2(self, capsys):
         code, _, err = run(capsys, ["balance", "/nonexistent/graph.txt"])
         assert code == 2

@@ -867,6 +867,26 @@ class TestCluster:
         sp.cluster(g, 3, signed + "ncut")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("mode, starts", [("rcut", 1), ("signed_rcut", 1), ("ncut", 2), ("signed_ncut", 2)])
+    def test_each_distinct_start_is_scored_once(self, mode, starts, monkeypatch):
+        """A ratio cut's one initial solution (R1 = I, so Z1 R1 is Z1) is
+        scored alone: one R2 and two residuals, for I and R2. A normalized
+        cut scores Z1 and Z1 R1: two R2 and four residuals."""
+        g = g2_signed() if mode.startswith("signed") else w1_graph()
+        r2_inputs, residuals = [], []
+        r2, score = kway.init_rotation_R2, kway._score_candidates
+
+        def scoring(*args):
+            Q0, res = score(*args)
+            residuals.append(res)
+            return Q0, res
+
+        monkeypatch.setattr(kway, "init_rotation_R2", lambda Z: r2_inputs.append(Z) or r2(Z))
+        monkeypatch.setattr(kway, "_score_candidates", scoring)
+        sp.cluster(g, 3, mode)
+        assert len(r2_inputs) == starts
+        assert [len(res) for res in residuals] == [2 * starts]
+
     def test_nine_node_four_way_partition(self):
         res = sp.cluster(w1_graph(), 4, mode="ncut")
         assert {frozenset(b.members) for b in res.partition} == GOLD_4WAY
@@ -1009,10 +1029,10 @@ def _assert_scoring_matches_reference(Zinit1, Zinit2, R1):
     the same operations moves: there the stacked residual must lie at that
     level too. On the golden graphs such residuals reach 3.8 eps ||Zc Rc||_F
     and the next ones lie above 400 eps ||Zc Rc||_F."""
-    Q0, residuals = kway._score_candidates(Zinit1, Zinit2, R1)
+    K = R1.shape[0]
+    Q0, residuals = kway._score_candidates([(Zinit1, np.eye(K)), (Zinit2, R1)])
     ref_Q0, ref_residuals, repairs = reference_score_candidates(Zinit1, Zinit2, R1)
     assert np.array_equal(Q0, ref_Q0)
-    K = R1.shape[0]
     noise = 16 * np.finfo(float).eps * np.array(
         [np.linalg.norm(Zc @ Rc) for Zc in (Zinit1, Zinit2) for Rc in (np.eye(K), reference_init_rotation_R2(Zc))])
     signal = np.asarray(ref_residuals) > noise
