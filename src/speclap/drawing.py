@@ -105,8 +105,9 @@ def _svg_text(R2, g):
 
 def emit_svg(R, g, path):
     """Write the drawing as SVG. A 3-d drawing produces two files
-    (columns 1-2 and 1-3) with -xy/-xz suffixes."""
-    R = R.R if isinstance(R, DrawingMatrix) else np.asarray(R, dtype=float)
+    (columns 1-2 and 1-3) with -xy/-xz suffixes. R (a DrawingMatrix or its
+    R) must be finite: ValueError before any file or warning."""
+    R = eigen._finite(R.R if isinstance(R, DrawingMatrix) else R)
     path = str(path)
     if R.shape[1] == 2:
         views = [(path, [0, 1])]
@@ -123,8 +124,10 @@ def emit_svg(R, g, path):
 
 
 def emit_csv(R, path):
-    """Raw coordinates: header node,x1..xn, one row per node, 1-based ids."""
-    R = R.R if isinstance(R, DrawingMatrix) else np.asarray(R, dtype=float)
+    """Raw coordinates: header node,x1..xn, one row per node, 1-based ids.
+    R (a DrawingMatrix or its R) must be finite: ValueError before the file
+    is opened."""
+    R = eigen._finite(R.R if isinstance(R, DrawingMatrix) else R)
     header = "node," + ",".join(f"x{k + 1}" for k in range(R.shape[1]))
     lines = [header]
     for i, row in enumerate(R.tolist(), start=1):

@@ -59,7 +59,7 @@ class KWayResult:
     iterations: int
     residual: float
     relaxation_value: float
-    constraints_deformed: bool  # True when the init rescale left (*_1)
+    constraints_deformed: bool  # True under row_normalize, whose rows leave the constraints (*_1)
 
 
 def _mode_kind(g, mode):
@@ -106,7 +106,7 @@ def rayleigh_sum(g, X, mode="ncut"):
     cuts): on a partition's indicator, its objective; on the relaxed
     solution, the sum of the K smallest eigenvalues. X enters at unit scale
     (eigen._unit_scale), where each ratio is the same."""
-    Xm, _ = eigen._unit_scale(X.X if isinstance(X, IndicatorMatrix) else X)
+    Xm, _ = _as_z(X, eigen._unit_scale)
     num, den = _quadratic_forms(g, Xm, mode)
     zero = np.flatnonzero(den <= 0)
     if zero.size:
@@ -143,7 +143,7 @@ def init_rotation_R1(Z):
     cut's relaxation constrains Z^T Z = c^2 I (D = I), whose canonical
     eigenbasis is I, so there R1 = I, Z1 R1 is Z1, and cluster scores that
     one start alone."""
-    Z, _ = eigen._unit_scale(_as_z(Z))
+    Z, _ = _as_z(Z, eigen._unit_scale)
     eig = eigen._gram_eigen(Z)
     if eig.values[0] <= 1e-12 * eig.values[-1]:
         raise RankDeficient("Z does not have full column rank")
@@ -172,27 +172,29 @@ def init_rotation_R2(Z):
 
 
 def rescale_variant(Z, method="row_normalize"):
-    """Deform Z to sit closer to a discrete solution. Returns (Z', deformed)
-    where deformed is True when Z' may no longer satisfy the relaxed
-    constraints (row normalization does not preserve them); it depends on
-    the method only. Z must be finite (ValueError before any work)."""
-    Z = _as_z(Z)
+    """Deform Z to sit closer to a discrete solution and return the deformed
+    Z: row_sum_ls scales each column by the least-squares fit of unit row
+    sums, row_norm_ls by that of unit row norms, row_normalize divides each
+    row by its norm (only this one leaves the relaxed constraints). Z enters
+    at unit scale (eigen._unit_scale), so 2^p Z gives the same result. A fit
+    with a column factor (squared for row_norm_ls) within TIE_RTOL of zero,
+    relative to the largest, falls back to Z as given."""
+    Z, power = _as_z(Z, eigen._unit_scale)
     if method == "row_sum_ls":
         lam = np.linalg.solve(Z.T @ Z, Z.T @ np.ones(Z.shape[0]))
-        if np.any(np.abs(lam) < 1e-6):
-            return Z.copy(), False
-        return Z * lam[None, :], False
-    if method == "row_norm_ls":
-        sq = Z * Z
-        lam2 = _pinv(sq) @ np.ones(Z.shape[0])
-        if np.any(lam2 <= 1e-12):
-            return Z.copy(), False
-        return Z * np.sqrt(lam2)[None, :], False
-    if method == "row_normalize":
+        if np.all(np.abs(lam) > eigen.TIE_RTOL * np.abs(lam).max()):
+            return Z * lam[None, :]
+    elif method == "row_norm_ls":
+        lam2 = _pinv(Z * Z) @ np.ones(Z.shape[0])
+        if np.all(lam2 > eigen.TIE_RTOL * lam2.max()):
+            return Z * np.sqrt(lam2)[None, :]
+    elif method == "row_normalize":
         norms = np.linalg.norm(Z, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        return Z / norms, True
-    raise ValueError(f"unknown rescale method {method!r}")
+        return Z / norms
+    else:
+        raise ValueError(f"unknown rescale method {method!r}")
+    return np.ldexp(Z, power)
 
 
 def _pinv(M):
@@ -237,9 +239,9 @@ def podx(Z, Q=None):
     (entries within rounding of the largest are tied), repair empty columns
     by moving a row from the most populated column, and scale so that
     ||X||_F = ||Z||_F. The rule is _round_rows, shared with cluster's
-    candidate scoring."""
+    candidate scoring. Z and Q (a TransformQ or its Q) are read by _as_z."""
     Z = _as_z(Z)
-    Y = Z if Q is None else Z @ (Q.Q if isinstance(Q, TransformQ) else np.asarray(Q, dtype=float))
+    Y = Z if Q is None else Z @ _as_z(Q)
     return IndicatorMatrix(X=_round_rows(Y, np.linalg.norm(Z) / np.sqrt(Z.shape[0])))
 
 
@@ -249,8 +251,9 @@ def podr(X, Z):
     diagonal evaluated against Z R, or Lambda = I when Z^T X is rank
     deficient. When Z^T X is non-singular its polar factor is unique and
     eigen.svd's square full-rank path gives it without completing U; only
-    the rank-deficient case needs the completed U."""
-    Xm = X.X if isinstance(X, IndicatorMatrix) else np.asarray(X, dtype=float)
+    the rank-deficient case needs the completed U. X and Z are read by
+    _as_z."""
+    Xm = _as_z(X)
     Z = _as_z(Z)
     res = eigen.svd(Z.T @ Xm)
     R = res.U @ res.V.T
@@ -282,37 +285,41 @@ def first_column_rotation(g, X):
     first column of X R is constant; completed by Gram-Schmidt over
     (R^1, e_2, ..., e_K, e_1), each column oriented by eigen's sign rule.
     The volumes are those of plain degrees, so a graph with a negative weight
-    raises NegativeWeightInUnsignedMode."""
+    raises NegativeWeightInUnsignedMode. X (read by _as_z) must be an
+    indicator: no empty column, the nonzero entries of a column equal to
+    1e-10 of its first, and x^T D x equal over the columns to 1e-8 of the
+    first column's; each rule is checked over all columns before the next."""
     _nonnegative(g, "first_column_rotation", "signed_ncut (no first-column constraint)")
-    Xm = X.X if isinstance(X, IndicatorMatrix) else np.asarray(X, dtype=float)
-    N, K = Xm.shape
+    Xm = _as_z(X)
+    K = Xm.shape[1]
+    held = Xm != 0
+    if not held.any(axis=0).all():
+        raise ValueError("indicator has an empty column")
+    first = Xm[held.argmax(axis=0), np.arange(K)]
+    if (np.abs(Xm - first) > 1e-10 * np.abs(first))[held].any():
+        raise ValueError("column entries must be equal")
     D = degree_vector(g)
-    d = float(D.sum())
-    vols = np.zeros(K)
-    c2 = None
-    for j in range(K):
-        nz = np.nonzero(Xm[:, j])[0]
-        if nz.size == 0:
-            raise ValueError("indicator has an empty column")
-        vals = Xm[nz, j]
-        if np.max(np.abs(vals - vals[0])) > 1e-10 * abs(vals[0]):
-            raise ValueError("column entries must be equal")
-        vols[j] = float(D[nz].sum())
-        form = float(vals[0] ** 2 * vols[j])
-        if c2 is None:
-            c2 = form
-        elif abs(form - c2) > 1e-8 * c2:
-            raise ValueError("columns must be D-normalized to a common value")
-    r1 = np.sqrt(vols / d)
+    vols = D @ held
+    form = first**2 * vols
+    if np.any(np.abs(form - form[0]) > 1e-8 * form[0]):
+        raise ValueError("columns must be D-normalized to a common value")
+    r1 = np.sqrt(vols / D.sum())
     # the unit vectors satisfy sum e e^T = I, so the completion reaches K columns
     R = eigen._extend_basis(r1[:, None], np.roll(np.eye(K), -1, axis=0))
     return TransformQ(R=R * eigen._column_signs(R), Lambda=np.eye(K))
 
 
-def _as_z(Z):
-    """Z (or a ContinuousSolution's Z) as a float array, checked finite
-    (eigen._finite)."""
-    return eigen._finite(Z.Z if isinstance(Z, ContinuousSolution) else Z)
+_FIELDS = {ContinuousSolution: "Z", IndicatorMatrix: "X", TransformQ: "Q"}
+
+
+def _as_z(A, read=eigen._finite):
+    """The one reader of the array arguments of the public K-way steps: a
+    ContinuousSolution gives its Z, an IndicatorMatrix its X, a TransformQ
+    its Q, anything else is the array itself. read checks it once:
+    eigen._finite (ValueError before any work), or eigen._unit_scale, which
+    makes the same check, for a step that works at unit scale."""
+    field = _FIELDS.get(type(A))
+    return read(A if field is None else getattr(A, field))
 
 
 def _score_candidates(starts):
@@ -361,9 +368,7 @@ def cluster(g, K, mode="ncut", rescale="row_normalize"):
     if _mode_kind(g, mode)[1]:
         R1 = init_rotation_R1(Z1).R
         starts.append((Z1 @ R1, R1))
-    rescaled = [rescale_variant(Z, rescale) for Z, _ in starts]
-
-    Q0, _ = _score_candidates([(Zr, B) for (Zr, _), (_, B) in zip(rescaled, starts)])
+    Q0, _ = _score_candidates([(rescale_variant(Z, rescale), B) for Z, B in starts])
     Q = TransformQ(R=Q0, Lambda=np.eye(K))
     prev_phi = np.inf
     for it in range(1, MAX_ROUNDS + 1):
@@ -388,5 +393,5 @@ def cluster(g, K, mode="ncut", rescale="row_normalize"):
         iterations=it,
         residual=phi,
         relaxation_value=float(sol.eigenvalues.sum()),
-        constraints_deformed=rescaled[0][1],
+        constraints_deformed=rescale == "row_normalize",
     )

@@ -584,8 +584,8 @@ def reference_cluster(g, K, mode, rescale):
     cluster runs it."""
     Z1 = kway.solve_relaxed(g, K, mode).Z
     R1 = kway.init_rotation_R1(Z1).R
-    Zinit1, _ = kway.rescale_variant(Z1, rescale)
-    Zinit2, _ = kway.rescale_variant(Z1 @ R1, rescale)
+    Zinit1 = kway.rescale_variant(Z1, rescale)
+    Zinit2 = kway.rescale_variant(Z1 @ R1, rescale)
     Q = kway.TransformQ(R=kway._score_candidates([(Zinit1, np.eye(K)), (Zinit2, R1)])[0], Lambda=np.eye(K))
     prev_phi = np.inf
     for it in range(1, kway.MAX_ROUNDS + 1):

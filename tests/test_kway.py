@@ -414,10 +414,9 @@ class TestRescaleVariants:
 
     def test_row_sums_already_one(self):
         Z = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
-        Z2, deformed = sp.rescale_variant(Z, "row_sum_ls")
+        Z2 = sp.rescale_variant(Z, "row_sum_ls")
         assert np.allclose(Z2.sum(axis=1), 1.0, atol=1e-10)
         assert np.allclose(Z2, Z)
-        assert not deformed
 
     def test_regular_graph_singular_case(self):
         from conftest import ring
@@ -425,23 +424,22 @@ class TestRescaleVariants:
         Z = sp.solve_relaxed(g, 3, "ncut").Z
         # constant degrees: the first relaxed column is constant, the others
         # are degree-orthogonal to it, so their row sums vanish
-        Z2, _ = sp.rescale_variant(Z, "row_sum_ls")
+        Z2 = sp.rescale_variant(Z, "row_sum_ls")
         assert np.allclose(Z2, Z)
 
     def test_row_normalize_unit_rows(self, rng):
         Z = rng.standard_normal((7, 3))
-        Z2, deformed = sp.rescale_variant(Z, "row_normalize")
+        Z2 = sp.rescale_variant(Z, "row_normalize")
         assert np.allclose(np.linalg.norm(Z2, axis=1), 1.0, atol=1e-12)
-        assert deformed
 
     def test_row_norm_ls_failure_degrades_to_identity(self):
         Z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1e-9]])
-        Z2, _ = sp.rescale_variant(Z, "row_norm_ls")
+        Z2 = sp.rescale_variant(Z, "row_norm_ls")
         assert Z2.shape == Z.shape  # no exception; identity fallback allowed
 
     def test_row_norm_ls_unit_rows_when_achievable(self):
         Z = 2.0 * np.eye(3)
-        Z2, _ = sp.rescale_variant(Z, "row_norm_ls")
+        Z2 = sp.rescale_variant(Z, "row_norm_ls")
         assert np.allclose(np.linalg.norm(Z2, axis=1), 1.0, atol=1e-8)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -603,6 +601,24 @@ class TestKWayScales:
         ref_R, *ref_values = ratios(0)
         assert np.array_equal(R, ref_R) and values == ref_values
 
+    @pytest.mark.parametrize("power", SCALE_POWERS)
+    @pytest.mark.parametrize("method", kway.RESCALE_METHODS)
+    def test_rescale_variant_scale_free(self, method, power):
+        """rescale_variant(2^p Z) is rescale_variant(Z) to the bit, on a
+        Gaussian Z that every method fits and on one with a constant column
+        and centred others, whose row-sum and row-norm fits leave a column
+        at zero and fall back to the input, 2^p Z."""
+        rng = np.random.default_rng(12)
+        Z = rng.standard_normal((12, 3))
+        centred = np.column_stack((np.ones(12), Z[:, 1:] - Z[:, 1:].mean(axis=0)))
+        for Z, falls_back in ((Z, False), (centred, method != "row_normalize")):
+            ref = sp.rescale_variant(Z, method)
+            assert np.array_equal(ref, Z) == falls_back
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                out = sp.rescale_variant(np.ldexp(Z, power), method)
+            assert np.array_equal(out, np.ldexp(Z, power) if falls_back else ref)
+
 
 class TestFirstColumnRotation:
     @pytest.mark.parametrize("column, message", [
@@ -741,6 +757,11 @@ class TestCluster:
     def test_max_iters_is_not_a_keyword(self):
         with pytest.raises(TypeError):
             sp.cluster(w1_graph(), 2, max_iters=5)
+
+    @pytest.mark.parametrize("rescale", kway.RESCALE_METHODS)
+    def test_constraints_deformed_by_row_normalize_only(self, rescale):
+        res = sp.cluster(w1_graph(), 3, rescale=rescale)
+        assert res.constraints_deformed == (rescale == "row_normalize")
 
     @pytest.mark.parametrize("name", ["w1", "g1", "g2"])
     def test_alternation_stops_on_phi(self, name, monkeypatch):
@@ -1013,8 +1034,8 @@ def _scoring_inputs(g):
                     R1 = sp.init_rotation_R1(Z1).R
                 except sp.errors.SpeclapError:
                     continue
-                Zinit1, _ = sp.rescale_variant(Z1, rescale)
-                Zinit2, _ = sp.rescale_variant(Z1 @ R1, rescale)
+                Zinit1 = sp.rescale_variant(Z1, rescale)
+                Zinit2 = sp.rescale_variant(Z1 @ R1, rescale)
                 out.append((Zinit1, Zinit2, R1))
     return out
 
@@ -1149,20 +1170,41 @@ class TestTieBreaks:
         assert sp.flip_columns(Z)[1][0, 0] == 1.0
 
 
-@pytest.mark.parametrize("call", [
-    lambda g, z, Z: sp.round_2way(g, z),
-    lambda g, z, Z: sp.orient_sign(z),
-    lambda g, z, Z: sp.podx(Z),
-    lambda g, z, Z: sp.init_rotation_R2(Z),
-    lambda g, z, Z: sp.flip_columns(Z),
-    lambda g, z, Z: sp.energy(g, z),
-], ids=["round_2way", "orient_sign", "podx", "init_rotation_R2", "flip_columns", "energy"])
-def test_nan_input_rejected(call):
-    """A NaN entry is refused with the eigen layer's ValueError, without a
-    numpy RuntimeWarning on the way."""
-    z = np.array([1.0, -1.0, np.nan, 0.5])
+# each call takes (g, z, Z, out): z a vector with one non-finite entry, Z
+# the 4 x 2 matrix of z and a finite column, out an empty directory
+NON_FINITE_CALLS = pytest.mark.parametrize("call", [
+    lambda g, z, Z, out: sp.round_2way(g, z),
+    lambda g, z, Z, out: sp.orient_sign(z),
+    lambda g, z, Z, out: sp.podx(Z),
+    lambda g, z, Z, out: sp.podx(np.eye(4, 2), Z[2:]),
+    lambda g, z, Z, out: sp.podr(Z, np.eye(4, 2)),
+    lambda g, z, Z, out: sp.init_rotation_R2(Z),
+    lambda g, z, Z, out: sp.flip_columns(Z),
+    lambda g, z, Z, out: sp.first_column_rotation(g, Z),
+    lambda g, z, Z, out: sp.energy(g, z),
+    lambda g, z, Z, out: sp.emit_svg(Z, g, out / "drawing.svg"),
+    lambda g, z, Z, out: sp.emit_csv(Z, out / "drawing.csv"),
+], ids=["round_2way", "orient_sign", "podx", "podx_Q", "podr_X", "init_rotation_R2", "flip_columns",
+        "first_column_rotation", "energy", "emit_svg", "emit_csv"])
+
+
+def _assert_non_finite_rejected(call, bad, out):
+    """The bad entry is refused with the eigen layer's ValueError, without a
+    numpy RuntimeWarning on the way and without writing a file."""
+    z = np.array([1.0, -1.0, bad, 0.5])
     Z = np.column_stack((z, [1.0, 2.0, 3.0, 4.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="matrix has non-finite entries"):
-            call(path(4), z, Z)
+            call(path(4), z, Z, out)
+    assert not any(out.iterdir())
+
+
+@NON_FINITE_CALLS
+def test_nan_input_rejected(call, tmp_path):
+    _assert_non_finite_rejected(call, np.nan, tmp_path)
+
+
+@NON_FINITE_CALLS
+def test_inf_input_rejected(call, tmp_path):
+    _assert_non_finite_rejected(call, np.inf, tmp_path)
