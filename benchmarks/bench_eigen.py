@@ -5,18 +5,19 @@ from `perfbench/gen.py` (imported read-only), four blocks as equal as n
 allows: the graphs the perfbench workloads draw, and the matrix a 4-way
 `speclap cluster` solves on them. The table
 gives the best wall time over the repeats of smallest_k(S, 5), the number
-of Sturm-count passes of its multisection (`sturm_counts` calls), the
-Krylov dimension m its Lanczos reduction stopped at and the number of
-checkpoints it took to get there, and the largest difference of its five
-eigenvalues from numpy's eigh. Then the best times of its four stages, each
-run on its own on the input smallest_k gave it at its last checkpoint: the
-Lanczos reduction to m (`lanczos`, all checkpoints' steps in one call),
-multisection for the six lowest eigenvalues of T_m
-(`tridiagonal_eigenvalues`), inverse iteration for their vectors
-(`tridiagonal_eigenvectors`), and the Ritz product Y = Q_m Z with the
-certificate (`certify`, not run at m = n). The checkpoints before the
-last, and the Rayleigh quotients of the settled eigenvalues, are in the
-total only. Then kernel_dimension on the same Laplacian (the whole Lanczos
+of Sturm-count passes of its multisection (`sturm_counts` calls), the mean
+number of Newton steps per isolated eigenvalue (runs of the recurrence in
+`_newton`), the Krylov dimension m its Lanczos reduction stopped at and
+the number of checkpoints it took to get there, and the largest
+difference of its five eigenvalues from numpy's eigh. Then the best times
+of its four stages, each run on its own on the input smallest_k gave it at
+its last checkpoint: the Lanczos reduction to m (`lanczos`, all
+checkpoints' steps in one call), multisection and Newton for the six
+lowest eigenvalues of T_m (`tridiagonal_eigenvalues`), inverse iteration
+for their vectors (`tridiagonal_eigenvectors`), and the Ritz product
+Y = Q_m Z with the certificate (`certify`, not run at m = n). The
+checkpoints before the last, and the Rayleigh quotients of the isolated
+eigenvalues, are in the total only. Then kernel_dimension on the same Laplacian (the whole Lanczos
 reduction, multisection for its two extreme eigenvalues and two Sturm
 counts), the full decomposition sym_eigen, which is smallest_k(S, n) and
 runs the whole reduction (skipped above n = 500, where the per-vector
@@ -47,6 +48,14 @@ this checkout won, and whether every output array, the certificate's
 verdict included, is bit-identical: `yes`, or `NO` and the
 largest difference of an entry relative to the largest entry of its array
 (`NO 4.4e-16` is a rounding-level move, `NO 1.0e+00` a wrong result).
+Against a `_kernels.py` from before Newton finished the isolated
+eigenvalues, stage 2 (`eigvals`) reads `NO` near 1e-8: that one stopped an
+isolated eigenvalue at the midpoint of a bracket a millionth of its
+clearance wide, where Newton's is exact to rounding. Stage 3 (`eigvecs`)
+reads `NO` too, at rounding level or, for a vector whose shift lies above
+its eigenvalue, `NO 2.0e+00`: inverse iteration then flips the vector's
+sign each solve, and it now takes one solve fewer. smallest_k orients
+every vector by its sign rule.
 
 Usage: python benchmarks/bench_eigen.py [--sizes 12,30,48,60,120,250,500,1000] [--repeats 3]
                                         [--against OTHER/src/speclap/_kernels.py]
@@ -98,16 +107,22 @@ def stage_times(S, repeats, k=5):
 
 def solve_trace(S, k=5):
     """What smallest_k(S, k) did: its Sturm-count passes (calls of
-    `_kernels.sturm_counts`), the Krylov dimension m of its last checkpoint,
+    `_kernels.sturm_counts`), the Newton steps of each isolated eigenvalue
+    (`_kernels._newton`), the Krylov dimension m of its last checkpoint,
     the number of checkpoints, and the eigenvalues and Ritz values of T_m
     that its last checkpoint solved for and certified."""
-    trace = {"passes": 0, "checkpoints": 0}
-    counts, reduce, vectors = _kernels.sturm_counts, eigen.lanczos, eigen.tridiagonal_eigenvectors
+    trace = {"passes": 0, "newton": [], "checkpoints": 0}
+    counts, newton, reduce, vectors = _kernels.sturm_counts, _kernels._newton, eigen.lanczos, eigen.tridiagonal_eigenvectors
     certify = eigen.certify
 
     def counted(*args):
         trace["passes"] += 1
         return counts(*args)
+
+    def stepped(*args):
+        x, steps = newton(*args)
+        trace["newton"].append(steps)
+        return x, steps
 
     def reduced(A, Q, d, e, start, stop):
         trace["checkpoints"] += 1
@@ -122,12 +137,14 @@ def solve_trace(S, k=5):
         trace["theta"] = theta
         return certify(A, Y, theta)
 
-    _kernels.sturm_counts, eigen.lanczos, eigen.tridiagonal_eigenvectors = counted, reduced, solved
+    _kernels.sturm_counts, _kernels._newton, eigen.lanczos, eigen.tridiagonal_eigenvectors = (
+        counted, stepped, reduced, solved)
     eigen.certify = certified
     try:
         sp.smallest_k(S, k)
     finally:
-        _kernels.sturm_counts, eigen.lanczos, eigen.tridiagonal_eigenvectors = counts, reduce, vectors
+        _kernels.sturm_counts, _kernels._newton, eigen.lanczos, eigen.tridiagonal_eigenvectors = (
+            counts, newton, reduce, vectors)
         eigen.certify = certify
     return trace
 
@@ -230,7 +247,7 @@ def main():
         return
 
     stages = ("lanczos", "eigvals", "eigvecs", "ritz")
-    print(f"{'n':>5} {'smallest_k 5':>13} {'passes':>6} {'m':>5} {'ckpts':>5} {'max |dλ|':>9} "
+    print(f"{'n':>5} {'smallest_k 5':>13} {'passes':>6} {'newton':>6} {'m':>5} {'ckpts':>5} {'max |dλ|':>9} "
           + " ".join(f"{s:>9}" for s in stages)
           + f" {'kernel_dim':>11} {'sym_eigen':>12} {'max |dλ|':>9} {'numpy eigh':>12}")
     for n in (int(s) for s in args.sizes.split(",")):
@@ -246,7 +263,8 @@ def main():
         else:
             full = f"{'-':>12} {'-':>9}"
         trace = solve_trace(S)
-        print(f"{n:>5} {t_k * 1e3:>11.2f}ms {trace['passes']:>6} {trace['m']:>5} {trace['checkpoints']:>5}"
+        steps = f"{statistics.mean(trace['newton']):.1f}" if trace["newton"] else "-"
+        print(f"{n:>5} {t_k * 1e3:>11.2f}ms {trace['passes']:>6} {steps:>6} {trace['m']:>5} {trace['checkpoints']:>5}"
               f" {err:>9.1e} {split} {t_ker * 1e3:>9.2f}ms"
               f" {full} {t_ref * 1e3:>10.3f}ms")
 

@@ -8,8 +8,10 @@ for the tridiagonal ones):
 1. `lanczos`: the Lanczos reduction to tridiagonal form T_m = Q_m^T A Q_m,
    with full reorthogonalisation, resumable at any Krylov dimension m;
 2. `tridiagonal_eigenvalues`: Sturm-count multisection (`sturm_counts`)
-   for the eigenvalues of T_m, stopping early on a settled eigenvalue,
-   whose value the caller takes from the Rayleigh quotient of its vector;
+   for the eigenvalues of T_m until each is isolated, then safeguarded
+   Newton on the same recurrence (`_newton`) to finish an isolated one;
+   the caller takes an isolated eigenvalue from the Rayleigh quotient of
+   its vector;
 3. `tridiagonal_eigenvectors`: inverse iteration on T_m for the vectors Z;
 4. `certify`: whether the Ritz pairs (Y = Q_m Z) are the smallest
    eigenpairs of A, by their residual and one Cholesky inertia test.
@@ -18,7 +20,7 @@ for the tridiagonal ones):
 of every SVD. `jacobi_eigen`, round-robin Jacobi, is not called by the
 library. Each function states the measurements and reasons behind its
 form where it applies: the unit start vector of `lanczos`, the shift of
-`certify`, and the recurrences on Python floats in
+`certify`, and the recurrences on Python floats in `_newton` and
 `tridiagonal_eigenvectors`.
 """
 
@@ -110,17 +112,28 @@ def jacobi_eigen(A, V, tol, max_sweeps):
     return sweep
 
 
+# jacobi_svd's negligible column: squared norm at most 1e-30 of another's,
+# so norm at most 1e-15 of it (4.5 eps). A column is at most ||A||_2, so
+# even five such together stay below the rank rule of
+# eigen._jacobi_svd_sorted, 1e-14 of the largest singular value
+NEGLIGIBLE = 1e-30
+
+
 def jacobi_svd(A, V, tol, max_sweeps):
     """One-sided cyclic Jacobi SVD on the columns of A (m x n, m >= n), in place.
 
     Columns of A are rotated until pairwise orthogonal; V (n x n, starts as
     identity) accumulates the right rotations so that input = A_out * V^T
     with A_out having orthogonal columns. Pairs (p, q) run in row-cyclic
-    order. The one skip rule is the pair's cosine: a pair is skipped when
-    gamma^2 <= tol^2 alpha beta, where alpha, beta and gamma are its squared
-    norms and inner product, so |cos| <= tol whatever the columns' size and
-    two small columns are rotated against each other as two large ones
-    are. Returns sweeps used (the sweep that rotates nothing ends it) or -1.
+    order. A pair is skipped when gamma^2 <= tol^2 alpha beta, where alpha,
+    beta and gamma are its squared norms and inner product, so |cos| <= tol
+    whatever the columns' size and two small columns are rotated against
+    each other as two large ones are. It is skipped too when one column's
+    squared norm is at most NEGLIGIBLE times the other's: that column holds
+    no more than the rounding of the rotations that made it, its cosine
+    with the other is noise, and rotating them again only moves that noise
+    (a rank-deficient square A would never converge). Returns sweeps used
+    (the sweep that rotates nothing ends it) or -1.
     A zero A or n <= 1 (n = 0 included) returns 0 at once.
 
     Everything runs on Python floats: column p of A and column p of V are
@@ -144,7 +157,7 @@ def jacobi_svd(A, V, tol, max_sweeps):
             Tp, Tq = T[p], T[q]
             alpha, beta = sq[p], sq[q]
             gamma = sum(map(mul, Tp[:m], Tq[:m]))
-            if gamma * gamma <= tol * tol * alpha * beta:
+            if gamma * gamma <= tol * tol * alpha * beta or min(alpha, beta) <= NEGLIGIBLE * max(alpha, beta):
                 continue
             rotated = True
             zeta = (beta - alpha) / (2.0 * gamma)
@@ -293,18 +306,17 @@ def _one_norm(d, e):
 
 
 MULTISECTION = 16  # Sturm-count shifts per open eigenvalue and pass
-# an eigenvalue clear of every other by more than CLUSTER_GAP ||T||_1 on
-# both sides stops once its bracket is SETTLE_RATIO of that clearance wide
-SETTLE_RATIO = 1e-6
 # eigenvalues closer than CLUSTER_GAP ||T||_1 form one cluster of inverse
-# iteration (dstein's ORTOL)
+# iteration (dstein's ORTOL); one proven farther than that from every other
+# is isolated
 CLUSTER_GAP = 1e-3
 
 
-def tridiagonal_eigenvalues(d, e, first, stop):
+def tridiagonal_eigenvalues(d, e, first, stop, guard=False):
     """Eigenvalues first..stop-1 (0-based, ascending) of the tridiagonal
-    T = (d, e) by Sturm-count multisection (LAPACK dstebz), and which of
-    them are settled.
+    T = (d, e), and which of them are isolated: Sturm-count multisection
+    (LAPACK dstebz) brackets each until it is isolated, and safeguarded
+    Newton (_newton) then finishes it.
 
     Every eigenvalue starts in T's Gershgorin interval. A pass evaluates
     MULTISECTION shifts per open eigenvalue, spread evenly over the distinct
@@ -312,17 +324,25 @@ def tridiagonal_eigenvalues(d, e, first, stop):
     narrows to the tightest pair of shifts that still brackets it. The
     brackets of neighbouring eigenvalues either coincide or hold no other
     eigenvalue between them, so the gap from a bracket to its neighbour's
-    is a clearance the counts prove. The same passes narrow the brackets of
-    the neighbours first - 1 and stop, which take no shifts of their own;
-    an eigenvalue below the first or above the last is infinitely far.
-    Eigenvalue j is settled, and takes no more shifts, once its clearance
-    on both sides exceeds CLUSTER_GAP ||T||_1 and its bracket is at most
-    SETTLE_RATIO times the smaller clearance wide: inverse iteration then
-    converges from the midpoint, and the Rayleigh quotient of its vector
-    gives the eigenvalue to rounding (Parlett, The Symmetric Eigenvalue
-    Problem, ch. 4; MRRR finishes its eigenvalues the same way). Any other interval is
-    closed once its width is below 4 eps ||T||. Returns the midpoints and
-    the boolean settled marks.
+    is a clearance the counts prove. The neighbours first - 1 and stop take
+    no shifts of their own. While the clearance of the range's end from one
+    of them is not proven, each pass adds one shift 2 CLUSTER_GAP ||T||_1
+    beyond the end's bracket: once that bracket is within CLUSTER_GAP
+    ||T||_1 of its eigenvalue, a gap of 3 CLUSTER_GAP ||T||_1 or more is
+    proven at once. An eigenvalue below the first or above the last is
+    infinitely far. Eigenvalue j is isolated, and takes no more shifts,
+    once its clearance on both sides exceeds CLUSTER_GAP ||T||_1: its
+    bracket then holds no other eigenvalue, and Newton on the same
+    recurrence finishes it to rounding (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 3; MRRR finishes isolated eigenvalues the same way). Any
+    other interval, in a cluster or a multiple eigenvalue, is closed at its
+    midpoint once its width is below 4 eps ||T||.
+
+    With guard, eigenvalue stop - 1 is wanted only to tell whether it ties
+    with stop - 2: it stops, unfinished and not marked isolated, at its
+    bracket's midpoint once its clearance from stop - 2 exceeds
+    CLUSTER_GAP ||T||_1, a gap far wider than any tie. Returns the
+    eigenvalues and the boolean isolated marks.
     """
     n = len(d)
     eps = np.finfo(float).eps
@@ -339,29 +359,113 @@ def tridiagonal_eigenvalues(d, e, first, stop):
     index = j[:, None]
     lo = np.where(j < n, gl - fudge, np.inf)
     hi = np.where(j >= 0, gu + fudge, -np.inf)
+    top = stop - first  # eigenvalue first + i - 1 sits at i in lo and hi
     while True:
         # the marks and intervals of the pass, on Python floats, as
         # tridiagonal_eigenvectors' recurrences and for the same reason
         lows, highs = lo.tolist(), hi.tolist()
         clear = [lower - upper for lower, upper in zip(lows[1:], highs)]
-        settled, a, b, live = [], [], [], 0
-        for i in range(1, len(lows) - 1):
-            c, size = min(clear[i - 1], clear[i]), highs[i] - lows[i]
-            settles = c > gap and size <= SETTLE_RATIO * c
-            settled.append(settles)
-            if size > width and not settles:
-                live += 1
-                # eigenvalues sharing an interval share its shifts
-                if i == 1 or lows[i] != lows[i - 1] or highs[i] != highs[i - 1]:
-                    a.append(lows[i])
-                    b.append(highs[i])
-        if not live:
-            return 0.5 * (lo[1:-1] + hi[1:-1]), np.array(settled, dtype=bool)
+        isolated = [below > gap and above > gap for below, above in zip(clear, clear[1:])]
+        live = [high - low > width and not mark for low, high, mark in zip(lows[1:], highs[1:], isolated)]
+        if guard and top:
+            isolated[-1] = False
+            live[-1] = highs[top] - lows[top] > width and clear[top - 1] <= gap
+        a, b = [], []
+        for i in range(1, top + 1):
+            # eigenvalues sharing an interval share its shifts
+            if live[i - 1] and (i == 1 or lows[i] != lows[i - 1] or highs[i] != highs[i - 1]):
+                a.append(lows[i])
+                b.append(highs[i])
+        if not a:
+            break
         a, b = np.array(a)[:, None], np.array(b)[:, None]
-        x = (a + (b - a) * _shift_fractions(MULTISECTION * live // len(a))).ravel()
+        x = (a + (b - a) * _shift_fractions(MULTISECTION * sum(live) // len(a))).ravel()
+        # a clearance at most the gap from a neighbour outside the range
+        # (an absent one is infinitely far) takes one shift 2 gaps past it
+        outside = []
+        if clear[0] <= gap and live[0]:
+            outside.append(lows[1] - 2.0 * gap)
+        if clear[top] <= gap and live[-1] and not guard:
+            outside.append(highs[top] + 2.0 * gap)
+        if outside:
+            x = np.concatenate((x, outside))
         below = sturm_counts(d, e2, x) <= index  # x <= eigenvalue j
         np.maximum(lo, np.where(below, x, -np.inf).max(axis=1), out=lo)
         np.minimum(hi, np.where(below, np.inf, x).min(axis=1), out=hi)
+    lam = 0.5 * (lo[1:-1] + hi[1:-1])
+    if any(isolated):
+        dl, e2l = (d + 0.0).tolist(), [0.0] + e2.tolist()
+        for i in (i for i, mark in enumerate(isolated) if mark):
+            lam[i], _ = _newton(dl, e2l, first + i, lows[i + 1], highs[i + 1], min(clear[i], clear[i + 1]), width)
+    return lam, np.array(isolated, dtype=bool)
+
+
+def _newton(d, e2, j, lo, hi, clearance, width):
+    """Eigenvalue j of the tridiagonal T = (d, e), the only one in its
+    bracket [lo, hi) and farther than clearance from every other, by
+    safeguarded Newton on det(T - x I) in Python floats; d and e2 are
+    lists, e2 = [0] + e * e. Returns the eigenvalue and the number of
+    steps, each one run of the recurrence.
+
+    A step runs sturm_counts' recurrence at one x: the pivots q_i of the
+    LDL^T factorisation of T - x I, in the same operations, and with them
+    d/dx log |det(T - x I)| = sum q_i' / q_i, where q_i' = -1 +
+    e_i-1^2 q_i-1' / q_i-1^2. Where e_i-1 = 0 the same operations give
+    q_i = d_i - x and q_i' = -1, as for the first row. The number of
+    negative pivots shows which side of the eigenvalue x lies on, and the
+    bracket shrinks to x. The Newton step x - 1 / sum is taken where it
+    lands inside the bracket and is at most half as long as the step
+    before last; otherwise x moves to the bracket's midpoint (Numerical
+    Recipes' rtsafe). A zero pivot is counted as sturm_counts counts it:
+    over a nonzero e_i it makes the next pivot -inf and leaves no
+    derivative, so that step bisects; where it ends a block of T (at
+    e_i = 0, or at the last row) det(T - x I) is zero, and x is the
+    eigenvalue.
+
+    The sum is 1 / (x - lambda_j) plus at most (m - 1) / clearance from the
+    m - 1 other eigenvalues, so a Newton step of length s leaves x within
+    about m s^2 / clearance of lambda_j: the step is the last once that is
+    below width, the closing width of multisection, or once the bracket
+    itself is that narrow.
+    """
+    tol = math.sqrt(width * clearance / len(d))
+    x = 0.5 * (lo + hi)
+    old = older = hi - lo
+    steps = 0
+    while hi - lo > width:
+        steps += 1
+        try:
+            count, total, q, t = 0, 0.0, 1.0, 0.0
+            for di, e2i in zip(d, e2):
+                r = e2i / q
+                q = di - x - r
+                t = (r * t - 1.0) / q
+                total += t
+                if q < 0.0:
+                    count += 1
+        except ZeroDivisionError:
+            count, total, q = 0, math.nan, 1.0
+            for di, e2i in zip(d, e2):
+                if not e2i:
+                    if not q:
+                        return x, steps
+                    q = di - x
+                else:
+                    q = di - x - e2i / q if q else -math.inf
+                count += q < 0.0
+            if not q:
+                return x, steps
+        if count <= j:
+            lo = x
+        else:
+            hi = x
+        y = x - 1.0 / total if total else math.nan
+        if abs(y - x) <= tol:
+            return min(max(y, lo), hi), steps
+        if not (lo < y < hi and abs(y - x) <= 0.5 * abs(older)):
+            y = 0.5 * (lo + hi)
+        older, old, x = old, y - x, y
+    return x, steps
 
 
 @functools.lru_cache(maxsize=32)
@@ -374,7 +478,9 @@ def _shift_fractions(m):
 
 
 INVERSE_ITERATIONS = 5  # at most, per eigenvector (LAPACK dstein's MAXITS)
-EXTRA_ITERATIONS = 2  # run after the growth test first passes (dstein's EXTRA)
+# run after the growth test first passes (dstein's EXTRA is 2), one more for
+# a vector of a cluster
+EXTRA_ITERATIONS = 1
 
 
 def _start_vectors(n, m):
@@ -444,14 +550,15 @@ def tridiagonal_eigenvectors(d, e, lam):
     and solves; once the solution's largest entry reaches sqrt(0.1 / n) the
     vector has converged, and EXTRA_ITERATIONS more follow. Eigenvalues
     closer than CLUSTER_GAP ||T||_1 form a cluster, and each iterate is
-    orthogonalised against the lower ones of its cluster. An eigenvalue
-    that tridiagonal_eigenvalues settled is proven farther than that from
-    every other, so it is never in one; its shift is the midpoint of a
-    bracket SETTLE_RATIO of that clearance wide, close enough for these
-    iterations to converge the vector, and smallest_k then takes the
-    Rayleigh quotient of the vector as the eigenvalue. Pivots are kept
-    at least eps ||T||_1 in magnitude. Returns the n x len(lam) vectors, or
-    None if some vector never converged.
+    orthogonalised against the lower ones of its cluster; a cluster's
+    vectors take one iteration more, since their shifts do not tell them
+    apart and each iteration's re-orthogonalisation does. An eigenvalue
+    that tridiagonal_eigenvalues isolated is proven farther than that from
+    every other, so it is never in one, and Newton gave its shift to
+    rounding: the one solve after the growth test converges the vector,
+    and smallest_k then takes the Rayleigh quotient of the vector as the
+    eigenvalue. Pivots are kept at least eps ||T||_1 in magnitude. Returns
+    the n x len(lam) vectors, or None if some vector never converged.
 
     The factorisation and the solves are O(n) recurrences, run one vector
     at a time on Python floats: with at most K + 1 vectors, one numpy call
@@ -472,6 +579,9 @@ def tridiagonal_eigenvectors(d, e, lam):
     breaks = np.flatnonzero(np.diff(lam) > CLUSTER_GAP * onenrm) + 1
     clusters = [(s, t) for s, t in zip(np.r_[0, breaks], np.r_[breaks, m]) if t - s > 1]
     X = _start_vectors(n, m)
+    extra = np.full(m, EXTRA_ITERATIONS)
+    for s, t in clusters:
+        extra[s:t] += 1
     passed = np.zeros(m, dtype=np.intp)
     for _ in range(INVERSE_ITERATIONS):
         X *= rhs_scale / np.abs(X).max(axis=0)
@@ -485,7 +595,7 @@ def tridiagonal_eigenvectors(d, e, lam):
                 for _ in range(2):
                     X[:, i] -= B @ ((B.T @ X[:, i]) / (B * B).sum(axis=0))
         passed += np.abs(X).max(axis=0) >= math.sqrt(0.1 / n)
-        if (passed > EXTRA_ITERATIONS).all():
+        if (passed > extra).all():
             break
     if not passed.all():
         return None

@@ -2,13 +2,14 @@
 
 Every symmetric eigensolve takes one path, `smallest_k`: a Lanczos
 reduction to tridiagonal form, run to checkpoints. At each, Sturm
-multisection gives the k + 1 smallest eigenvalues of the tridiagonal
-matrix and inverse iteration their vectors, and the reduction stops once a
-Cholesky inertia test certifies those Ritz pairs, or once it is whole.
+multisection isolates the k + 1 smallest eigenvalues of the tridiagonal
+matrix and Newton finishes them, inverse iteration gives their vectors,
+and the reduction stops once a Cholesky inertia test certifies those Ritz
+pairs, or once it is whole.
 `sym_eigen`, the full decomposition, is `smallest_k` with k = n, which
 always runs the whole reduction. `kernel_dimension` needs no eigenvector:
 `_kernel_dimension` counts eigenvalues on the whole tridiagonal form by
-Sturm counts alone. Every SVD takes one engine,
+Sturm counts and Newton alone. Every SVD takes one engine,
 `_jacobi_svd_sorted`: one Householder QR reduces a tall matrix to its
 square triangular factor, and one-sided Jacobi rotations on Python floats
 make the columns orthogonal (Drmac & Veselic 2008). `svd` is the full
@@ -291,11 +292,12 @@ def _kernel_dimension(S):
     """Number of eigenvalues of the symmetric S with |lambda| <= t =
     1e-9 max |lambda|, without eigenvectors: on the whole Lanczos
     tridiagonal form of S at unit scale (_symmetric_input), multisection
-    finds the two extreme eigenvalues, whose larger magnitude is
+    and Newton find the two extreme eigenvalues, whose larger magnitude is
     max |lambda|, and the count is the difference of two Sturm counts, of
     the eigenvalues below t and below -t. An isolated extreme eigenvalue
-    stops at the settle rule's width, at most a millionth of the spectrum's
-    width off: t needs only a few digits. The zero matrix counts n."""
+    takes a pass or two of multisection and Newton's steps; one in a
+    cluster is bisected to full width, though t needs only a few digits.
+    The zero matrix counts n."""
     A, _, _ = _symmetric_input(S)
     n = A.shape[0]
     if not A.any():
@@ -322,22 +324,23 @@ KRYLOV_BASE = 8
 KRYLOV_GROWTH = 1.5
 
 
-def _lowest_eigenvalues(d, e, k, thresh):
-    """(lam, settled, groups, end): the lowest eigenvalues of the
-    tridiagonal T = (d, e) by multisection (tridiagonal_eigenvalues) and
-    their settled marks, at least k + 1 of them and more, doubling, while
-    the tie group (_tie_groups at thresh) holding the k-th runs on to the
-    last computed; groups are their tie groups, and end is where the group
-    holding the k-th ends."""
+def _lowest_eigenvalues(d, e, k, thresh, guard):
+    """(lam, isolated, groups, end): the lowest eigenvalues of the
+    tridiagonal T = (d, e) (tridiagonal_eigenvalues) and their isolated
+    marks, at least k + 1 of them and more, doubling, while the tie group
+    (_tie_groups at thresh) holding the k-th runs on to the last computed;
+    groups are their tie groups, and end is where the group holding the
+    k-th ends. With guard, lam[k] is wanted only to tell whether that group
+    runs on: it is resolved only as far as that takes."""
     m = len(d)
-    lam, settled = tridiagonal_eigenvalues(d, e, 0, min(k + 1, m))
+    lam, isolated = tridiagonal_eigenvalues(d, e, 0, min(k + 1, m), guard and k < m)
     while True:
         groups = _tie_groups(lam, thresh)
         end = next(t for _, t in groups if t >= k)  # of the group holding k - 1
         if end < len(lam) or len(lam) == m:
-            return lam, settled, groups, end
-        more, more_settled = tridiagonal_eigenvalues(d, e, len(lam), min(2 * len(lam), m))
-        lam, settled = np.concatenate((lam, more)), np.concatenate((settled, more_settled))
+            return lam, isolated, groups, end
+        more, more_isolated = tridiagonal_eigenvalues(d, e, len(lam), min(2 * len(lam), m))
+        lam, isolated = np.concatenate((lam, more)), np.concatenate((isolated, more_isolated))
 
 
 def smallest_k(S, k):
@@ -349,18 +352,21 @@ def smallest_k(S, k):
     S enters at unit scale (_symmetric_input), and the eigenvalues are
     multiplied back by the same power of two. At each checkpoint m the
     Lanczos reduction (_kernels.lanczos) has reached T_m = Q_m^T A Q_m.
-    Sturm-count multisection gives T_m's k + 1 smallest eigenvalues, and
-    more while the tie group holding the k-th runs on; inverse iteration
-    on T_m gives their vectors Z, and Y = Q_m Z, one matrix product, the
-    Ritz vectors. The reduction stops once _kernels.certify proves these
-    the smallest eigenpairs of A (their residual at most 8 eps ||A||_F, and
-    a Cholesky inertia test showing none missed below them), or at m = n,
-    where T_n is the whole reduction. A failed certificate only extends m.
-    An eigenvalue that multisection settled (farther than
-    CLUSTER_GAP ||T||_1 from every other, bracketed to SETTLE_RATIO of
-    that clearance; see tridiagonal_eigenvalues) is the Rayleigh quotient
-    z^T T z of its unit vector z, the others the midpoints of their
-    brackets at full width. Eigenvalues within DEFAULT_TOL * ||S||_F of
+    Sturm-count multisection and Newton give T_m's k + 1 smallest
+    eigenvalues, and more while the tie group holding the k-th runs on
+    (_lowest_eigenvalues); inverse iteration on T_m gives their vectors Z,
+    and Y = Q_m Z, one matrix product, the Ritz vectors. The reduction
+    stops once _kernels.certify proves these the smallest eigenpairs of A
+    (their residual at most 8 eps ||A||_F, and a Cholesky inertia test
+    showing none missed below them), or at m = n, where T_n is the whole
+    reduction. A failed certificate only extends m.
+    An isolated eigenvalue (proven farther than CLUSTER_GAP ||T||_1 from
+    every other, and finished by Newton; see tridiagonal_eigenvalues) is
+    the Rayleigh quotient z^T T z of its unit vector z, the others the
+    midpoints of their brackets at full width. At m = n no certificate
+    reads the (k + 1)-th eigenvalue: unless it ties with the k-th, it is
+    resolved only as far as telling that it does not, and gets no vector.
+    Eigenvalues within DEFAULT_TOL * ||S||_F of
     each other are one multiple eigenvalue, whose eigenvectors come back in
     the canonical basis (_canonical_basis); every column is oriented by
     _column_signs. A tie group that k cuts is computed whole before the
@@ -379,15 +385,16 @@ def smallest_k(S, k):
         lanczos(A, Q, d, e, m, stop)
         m = stop
         T = d[:m], e[: m - 1]
-        lam, settled, groups, end = _lowest_eigenvalues(*T, k, DEFAULT_TOL * scale)
+        # at m = n no certificate reads the pair past the group
+        lam, isolated, groups, end = _lowest_eigenvalues(*T, k, DEFAULT_TOL * scale, m == n)
         if end < m or m == n:
             # below n, the pair past the group bounds the certificate's shift
             p = end if m == n else end + 1
             Z = tridiagonal_eigenvectors(*T, lam[:p])
             if Z is None:
                 raise NoConvergence("inverse iteration did not converge")
-            # a settled eigenvalue is the Rayleigh quotient z^T T z of its vector
-            theta = np.where(settled[:p], T[0] @ (Z * Z) + 2.0 * (T[1] @ (Z[:-1] * Z[1:])), lam[:p])
+            # an isolated eigenvalue is the Rayleigh quotient z^T T z of its vector
+            theta = np.where(isolated[:p], T[0] @ (Z * Z) + 2.0 * (T[1] @ (Z[:-1] * Z[1:])), lam[:p])
             Y = Q[:m].T @ Z
             if m == n or certify(A, Y, theta):
                 break

@@ -178,10 +178,22 @@ def rescale_variant(Z, method="row_normalize"):
     row by its norm (only this one leaves the relaxed constraints). Z enters
     at unit scale (eigen._unit_scale), so 2^p Z gives the same result. A fit
     with a column factor (squared for row_norm_ls) within TIE_RTOL of zero,
-    relative to the largest, falls back to Z as given."""
+    relative to the largest, falls back to Z as given. row_sum_ls solves
+    the normal equations, so it raises RankDeficient where Z lacks full
+    column rank: where the Cholesky factorisation of Z^T Z fails or a
+    squared pivot is at most 1e-12 of the largest."""
     Z, power = _as_z(Z, eigen._unit_scale)
     if method == "row_sum_ls":
-        lam = np.linalg.solve(Z.T @ Z, Z.T @ np.ones(Z.shape[0]))
+        G = Z.T @ Z
+        try:
+            pivots = np.diag(np.linalg.cholesky(G)) ** 2
+        except np.linalg.LinAlgError:
+            pivots = np.zeros(1)
+        # the smallest eigenvalue of G is at most its smallest pivot and the
+        # largest at least its largest, so init_rotation_R1 refuses this Z too
+        if pivots.min() <= 1e-12 * pivots.max():
+            raise RankDeficient("Z does not have full column rank")
+        lam = np.linalg.solve(G, Z.T @ np.ones(Z.shape[0]))
         if np.all(np.abs(lam) > eigen.TIE_RTOL * np.abs(lam).max()):
             return Z * lam[None, :]
     elif method == "row_norm_ls":

@@ -382,11 +382,15 @@ def reference_sturm_counts(d, e2, x, pivmin):
     return np.signbit(q).sum(axis=0)
 
 
-def reference_tridiagonal_eigenvalues(d, e, first, stop):
-    """Reference multisection: _kernels.tridiagonal_eigenvalues with each
-    pass's clearances, settle and live marks and distinct intervals as
-    numpy calls over all brackets. Same (midpoints, settled) contract; the
-    counts come from _kernels.sturm_counts, looked up at each call."""
+def reference_tridiagonal_eigenvalues(d, e, first, stop, guard=False):
+    """Reference multisection: _kernels.tridiagonal_eigenvalues' passes with
+    each pass's clearances, isolated, guard and live marks, distinct
+    intervals and shifts past the range's ends as numpy calls over all
+    brackets, and no Newton finish. Returns the brackets (lo, hi) of
+    eigenvalues first..stop-1 as the passes leave them, and their isolated
+    marks: the kernel's eigenvalue is the bracket's midpoint where it is
+    not isolated, and Newton's, inside the bracket, where it is. The counts
+    come from _kernels.sturm_counts, looked up at each call."""
     n = len(d)
     eps = np.finfo(float).eps
     e2 = e * e
@@ -406,17 +410,25 @@ def reference_tridiagonal_eigenvalues(d, e, first, stop):
     wlo, whi = lo[1:-1], hi[1:-1]  # the wanted eigenvalues, updated in place
     while True:
         clear = lo[1:] - hi[:-1]
-        clear = np.minimum(clear[:-1], clear[1:])
-        settled = (clear > gap) & (whi - wlo <= _kernels.SETTLE_RATIO * clear)
-        live = (whi - wlo > width) & ~settled
+        isolated = (clear[:-1] > gap) & (clear[1:] > gap)
+        done = isolated.copy()
+        if guard and len(done):
+            # the guard needs only its clearance from the eigenvalue below
+            isolated[-1], done[-1] = False, clear[-2] > gap
+        live = (whi - wlo > width) & ~done
         if not live.any():
-            return 0.5 * (wlo + whi), settled
+            return wlo.copy(), whi.copy(), isolated
         # eigenvalues sharing an interval share its shifts
         first_of = live.copy()
         first_of[1:] &= (wlo[1:] != wlo[:-1]) | (whi[1:] != whi[:-1])
         a, b = wlo[first_of], whi[first_of]
         m = _kernels.MULTISECTION * int(live.sum()) // len(a)
         x = (a[:, None] + (b - a)[:, None] * (np.arange(1, m + 1) / (m + 1))).ravel()
+        # one shift 2 gaps past an open end whose clearance is unproven
+        if clear[0] <= gap and live[0]:
+            x = np.r_[x, wlo[0] - 2.0 * gap]
+        if clear[-1] <= gap and live[-1] and not guard:
+            x = np.r_[x, whi[-1] + 2.0 * gap]
         below = _kernels.sturm_counts(d, e2, x) <= index  # x <= eigenvalue j
         np.maximum(lo, np.where(below, x, -np.inf).max(axis=1), out=lo)
         np.minimum(hi, np.where(below, np.inf, x).min(axis=1), out=hi)
@@ -478,6 +490,9 @@ def reference_tridiagonal_eigenvectors(d, e, lam):
     breaks = np.flatnonzero(np.diff(lam) > 1e-3 * onenrm) + 1
     clusters = [(s, t) for s, t in zip(np.r_[0, breaks], np.r_[breaks, m]) if t - s > 1]
     X = _kernels._start_vectors(n, m)
+    extra = np.full(m, _kernels.EXTRA_ITERATIONS)
+    for s, t in clusters:
+        extra[s:t] += 1
     passed = np.zeros(m, dtype=np.intp)
     for _ in range(_kernels.INVERSE_ITERATIONS):
         X *= rhs_scale / np.abs(X).max(axis=0)
@@ -488,7 +503,7 @@ def reference_tridiagonal_eigenvectors(d, e, lam):
                 for _ in range(2):
                     X[:, i] -= B @ ((B.T @ X[:, i]) / (B * B).sum(axis=0))
         passed += np.abs(X).max(axis=0) >= math.sqrt(0.1 / n)
-        if (passed > _kernels.EXTRA_ITERATIONS).all():
+        if (passed > extra).all():
             break
     if not passed.all():
         return None

@@ -273,21 +273,21 @@ CORPUS_OUTPUT = {
     "header-count-negative": _error("ParseError", "line 3: node count must be >= 1"),
     "header-too-large": _error("ParseError", "line 2: node count 10000000000 is too large"),
     "empty": _error("ParseError", "line 0: empty graph file"),
-    "crlf": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572104}\n', ""),
-    "tabs": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572104}\n', ""),
-    "formfeed": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572104}\n', ""),
-    "comments-blank": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572104}\n', ""),
-    "plus-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7154552864484494}\n', ""),
+    "crlf": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572109}\n', ""),
+    "tabs": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572109}\n', ""),
+    "formfeed": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572109}\n', ""),
+    "comments-blank": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572109}\n', ""),
+    "plus-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7154552864484498}\n', ""),
     "underscore-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.09788696740969272}\n', ""),
-    "arabic-indic-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572104}\n', ""),
-    "underscore-weight": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7187084605186991}\n', ""),
+    "arabic-indic-index": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572109}\n', ""),
+    "underscore-weight": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7187084605186982}\n', ""),
     "zero-weights": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.5857864376269051}\n', ""),
     "one-node": (0, '{"balanced": true, "smallest_signed_laplacian_eigenvalue": 0.0, "bipartition": [1]}\n', ""),
     "bad-utf8-header": _error("UnicodeDecodeError",
                               "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     "bad-utf8-record": _error("UnicodeDecodeError",
                               "'utf-8' codec can't decode byte 0xff in position 22: invalid start byte"),
-    "cr-only": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572104}\n', ""),
+    "cr-only": (0, '{"balanced": false, "smallest_signed_laplacian_eigenvalue": 0.7134292106572109}\n', ""),
     "bad-record-after-comment-header": _error("ParseError", "line 4: bad edge record '1 2 x'"),
     "header-no-newline": _error("NotConnected", "graph has 4 components"),
     "comment-and-blank-records": _error("NotConnected", "graph has 4 components"),

@@ -438,17 +438,22 @@ def planted_weights(rng, n, blocks=4):
     return W
 
 
-def planted_laplacian(rng, n, blocks=4):
-    """Normalised Laplacian of planted_weights' graph, on which the pinned
-    cases below are built."""
-    return sp.laplacian(sp.Graph(planted_weights(rng, n, blocks)), "sym").M
+def planted_laplacian(rng, n, blocks=4, kind="sym"):
+    """Laplacian of planted_weights' graph, on which the pinned cases below
+    are built: normalised by default. The signed kinds take the graph with
+    every edge between blocks negative, as perfbench's unbalanced graphs."""
+    W = planted_weights(rng, n, blocks)
+    if kind.startswith("signed"):
+        labels = np.arange(n) * blocks // n
+        W = np.where(labels[:, None] == labels[None, :], W, -W)
+    return sp.laplacian(sp.Graph(W), kind).M
 
 
 def _near_gap_spectrum(rng, factor):
     """Spectrum -1, 0.3, 0.3 + delta, 1 .. 2 (n = 48) with delta = factor *
     CLUSTER_GAP ||T||_1, T the tridiagonal form the solver reduces it to:
     0.3 and its nearest neighbour lie just outside (factor > 1) or just
-    inside (factor < 1) the clearance that settles an eigenvalue."""
+    inside (factor < 1) the clearance that isolates an eigenvalue."""
     Q = random_orthonormal(rng, 48, 48)
 
     def build(delta):
@@ -480,7 +485,7 @@ def _oracle_matrices():
     ]
     for n in (1, 2, 3, 12, 48, 120, 250):
         cases.append((f"random-{n}", random_symmetric(rng, n)))
-    # both sides of the settle rule, and the matrix a 4-way cluster solves
+    # both sides of the isolation rule, and the matrix a 4-way cluster solves
     near = np.random.default_rng(2004)
     cases += [
         ("gap-outside-48", _near_gap_spectrum(near, 1.05)),
@@ -523,6 +528,9 @@ class TestNumpyOracle:
 SMALLEST_K_CASES = [
     (name, S, k) for name, S in ORACLE_CASES for k in sorted({1, min(2, len(S)), min(5, len(S))})
 ]
+# (Laplacian kind, n, k) of the pass counts: a 4-way cluster's solve at
+# n = 120, and the signed solves of perfbench's n = 12 and 48 workloads
+PASS_CASES = [("sym", 120, 5)] + [(kind, n, 3) for kind in ("signed_sym", "signed_unnormalized") for n in (12, 48)]
 
 
 def _check_against_eigh(S, vals, vecs):
@@ -575,11 +583,13 @@ class TestSmallestKOracle:
         assert np.max(np.abs(vals - full.values[:k])) <= tie
         assert np.max(np.abs(vecs - full.vectors[:, :k])) <= 1e-12
 
-    def test_multisection_stops_at_settled_eigenvalues(self, monkeypatch):
-        # the six eigenvalues of a planted n = 120 solve are isolated, so
-        # multisection stops short of full width (at full width it makes 12
-        # passes); each pass is one sturm_counts call
-        S = planted_laplacian(np.random.default_rng(120), 120)
+    @pytest.mark.parametrize("kind,n,k", PASS_CASES, ids=[f"{c[0]}-n{c[1]}" for c in PASS_CASES])
+    def test_multisection_stops_at_isolated_eigenvalues(self, monkeypatch, kind, n, k):
+        # the wanted eigenvalues of a planted solve are isolated within the
+        # first pass or two: multisection stops there and Newton finishes
+        # them (at full width it makes 12 passes); each pass is one
+        # sturm_counts call
+        S = planted_laplacian(np.random.default_rng(n), n, kind=kind)
         calls = []
         counts = _kernels.sturm_counts
 
@@ -588,8 +598,25 @@ class TestSmallestKOracle:
             return counts(*args)
 
         monkeypatch.setattr(_kernels, "sturm_counts", counted)
-        vals, vecs = sp.smallest_k(S, 5)
-        assert len(calls) <= 8
+        vals, vecs = sp.smallest_k(S, k)
+        assert len(calls) <= 3
+        _check_against_eigh(S, vals, vecs)
+
+    def test_guard_resolved_only_against_the_group(self, monkeypatch):
+        # at m = n no certificate reads the guard lambda_k: with lambda_k
+        # far above lambda_k-1 but 1e-9 from lambda_k+1, it is never
+        # isolated, yet it stops once its clearance from lambda_k-1 is proven
+        # (at full width it takes 12 passes), and the pair past the group
+        # is not solved for
+        rng = np.random.default_rng(64)
+        S = _with_spectrum(rng, np.r_[0.0, 0.25, 1.0, 1.0 + 1e-9, np.linspace(2.0, 3.0, 8)])
+        calls = []
+        counts, vectors = _kernels.sturm_counts, sp.eigen.tridiagonal_eigenvectors
+        monkeypatch.setattr(_kernels, "sturm_counts", lambda *args: calls.append(args) or counts(*args))
+        solved = []
+        monkeypatch.setattr(sp.eigen, "tridiagonal_eigenvectors", lambda d, e, lam: solved.append(lam) or vectors(d, e, lam))
+        vals, vecs = sp.smallest_k(S, 2)
+        assert len(calls) <= 3 and [len(lam) for lam in solved] == [2]
         _check_against_eigh(S, vals, vecs)
 
     @pytest.mark.parametrize("n", [500, 1000])
@@ -770,6 +797,24 @@ def _decompositions(S, gram):
     return out
 
 
+def _assert_multisection_matches(d, e, first, stop, guard):
+    """tridiagonal_eigenvalues(d, e, first, stop, guard) against the
+    reference's passes (reference_tridiagonal_eigenvalues): the same
+    isolated marks, the reference's midpoint bit for bit where unmarked,
+    and where marked a value inside the reference's bracket within
+    16 eps ||T||_1 of eigvalsh's (most of that bound is eigvalsh's own
+    error at n = 250; at n = 48 Newton's values lie within 1 eps ||T||_1
+    of a 30-digit reference)."""
+    lam, isolated = _kernels.tridiagonal_eigenvalues(d, e, first, stop, guard)
+    lo, hi, ref_isolated = reference_tridiagonal_eigenvalues(d, e, first, stop, guard)
+    assert lam.dtype == float and isolated.dtype == ref_isolated.dtype == bool
+    assert np.array_equal(isolated, ref_isolated)
+    assert np.array_equal(lam[~isolated], (0.5 * (lo + hi))[~isolated])
+    assert np.all((lo <= lam) & (lam <= hi))
+    ref = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[first:stop]
+    assert np.all(np.abs(lam - ref)[isolated] <= 16 * np.finfo(float).eps * _kernels._one_norm(d, e))
+
+
 class TestTridiagonalKernels:
     @pytest.mark.parametrize("kind,n,m", TRIDIAGONAL_CASES, ids=[f"{k}-n{n}-m{m}" for k, n, m in TRIDIAGONAL_CASES])
     def test_eigenvectors_match_vectorised_reference(self, kind, n, m):
@@ -843,42 +888,86 @@ class TestTridiagonalKernels:
     @pytest.mark.parametrize("kind,n", MULTISECTION_CASES, ids=[f"{k}-n{n}" for k, n in MULTISECTION_CASES])
     def test_multisection_matches_reference(self, kind, n):
         # the per-pass bookkeeping on Python floats makes the reference's
-        # passes: same shifts, so the same midpoints and marks, for every
-        # range whose ends are 0, n - 1 or n (an empty one included)
+        # passes, for every range whose ends are 0, n // 2, n - 1 or n (an
+        # empty one included), and with a guard on every range of two or more
         d, e = _multisection_case(kind, n)
         ends = sorted({0, n // 2, n - 1, n})
         for first in ends:
             for stop in (s for s in ends if s >= first):
-                lam, settled = _kernels.tridiagonal_eigenvalues(d, e, first, stop)
-                ref_lam, ref_settled = reference_tridiagonal_eigenvalues(d, e, first, stop)
-                assert lam.dtype == ref_lam.dtype and settled.dtype == ref_settled.dtype == bool
-                assert np.array_equal(lam, ref_lam) and np.array_equal(settled, ref_settled)
+                for guard in (False, True) if stop - first >= 2 else (False,):
+                    _assert_multisection_matches(d, e, first, stop, guard)
 
     @pytest.mark.parametrize("name,S", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
     def test_multisection_matches_reference_on_oracle_cases(self, name, S):
-        # the tridiagonal forms smallest_k and sym_eigen bisect: the lowest
-        # six, the rest and the whole spectrum
+        # the tridiagonal forms smallest_k and sym_eigen solve: the lowest
+        # six, with and without the guard, the rest and the whole spectrum
         d, e = tridiagonal_form(sp.eigen._symmetric_input(S)[0])
         n = len(d)
-        for first, stop in ((0, min(6, n)), (min(6, n), n), (0, n)):
-            lam, settled = _kernels.tridiagonal_eigenvalues(d, e, first, stop)
-            ref_lam, ref_settled = reference_tridiagonal_eigenvalues(d, e, first, stop)
-            assert np.array_equal(lam, ref_lam) and np.array_equal(settled, ref_settled)
+        for first, stop, guard in ((0, min(6, n), False), (0, min(6, n), n >= 2), (min(6, n), n, False), (0, n, False)):
+            _assert_multisection_matches(d, e, first, stop, guard)
 
-    @pytest.mark.parametrize("name,settled", [("gap-outside-48", True), ("gap-inside-48", False)])
-    def test_settle_rule_sides(self, name, settled):
+    @pytest.mark.parametrize("name,isolated", [("gap-outside-48", True), ("gap-inside-48", False)])
+    def test_isolation_rule_sides(self, name, isolated):
         # eigenvalues 1 and 2 lie just outside or just inside CLUSTER_GAP
-        # ||T||_1 of each other, 0 and 3 far from every other. A settled
-        # bracket is at most SETTLE_RATIO of its clearance wide, which is
-        # less than the spectrum's width; any other closes at full width.
+        # ||T||_1 of each other, 0 and 3 far from every other. Newton
+        # finishes the isolated ones, and multisection closes the others at
+        # full width: both to rounding
         S = dict(ORACLE_CASES)[name]
         A, power, _ = sp.eigen._symmetric_input(S)
         d, e = tridiagonal_form(A)
         lam, marks = _kernels.tridiagonal_eigenvalues(d, e, 0, 4)
-        assert marks.tolist() == [True, settled, settled, True]
+        assert marks.tolist() == [True, isolated, isolated, True]
         ref = np.ldexp(np.linalg.eigvalsh(S), -power)
-        tol = np.where(marks, _kernels.SETTLE_RATIO * np.ptp(ref), 64 * np.finfo(float).eps)
-        assert np.all(np.abs(lam - ref[:4]) <= tol)
+        assert np.all(np.abs(lam - ref[:4]) <= 16 * np.finfo(float).eps * _kernels._one_norm(d, e))
+
+    def test_end_of_range_proves_its_clearance(self, monkeypatch):
+        # the neighbours of a range take no shifts of their own, so the
+        # clearance of the range's end from one is proven by one shift a
+        # pass past the end's bracket: the highest eigenvalue of this
+        # planted Laplacian, 2.4 CLUSTER_GAP ||T||_1 from the next, took 13
+        # passes to full width without it
+        A = sp.eigen._symmetric_input(planted_laplacian(np.random.default_rng(120), 120))[0]
+        d, e = tridiagonal_form(A)
+        calls = []
+        counts = _kernels.sturm_counts
+        monkeypatch.setattr(_kernels, "sturm_counts", lambda *args: calls.append(args) or counts(*args))
+        for first, stop in ((0, 1), (119, 120)):
+            calls.clear()
+            lam, marks = _kernels.tridiagonal_eigenvalues(d, e, first, stop)
+            assert marks.all() and len(calls) <= 3
+            assert abs(lam[0] - np.linalg.eigvalsh(A)[first]) <= 16 * np.finfo(float).eps * _kernels._one_norm(d, e)
+
+    @pytest.mark.parametrize("d, e, lo, hi, j", [
+        # T splits after row 0 (e_0 = 0) and the bracket's midpoint is
+        # d_0 = 0.5: a zero pivot ends a block, so x is the eigenvalue
+        ([0.5, 2.0, 3.0, 2.5], [0.0, 1.0, 0.5], 0.25, 0.75, 0),
+        # T splits at e_1 = e_2 = 0: a 1 x 1 block in the middle
+        ([2.0, 1.0, 0.75, 3.0, 2.0], [1.0, 0.0, 0.0, 1.0], 0.5, 1.0, 1),
+        # a zero pivot over a nonzero e_i at x = 1: the next pivot is -inf,
+        # det(T - I) = -1, and that step bisects
+        ([1.0, 1.0, 2.0], [1.0, 1.0], 0.5, 1.5, 1),
+    ])
+    def test_newton_zero_pivots_and_splits(self, d, e, lo, hi, j):
+        # the bracket holds eigenvalue j alone; Newton counts a zero pivot by
+        # its sign and skips the division where e_i = 0, as sturm_counts does
+        d, e = np.array(d), np.array(e)
+        lam = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        assert lo <= lam[j] < hi and np.count_nonzero((lo <= lam) & (lam < hi)) == 1
+        x, _ = _kernels._newton(d.tolist(), [0.0] + (e * e).tolist(), j, lo, hi, 0.25, 4 * np.finfo(float).eps * 4)
+        assert abs(x - lam[j]) <= 4 * np.finfo(float).eps * _kernels._one_norm(d, e)
+        if e[0] == 0.0 or e[1] == 0.0:
+            assert x in d  # the 1 x 1 block's eigenvalue, exactly
+
+    def test_split_eigenvalue_on_the_diagonal(self):
+        # T splits twice, and one isolated eigenvalue is a diagonal entry,
+        # 0.5, as on W1's Laplacian at k = 5: multisection and Newton give
+        # it to the bit, and the others to rounding
+        d = np.array([1.0, 1.5, 0.75, 0.5, 2.0, 1.25, 2.5])
+        e = np.array([0.5, 0.25, 0.0, 0.0, 0.5, 0.25])
+        lam, marks = _kernels.tridiagonal_eigenvalues(d, e, 0, 7)
+        ref = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        assert marks.all() and 0.5 in lam
+        assert np.max(np.abs(lam - ref)) <= 4 * np.finfo(float).eps * _kernels._one_norm(d, e)
 
     def test_sturm_counts_against_eigvalsh(self):
         rng = np.random.default_rng(7)

@@ -427,6 +427,18 @@ class TestRescaleVariants:
         Z2 = sp.rescale_variant(Z, "row_sum_ls")
         assert np.allclose(Z2, Z)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_row_sum_ls_rank_deficient(self, seed):
+        # column 3 repeats column 1, so the normal equations are singular:
+        # the fit refuses Z as init_rotation_R1 does, with no LinAlgError
+        # and no fit of a numerically singular system
+        Z = np.random.default_rng(seed).standard_normal((12, 3))
+        Z[:, 2] = Z[:, 0]
+        with pytest.raises(RankDeficient):
+            sp.rescale_variant(Z, "row_sum_ls")
+        with pytest.raises(RankDeficient):
+            sp.init_rotation_R1(Z)
+
     def test_row_normalize_unit_rows(self, rng):
         Z = rng.standard_normal((7, 3))
         Z2 = sp.rescale_variant(Z, "row_normalize")
