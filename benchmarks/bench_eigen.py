@@ -17,9 +17,10 @@ lowest eigenvalues of T_m (`tridiagonal_eigenvalues`), inverse iteration
 for their vectors (`tridiagonal_eigenvectors`), and the Ritz product
 Y = Q_m Z with the certificate (`certify`, not run at m = n). The
 checkpoints before the last, and the Rayleigh quotients of the isolated
-eigenvalues, are in the total only. Then kernel_dimension on the same Laplacian (the whole Lanczos
-reduction, multisection for its two extreme eigenvalues and two Sturm
-counts), the full decomposition sym_eigen, which is smallest_k(S, n) and
+eigenvalues, are in the total only. Then kernel_dimension on the same
+Laplacian (the whole Lanczos reduction, multisection and Newton for its
+two extreme eigenvalues and two Sturm counts), the full decomposition
+sym_eigen, which is smallest_k(S, n) and
 runs the whole reduction (skipped above n = 500, where the per-vector
 inverse iteration over all n vectors takes seconds), with the largest
 difference of all its eigenvalues from eigh, and numpy's eigh itself. The
@@ -53,9 +54,9 @@ eigenvalues, stage 2 (`eigvals`) reads `NO` near 1e-8: that one stopped an
 isolated eigenvalue at the midpoint of a bracket a millionth of its
 clearance wide, where Newton's is exact to rounding. Stage 3 (`eigvecs`)
 reads `NO` too, at rounding level or, for a vector whose shift lies above
-its eigenvalue, `NO 2.0e+00`: inverse iteration then flips the vector's
-sign each solve, and it now takes one solve fewer. smallest_k orients
-every vector by its sign rule.
+its eigenvalue, up to `NO 2.0e+00`: inverse iteration then flips the
+vector's sign each solve, and it now takes one solve fewer. smallest_k
+orients every vector by its sign rule.
 
 Usage: python benchmarks/bench_eigen.py [--sizes 12,30,48,60,120,250,500,1000] [--repeats 3]
                                         [--against OTHER/src/speclap/_kernels.py]

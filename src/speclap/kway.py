@@ -188,7 +188,7 @@ def rescale_variant(Z, method="row_normalize"):
         try:
             pivots = np.diag(np.linalg.cholesky(G)) ** 2
         except np.linalg.LinAlgError:
-            pivots = np.zeros(1)
+            pivots = np.zeros(1)  # not positive definite: a pivot at or below zero
         # the smallest eigenvalue of G is at most its smallest pivot and the
         # largest at least its largest, so init_rotation_R1 refuses this Z too
         if pivots.min() <= 1e-12 * pivots.max():

@@ -221,7 +221,7 @@ def jacobi_gram_eigen(Z, rotate=_kernels.jacobi_eigen):
 
 def scalar_jacobi_svd(A, V, tol, max_sweeps):
     """Reference one-sided Jacobi SVD: the cyclic (p, q) order, angle formula
-    and skip rule of _kernels.jacobi_svd, with every dot product and column
+    and skip rules of _kernels.jacobi_svd, with every dot product and column
     update a scalar loop over the rows. Updates A and V in place; returns
     the sweep count or -1."""
     m, n = A.shape
@@ -237,6 +237,8 @@ def scalar_jacobi_svd(A, V, tol, max_sweeps):
                 beta = sum(A[k, q] * A[k, q] for k in range(m))
                 gamma = sum(A[k, p] * A[k, q] for k in range(m))
                 if gamma * gamma <= thresh * 1e-12 or gamma * gamma <= tol * tol * alpha * beta:
+                    continue
+                if min(alpha, beta) <= _kernels.NEGLIGIBLE * max(alpha, beta):
                     continue
                 rotated = True
                 zeta = (beta - alpha) / (2.0 * gamma)
