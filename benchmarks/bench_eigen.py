@@ -9,7 +9,7 @@ of Sturm-count passes of its multisection (`sturm_counts` calls), the mean
 number of Newton steps per isolated eigenvalue (runs of the recurrence in
 `_newton`), the Krylov dimension m its Lanczos reduction stopped at and
 the number of checkpoints it took to get there, and the largest
-difference of its five eigenvalues from numpy's eigh. Then the best times
+difference of its five eigenvalues from the exact ones. Then the best times
 of its four stages, each run on its own on the input smallest_k gave it at
 its last checkpoint: the Lanczos reduction to m (`lanczos`, all
 checkpoints' steps in one call), multisection and Newton for the six
@@ -23,16 +23,21 @@ two extreme eigenvalues and two Sturm counts), the full decomposition
 sym_eigen, which is smallest_k(S, n) and
 runs the whole reduction (skipped above n = 500, where the per-vector
 inverse iteration over all n vectors takes seconds), with the largest
-difference of all its eigenvalues from eigh, and numpy's eigh itself. The
+difference of all its eigenvalues from the exact ones, and numpy's eigh
+itself. The exact eigenvalues are mpmath's eigsy at 40 digits, rounded to
+doubles, up to n = 48 (about 0.8 s there); above, the `ref` column reads
+`eigh` and both differences are from numpy's eigh, so they include eigh's
+own error of a few eps, which can hide a smaller one of speclap's. The
 default sizes include n = 12 and 48, the sizes the perfbench workloads
 solve besides 120.
 The SVD gets seeded Gaussian matrices of the shapes the pipeline
 decomposes: K x K for K = 2-5 (Z^T X in the Procrustes step) and N x K (the
 least-squares rescale of Z * Z, and the relaxed Z) for the benchmark's
 N = 12, 48, 120. Next to each SVD row, init_rotation_R1 on the same matrix
-taken as Z: its K x K eigensolve of Z^T Z runs as the SVD of Z. numpy is a
-yardstick here, never a production path: speclap calls no external
-eigensolver.
+taken as Z: its K x K eigensolve of Z^T Z runs as the SVD of Z. `max |dσ|`
+is the largest difference of the singular values from mpmath's svd_r at
+40 digits. numpy is a yardstick of time here, never a production path:
+speclap calls no external eigensolver.
 
 With --against PATH, the tables give way to a comparison of this
 checkout's four stages with those of another `_kernels.py`, loaded by its
@@ -70,6 +75,7 @@ import statistics
 import sys
 import time
 
+import mpmath
 import numpy as np
 
 import speclap as sp
@@ -86,7 +92,22 @@ def workload_laplacian(rng, n, blocks=4):
 
 
 SYM_EIGEN_MAX_N = 500  # a full solve takes about 1 s at n = 500
+EXACT_MAX_N = 48  # mpmath's eigsy takes about 0.8 s at n = 48
 SVD_SHAPES = ((2, 2), (3, 3), (4, 4), (5, 5), (12, 3), (48, 3), (120, 4))
+
+
+def exact_eigenvalues(S):
+    """The eigenvalues of the symmetric float matrix S, ascending, by
+    mpmath's eigsy at 40 digits, each rounded to a double."""
+    with mpmath.workdps(40):
+        return np.sort([float(x) for x in mpmath.eigsy(mpmath.matrix(S.tolist()), eigvals_only=True)])
+
+
+def exact_singular_values(M):
+    """The singular values of the float matrix M, descending, by mpmath's
+    svd_r at 40 digits, each rounded to a double."""
+    with mpmath.workdps(40):
+        return np.sort([float(x) for x in mpmath.svd_r(mpmath.matrix(M.tolist()), compute_uv=False)])[::-1]
 
 
 def best_time(fn, S, repeats, number=1):
@@ -248,25 +269,26 @@ def main():
         return
 
     stages = ("lanczos", "eigvals", "eigvecs", "ritz")
-    print(f"{'n':>5} {'smallest_k 5':>13} {'passes':>6} {'newton':>6} {'m':>5} {'ckpts':>5} {'max |dλ|':>9} "
+    print(f"{'n':>5} {'smallest_k 5':>13} {'passes':>6} {'newton':>6} {'m':>5} {'ckpts':>5} {'ref':>6} {'max |dλ|':>9} "
           + " ".join(f"{s:>9}" for s in stages)
           + f" {'kernel_dim':>11} {'sym_eigen':>12} {'max |dλ|':>9} {'numpy eigh':>12}")
     for n in (int(s) for s in args.sizes.split(",")):
         S = workload_laplacian(rng, n)
         t_k, (vals, _) = best_time(lambda M: sp.smallest_k(M, 5), S, args.repeats)
         t_ref, ref = best_time(np.linalg.eigh, S, args.repeats)
-        err = float(np.max(np.abs(vals - ref.eigenvalues[:5])))
+        exact = exact_eigenvalues(S) if n <= EXACT_MAX_N else ref.eigenvalues
+        err = float(np.max(np.abs(vals - exact[:5])))
         split = " ".join(f"{t * 1e3:>7.2f}ms" for t in stage_times(S, args.repeats))
         t_ker, _ = best_time(sp.eigen._kernel_dimension, S, args.repeats)
         if n <= SYM_EIGEN_MAX_N:
             t_full, eig = best_time(sp.sym_eigen, S, args.repeats)
-            full = f"{t_full * 1e3:>10.2f}ms {float(np.max(np.abs(eig.values - ref.eigenvalues))):>9.1e}"
+            full = f"{t_full * 1e3:>10.2f}ms {float(np.max(np.abs(eig.values - exact))):>9.1e}"
         else:
             full = f"{'-':>12} {'-':>9}"
         trace = solve_trace(S)
         steps = f"{statistics.mean(trace['newton']):.1f}" if trace["newton"] else "-"
         print(f"{n:>5} {t_k * 1e3:>11.2f}ms {trace['passes']:>6} {steps:>6} {trace['m']:>5} {trace['checkpoints']:>5}"
-              f" {err:>9.1e} {split} {t_ker * 1e3:>9.2f}ms"
+              f" {'mpmath' if n <= EXACT_MAX_N else 'eigh':>6} {err:>9.1e} {split} {t_ker * 1e3:>9.2f}ms"
               f" {full} {t_ref * 1e3:>10.3f}ms")
 
     print(f"\n{'shape':>7} {'svd':>12} {'numpy svd':>12} {'ratio':>8} {'max |dσ|':>10} {'init_R1':>12}")
@@ -275,7 +297,7 @@ def main():
         t_own, res = best_time(sp.svd, M, args.repeats, number=20)
         t_ref, ref = best_time(np.linalg.svd, M, args.repeats, number=20)
         t_r1, _ = best_time(sp.init_rotation_R1, M, args.repeats, number=20)
-        err = float(np.max(np.abs(res.S - ref.S)))
+        err = float(np.max(np.abs(res.S - exact_singular_values(M))))
         print(f"{f'{m}x{n}':>7} {t_own * 1e6:>10.1f}us {t_ref * 1e6:>10.1f}us {t_own / t_ref:>7.0f}x {err:>10.1e}"
               f" {t_r1 * 1e6:>10.1f}us")
 

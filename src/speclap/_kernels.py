@@ -17,8 +17,11 @@ for the tridiagonal ones):
    eigenpairs of A, by their residual and one Cholesky inertia test.
 
 `jacobi_svd`, cyclic one-sided Jacobi on at most 5 columns, is the engine
-of every SVD. `jacobi_eigen`, round-robin Jacobi, is not called by the
-library. Each function states the measurements and reasons behind its
+of every SVD: it starts its own V = I and returns each column of A V with
+the same column of V as one list of Python floats, together with the
+squared norm it tracked for it, so its caller reads the singular values
+without another pass. `jacobi_eigen`, round-robin Jacobi, is not called by
+the library. Each function states the measurements and reasons behind its
 form where it applies: the unit start vector of `lanczos`, the shift of
 `certify`, and the recurrences on Python floats in `_newton` and
 `tridiagonal_eigenvectors`.
@@ -119,12 +122,16 @@ def jacobi_eigen(A, V, tol, max_sweeps):
 NEGLIGIBLE = 1e-30
 
 
-def jacobi_svd(A, V, tol, max_sweeps):
-    """One-sided cyclic Jacobi SVD on the columns of A (m x n, m >= n), in place.
+def jacobi_svd(A, tol, max_sweeps):
+    """One-sided cyclic Jacobi SVD on the columns of A (m x n, m >= n):
+    (T, sq, sweeps), with A untouched.
 
-    Columns of A are rotated until pairwise orthogonal; V (n x n, starts as
-    identity) accumulates the right rotations so that input = A_out * V^T
-    with A_out having orthogonal columns. Pairs (p, q) run in row-cyclic
+    The kernel starts V = I (n x n) and rotates the columns of A and of V
+    together until those of A are pairwise orthogonal, so that input =
+    (A V) V^T. T[p], a list of m + n floats, is column p of A V followed
+    by column p of V, and sq[p] is the squared norm of its first m entries,
+    sum(x * x for x in T[p][:m]) to the bit: the kernel recomputes it
+    whenever a rotation changes the column. Pairs (p, q) run in row-cyclic
     order. A pair is skipped when gamma^2 <= tol^2 alpha beta, where alpha,
     beta and gamma are its squared norms and inner product, so |cos| <= tol
     whatever the columns' size and two small columns are rotated against
@@ -132,25 +139,23 @@ def jacobi_svd(A, V, tol, max_sweeps):
     squared norm is at most NEGLIGIBLE times the other's: that column holds
     no more than the rounding of the rotations that made it, its cosine
     with the other is noise, and rotating them again only moves that noise
-    (a rank-deficient square A would never converge). Returns sweeps used
-    (the sweep that rotates nothing ends it) or -1.
-    A zero A or n <= 1 (n = 0 included) returns 0 at once.
+    (a rank-deficient square A would never converge). sweeps is the number
+    of sweeps used (the sweep that rotates nothing ends it), or -1.
+    A zero A or n <= 1 (n = 0 included) returns sweeps = 0 at once, with
+    T holding A and the identity.
 
-    Everything runs on Python floats: column p of A and column p of V are
-    one list, row p of T = [A^T | V^T], so one list update rotates both,
-    and the dot products run over its first m entries. The library calls
-    it on the triangular factor of a QR or on a square matrix, n <= 5
-    (eigen._jacobi_svd_sorted), where a numpy call per rotation costs more
-    than the arithmetic.
+    Everything runs on Python floats: one list update of T[p] rotates a
+    column of A and of V at once, and the dot products run over its first m
+    entries. The library calls it on the triangular factor of a QR or on a
+    square matrix, n <= 5 (eigen._jacobi_svd_sorted), where a numpy call
+    per rotation costs more than the arithmetic.
     """
     m, n = A.shape
-    T = [a + v for a, v in zip(A.T.tolist(), V.T.tolist())]
-    # squared column norms, recomputed whenever a rotation changes a column
+    T = [a + v for a, v in zip(A.T.tolist(), np.eye(n).tolist())]
     sq = [sum(map(mul, row[:m], row[:m])) for row in T]
     if n <= 1 or not any(sq):
-        return 0
+        return T, sq, 0
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]  # the cyclic order
-    sweeps = -1
     for sweep in range(max_sweeps):
         rotated = False
         for p, q in pairs:
@@ -169,12 +174,8 @@ def jacobi_svd(A, V, tol, max_sweeps):
             sq[p] = sum(map(mul, Tp[:m], Tp[:m]))
             sq[q] = sum(map(mul, Tq[:m], Tq[:m]))
         if not rotated:
-            sweeps = sweep
-            break
-    T = np.array(T)
-    A[...] = T[:, :m].T
-    V[...] = T[:, m:].T
-    return sweeps
+            return T, sq, sweep
+    return T, sq, -1
 
 
 def lanczos(A, Q, d, e, start, stop):

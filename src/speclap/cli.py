@@ -19,9 +19,12 @@ or its subclasses IndexOutOfRange and DuplicateEdge, or NonFiniteWeight.
 Each command takes the parsed graph and the arguments and returns its
 report, which `main` prints as one JSON line on stdout.
 
-Exit codes: 0 success, 1 usage error, 2 domain error. Errors are printed
-to stderr as a single-line JSON object, {"error": ..., "message": ...}.
-Each warning a command raises goes to stderr as one JSON line too,
+Exit codes: 0 success, 1 usage error, 2 domain error. A domain error (a
+SpeclapError, ValueError or OSError raised while reading the graph or
+running the command) is printed to stderr as a single-line JSON object,
+{"error": ..., "message": ...}. A usage error, found by argparse before
+the graph is read, prints argparse's usage text and message instead, not
+JSON. Each warning a command raises goes to stderr as one JSON line too,
 {"warning": <class name>, "message": ...}, ahead of any error line.
 
 Every command solves with the eigen module's one tolerance

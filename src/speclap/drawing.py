@@ -1,5 +1,6 @@
 """Minimal-energy orthogonal drawings of unsigned and signed graphs."""
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -51,6 +52,7 @@ def spectral_drawing(g, n):
     The graph must be connected and its weights nonnegative (a negative
     weight raises NegativeWeightInUnsignedMode; signed_drawing draws
     signed graphs)."""
+    n = operator.index(n)
     _connected(connected_components(g)[1])
     _nonnegative(g, "spectral_drawing", "signed_drawing (draw --signed)")
     return _drawing(g, "unnormalized", n, 1)
@@ -62,6 +64,7 @@ def signed_drawing(g, n, bipartite=False):
     Unbalanced graph: u_1..u_n. Balanced graph: u_2..u_{n+1} (nonbipartite
     request), or u_1, u_2 when a 2-d bipartite drawing is asked for.
     """
+    n = operator.index(n)
     report = is_balanced(g)
     if not g.has_negative_edges:
         raise NoNegativeEdges("use spectral_drawing for all-positive graphs")

@@ -31,6 +31,7 @@ scale of the input.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,10 +130,19 @@ def _canonical_basis(V):
     return V @ _extend_basis(np.empty((V.shape[1], 0)), V)
 
 
+def _real(M):
+    """M as a float array, checked real: ValueError before any work on a
+    complex M, whose imaginary part the conversion would drop with only a
+    ComplexWarning. The one conversion of the library's numeric inputs."""
+    if np.iscomplexobj(M):
+        raise ValueError("matrix has complex entries")
+    return np.asarray(M, dtype=float)
+
+
 def _finite(M):
-    """M as a float array, checked finite: ValueError before any work. The
-    one finiteness check of the library's numeric inputs."""
-    M = np.asarray(M, dtype=float)
+    """M as a float array (_real), checked finite: ValueError before any
+    work. The one finiteness check of the library's numeric inputs."""
+    M = _real(M)
     if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     return M
@@ -190,7 +200,7 @@ def sym_eigen(S):
     eigenvalue: its eigenvectors are returned in a canonical basis
     (_canonical_basis), so they do not depend on the solver's internals.
     """
-    S = np.asarray(S, dtype=float)
+    S = _real(S)
     if S.shape == (0, 0):
         return SymmetricEigen(values=np.zeros(0), vectors=np.zeros((0, 0)))
     values, vectors = smallest_k(S, S.shape[0] if S.ndim else 1)
@@ -213,25 +223,32 @@ def _jacobi_svd_sorted(M):
     reduced to its n x n triangular factor by one Householder QR, M = Q R;
     the rotations (jacobi_svd) run on R and A = Q (R V). A square M is
     rotated as it is: its QR would leave the rotations as many and only
-    add its own cost. The rotations act on columns, never on M^T M, and
-    Householder QR perturbs each column of M by a few eps of that column's
-    own norm, so the condition number is never squared: a small singular
-    value of a matrix with graded columns keeps its accuracy relative to
-    itself, not to the largest."""
+    add its own cost. jacobi_svd starts V = I and returns, per column, the
+    column of R V followed by that of V as one list, with the squared norm
+    it tracked; the norms are the square roots of those, sorted by a
+    stable sort (on the squares, two norms that round to the same double
+    could swap), and R V and V come from one array of the sorted lists.
+    The rotations act on columns, never on M^T M, and Householder QR
+    perturbs each column of M by a few eps of that column's own norm, so
+    the condition number is never squared: a small singular value of a
+    matrix with graded columns keeps its accuracy relative to itself, not
+    to the largest."""
     R, power = _unit_scale(M)
     Q, R = np.linalg.qr(R) if R.shape[0] > R.shape[1] else (None, R)
-    V = np.eye(R.shape[1])
-    sweeps = jacobi_svd(R, V, DEFAULT_TOL, MAX_SWEEPS)
+    T, sq, sweeps = jacobi_svd(R, DEFAULT_TOL, MAX_SWEEPS)
     if sweeps < 0:
         raise NoConvergence(f"Jacobi SVD did not converge in {MAX_SWEEPS} sweeps")
     # the n <= 5 column norms are sorted and ranked as Python floats
-    norms = [math.sqrt(sum(x * x for x in col)) for col in R.T.tolist()]
-    order = sorted(range(len(norms)), key=lambda j: -norms[j])  # stable
+    norms = [math.sqrt(s) for s in sq]
+    n = len(norms)
+    order = sorted(range(n), key=lambda j: -norms[j])  # stable
     norms = [norms[j] for j in order]
     rank = sum(s > 1e-14 * norms[0] for s in norms)
-    norms[rank:] = [0.0] * (len(norms) - rank)
-    A = R[:, order] if Q is None else Q @ R[:, order]
-    return A[:, :rank] / norms[:rank], np.ldexp(norms, power), V[:, order], rank
+    norms[rank:] = [0.0] * (n - rank)
+    # the sorted rows of T as columns: R V on top of V, each n x n
+    RV = np.reshape(list(zip(*(T[j] for j in order))), (2 * n, n))
+    A = RV[:n] if Q is None else Q @ RV[:n]
+    return A[:, :rank] / norms[:rank], np.ldexp(norms, power), RV[n:], rank
 
 
 def _gram_eigen(Z):
@@ -258,7 +275,7 @@ def svd(M):
     paired with the taller factor's. Only when the rank is below m is U
     completed (_extend_basis), so a square full-rank M, the Procrustes
     step's Z^T X, costs one Jacobi run and the sign rule."""
-    M = np.asarray(M, dtype=float)
+    M = _real(M)
     if M.ndim != 2:
         raise ValueError("expected a 2-d array")
     transposed = M.shape[0] < M.shape[1]
@@ -373,6 +390,7 @@ def smallest_k(S, k):
     cut, so the result is the first k columns of
     sym_eigen(S) = smallest_k(S, n) to rounding.
     """
+    k = operator.index(k)
     A, power, scale = _symmetric_input(S)
     n = A.shape[0]
     if not 1 <= k <= n:

@@ -4,10 +4,12 @@ Node indices are 1-based in every public interface and 0-based internally;
 the conversion happens at the boundary of each function.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .eigen import _real
 from .errors import EmptyBlock, NegativeWeightInUnsignedMode, NonFiniteWeight, NotConnected
 
 
@@ -22,7 +24,7 @@ class Graph:
     __slots__ = ("m", "W")
 
     def __init__(self, W):
-        W = np.asarray(W, dtype=float)
+        W = _real(W)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError("weight matrix must be square")
         if W.shape[0] < 1:
@@ -47,7 +49,7 @@ class Graph:
 
 def symmetrize(W):
     """Average a nearly-symmetric matrix into an exactly symmetric one."""
-    W = np.asarray(W, dtype=float)
+    W = _real(W)
     return 0.5 * (W + W.T)
 
 
@@ -58,7 +60,7 @@ class NodeSubset:
     members: frozenset = field(default_factory=frozenset)
 
     def __init__(self, members=(), m=None):
-        mem = frozenset(int(i) for i in members)
+        mem = frozenset(operator.index(i) for i in members)
         for i in mem:
             if i < 1 or (m is not None and i > m):
                 raise ValueError(f"node index {i} out of range")

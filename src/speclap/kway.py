@@ -3,6 +3,7 @@ cuts: the continuous relaxation, initialization heuristics, and the
 alternating discretization (per-row argmax rounding vs. Procrustes refit)."""
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,7 @@ def solve_relaxed(g, K, mode="ncut"):
     """Continuous solution: K smallest eigenvectors of the mode's Laplacian,
     unnormalized by D^{-1/2} where applicable, rescaled to ||Z||_F = 100.
     This is the one place a cut mode is mapped to its eigenproblem."""
+    K = operator.index(K)
     signed, normalized = _mode_kind(g, mode)
     if not 2 <= K <= g.m:
         raise ValueError(f"K={K} out of range")

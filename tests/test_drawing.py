@@ -86,6 +86,22 @@ class TestEnergy:
 
 
 class TestSpectralDrawing:
+    @pytest.mark.parametrize("n", [2.0, 1.5, np.float64(2.0), "2"], ids=["2.0", "1.5", "numpy-2.0", "str"])
+    def test_dimension_is_an_integer(self, n, monkeypatch):
+        # refused before any check of the graph or solve
+        def no_work(*args):
+            raise AssertionError("work ran on a non-integer dimension")
+
+        for name in ("connected_components", "is_balanced", "laplacian"):
+            monkeypatch.setattr(sp.drawing, name, no_work)
+        with pytest.raises(TypeError):
+            sp.spectral_drawing(ring(6), n)
+        with pytest.raises(TypeError):
+            sp.signed_drawing(negative_cycle(6), n)
+
+    def test_dimension_takes_a_numpy_integer(self):
+        assert np.array_equal(sp.spectral_drawing(ring(6), np.int64(2)).R, sp.spectral_drawing(ring(6), 2).R)
+
     def test_ring_is_regular_polygon(self):
         dm = sp.spectral_drawing(ring(12), 2)
         P = dm.R

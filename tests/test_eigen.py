@@ -124,6 +124,35 @@ class TestNonFiniteInput:
                     solve(S)
 
 
+class TestComplexInput:
+    """A complex matrix is refused with a ValueError before any work, and
+    without the ComplexWarning of a conversion that drops its imaginary
+    part; a complex dtype is refused even where that part is zero."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernels(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a kernel ran on a complex matrix")
+
+        for name in ("jacobi_svd", "lanczos"):
+            monkeypatch.setattr(sp.eigen, name, no_work)
+
+    @pytest.mark.parametrize("imag", [1e-3, 0.0])
+    def test_rejected(self, imag):
+        S = sp.laplacian(ring(6), "sym").M.astype(complex)
+        S[1, 2] += 1j * imag
+        S[2, 1] -= 1j * imag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solves = (sp.sym_eigen, lambda M: sp.smallest_k(M, 2), sp.svd, lambda M: sp.svd(M[:, :4]),
+                      lambda M: sp.rayleigh(M, np.ones(6)), lambda M: sp.rayleigh(S.real, M[0]),
+                      lambda M: sp.init_rotation_R1(M[:, :3]), lambda M: sp.rayleigh_sum(ring(6), M[:, :3]),
+                      lambda M: sp.projective_distance(M[1], M[0]), lambda M: sp.quadratic_form(ring(6), M[0]))
+            for solve in solves:
+                with pytest.raises(ValueError, match="complex"):
+                    solve(S)
+
+
 class TestSVD:
     def test_diagonal(self):
         res = sp.svd(np.diag([3.0, 2.0]))
@@ -341,6 +370,21 @@ class TestRayleighSmallestK:
     def test_smallest_k_out_of_range(self):
         with pytest.raises(ValueError):
             sp.smallest_k(np.eye(3), 4)
+
+    @pytest.mark.parametrize("k", [2.0, np.float64(2.0), "2"], ids=["2.0", "numpy-2.0", "str"])
+    def test_smallest_k_needs_an_integer_k(self, k, monkeypatch):
+        # refused before any work, not inside the solve
+        def no_work(*args):
+            raise AssertionError("work ran on a non-integer k")
+
+        monkeypatch.setattr(sp.eigen, "_symmetric_input", no_work)
+        with pytest.raises(TypeError):
+            sp.smallest_k(sp.laplacian(ring(6), "sym").M, k)
+
+    def test_smallest_k_takes_a_numpy_integer(self):
+        S = sp.laplacian(ring(6), "sym").M
+        for got, want in zip(sp.smallest_k(S, np.int64(2)), sp.smallest_k(S, 2)):
+            assert np.array_equal(got, want)
 
     def test_inverse_iteration_without_iterations_raises(self, monkeypatch):
         # no vector passes the growth test in zero iterations
@@ -1249,17 +1293,25 @@ class TestKernelBackends:
         assert _kernels.jacobi_eigen(S.copy(), np.eye(3), 1e-12, 1) == -1
         assert 1 < _kernels.jacobi_eigen(S.copy(), np.eye(3), 1e-12, 100) < 100
 
+    @staticmethod
+    def svd_kernel(M, max_sweeps=100):
+        """_kernels.jacobi_svd on M, its T split into the arrays A = M V and V."""
+        m, n = M.shape
+        T, sq, sweeps = _kernels.jacobi_svd(M, 1e-12, max_sweeps)
+        X = np.reshape(T, (n, m + n)).T
+        return X[:m], X[m:], sweeps
+
     def test_svd_kernel_sweep_count(self):
         # orthogonal columns need no rotation; one rotation orthogonalizes
         # two columns, and the sweep after it, which rotates nothing, is
         # counted (there is no check after the last sweep)
-        assert _kernels.jacobi_svd(np.diag([3.0, 2.0]), np.eye(2), 1e-12, 1) == 0
+        assert self.svd_kernel(np.diag([3.0, 2.0]), 1)[2] == 0
         M = np.array([[2.0, 1.0], [1.0, 3.0]])
-        assert _kernels.jacobi_svd(M.copy(), np.eye(2), 1e-12, 1) == -1
-        assert _kernels.jacobi_svd(M.copy(), np.eye(2), 1e-12, 2) == 1
+        assert self.svd_kernel(M, 1)[2] == -1
+        assert self.svd_kernel(M, 2)[2] == 1
         S = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 1.0], [0.5, 1.0, 3.0]])
-        assert _kernels.jacobi_svd(S.copy(), np.eye(3), 1e-12, 1) == -1
-        assert 1 < _kernels.jacobi_svd(S.copy(), np.eye(3), 1e-12, 100) < 100
+        assert self.svd_kernel(S, 1)[2] == -1
+        assert 1 < self.svd_kernel(S, 100)[2] < 100
 
     def test_svd_kernel_rank_deficient_square(self):
         # Z * Z of path(5)'s K = 5 ncut relaxation at unit scale, as the
@@ -1275,8 +1327,8 @@ class TestKernelBackends:
             [a, c, 5.6376272853821039e-32, a, a],
             [a, 0.69754464285714257, b, b, 0.34877232142857140],
         ])
-        A, V = M.copy(), np.eye(5)
-        assert 0 < _kernels.jacobi_svd(A, V, 1e-12, 100) < 100
+        A, V, sweeps = self.svd_kernel(M)
+        assert 0 < sweeps < 100
         s = np.sort(np.linalg.norm(A, axis=0))[::-1]
         assert np.max(np.abs(s - np.linalg.svd(M, compute_uv=False))) <= 64 * np.finfo(float).eps
         assert np.allclose(M @ V, A, atol=1e-14) and np.allclose(V.T @ V, np.eye(5), atol=1e-14)
@@ -1284,9 +1336,9 @@ class TestKernelBackends:
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (5, 5), (6, 4), (12, 3), (48, 3)])
     def test_svd_kernel_matches_scalar_loops(self, m, n):
         M = np.random.default_rng(m * n).standard_normal((m, n))
-        A1, V1 = M.copy(), np.eye(n)
+        A1, V1, sweeps = self.svd_kernel(M)
         A2, V2 = M.copy(), np.eye(n)
-        assert _kernels.jacobi_svd(A1, V1, 1e-12, 100) == scalar_jacobi_svd(A2, V2, 1e-12, 100)
+        assert sweeps == scalar_jacobi_svd(A2, V2, 1e-12, 100)
         # same rotations; only the summation order of the dot products differs
         bound = 64 * m * np.finfo(float).eps
         assert np.max(np.abs(A1 - A2)) <= bound * np.linalg.norm(M)
@@ -1294,10 +1346,26 @@ class TestKernelBackends:
 
     def test_svd_impl_column_orthogonality(self, rng):
         M = rng.standard_normal((6, 4))
-        A = M.copy()
-        V = np.eye(4)
-        _kernels.jacobi_svd(A, V, 1e-12, 100)
+        A, V, _ = self.svd_kernel(M)
         G = A.T @ A
         off = G - np.diag(np.diag(G))
         assert np.max(np.abs(off)) < 1e-9 * np.linalg.norm(M) ** 2
         assert np.allclose(M @ V, A, atol=1e-9)
+
+    @pytest.mark.parametrize("m,n,zero", [(2, 2, False), (3, 3, False), (4, 4, False), (5, 5, False),
+                                          (12, 3, False), (48, 3, False), (120, 4, False), (3, 3, True),
+                                          (1, 1, False), (4, 1, False), (0, 0, True)])
+    def test_svd_kernel_returns_tracked_squared_norms(self, m, n, zero):
+        # sq[p] is the squared norm of T[p]'s first entries, summed as
+        # _jacobi_svd_sorted would sum them, on the square matrices the
+        # library rotates (a tall one's triangular factor), a zero one and
+        # one column; T[p] holds them and V's, and V = I where none rotates
+        M = np.zeros((m, n)) if zero else np.random.default_rng(m * n).standard_normal((m, n))
+        R = np.linalg.qr(M)[1] if m > n > 1 else M
+        k = R.shape[0]
+        T, sq, sweeps = _kernels.jacobi_svd(R, 1e-12, 100)
+        assert sweeps >= 0 and len(T) == len(sq) == n
+        assert all(len(row) == k + n for row in T)
+        assert sq == [sum(x * x for x in row[:k]) for row in T]
+        if sweeps == 0:
+            assert np.array_equal(np.reshape(T, (n, k + n))[:, k:], np.eye(n))

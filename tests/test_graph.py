@@ -1,5 +1,7 @@
 """Graph representation, combinatorial quantities, orientations, incidence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +83,33 @@ class TestGraphType:
 
     def test_node_subset_iterates_in_order(self):
         assert list(sp.NodeSubset([3, 1, 2])) == [1, 2, 3]
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", np.float64(1.0)], ids=["1.5", "1.0", "str", "numpy-1.0"])
+    def test_node_indices_are_integers(self, bad):
+        # a float or a string is not truncated or parsed into node 1: the
+        # objective of [[1], [2, 3]] on this graph is 1.2
+        g = sp.Graph(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
+        with pytest.raises(TypeError):
+            sp.NodeSubset([bad])
+        with pytest.raises(TypeError):
+            sp.volume(g, [bad])
+        with pytest.raises(TypeError):
+            sp.objective(g, [[bad], [2, 3]])
+
+    def test_node_indices_take_numpy_integers(self):
+        assert sp.NodeSubset(np.array([3, 1]), m=3).members == {1, 3}
+        assert sp.volume(sp.Graph(W4), [np.int64(1)]) == 12
+
+    @pytest.mark.parametrize("W", [np.array([[0, 1j], [1j, 0]]), np.array([[0, 1 + 0j], [1 + 0j, 0]]),
+                                   [[0, 1j], [1j, 0]]], ids=["imaginary", "zero-imaginary", "list"])
+    def test_rejects_complex(self, W):
+        # refused before conversion: no ComplexWarning, no edgeless graph
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="complex"):
+                sp.Graph(W)
+            with pytest.raises(ValueError, match="complex"):
+                sp.symmetrize(W)
 
 
 class TestDegreeVolume:

@@ -319,6 +319,22 @@ class TestSolveRelaxed:
         with pytest.raises(ValueError, match=f"K={K} out of range"):
             sp.solve_relaxed(ring(4), K, "ncut")
 
+    @pytest.mark.parametrize("K", [2.0, 2.5, np.float64(3.0), "2"], ids=["2.0", "2.5", "numpy-3.0", "str"])
+    def test_k_is_an_integer(self, K, monkeypatch):
+        # refused before the Laplacian is built, not inside the solve
+        def no_work(*args):
+            raise AssertionError("work ran on a non-integer K")
+
+        monkeypatch.setattr(kway, "laplacian", no_work)
+        with pytest.raises(TypeError):
+            sp.solve_relaxed(ring(6), K, "ncut")
+        with pytest.raises(TypeError):
+            sp.cluster(ring(6), K, "rcut")
+
+    def test_k_takes_a_numpy_integer(self):
+        a, b = sp.cluster(ring(6), np.int64(3)), sp.cluster(ring(6), 3)
+        assert a.partition == b.partition and a.objective == b.objective
+
     def test_frobenius_rescale(self, rng):
         g = random_connected(rng, 6)
         for mode in kway.MODES:
