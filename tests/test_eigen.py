@@ -1356,10 +1356,10 @@ class TestKernelBackends:
                                           (12, 3, False), (48, 3, False), (120, 4, False), (3, 3, True),
                                           (1, 1, False), (4, 1, False), (0, 0, True)])
     def test_svd_kernel_returns_tracked_squared_norms(self, m, n, zero):
-        # sq[p] is the squared norm of T[p]'s first entries, summed as
-        # _jacobi_svd_sorted would sum them, on the square matrices the
+        # sq[p] is, to the bit, the left-to-right sum of squares of T[p]'s
+        # first k entries (column p of R V), on the square matrices the
         # library rotates (a tall one's triangular factor), a zero one and
-        # one column; T[p] holds them and V's, and V = I where none rotates
+        # one column; the rest of T[p] is column p of V, I where none rotates
         M = np.zeros((m, n)) if zero else np.random.default_rng(m * n).standard_normal((m, n))
         R = np.linalg.qr(M)[1] if m > n > 1 else M
         k = R.shape[0]
