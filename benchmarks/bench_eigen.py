@@ -2,19 +2,22 @@
 
 Each size n gets the normalized Laplacian of a seeded unsigned planted graph
 from `perfbench/gen.py` (imported read-only), four blocks as equal as n
-allows: the graphs the perfbench workloads draw, and the matrix a 4-way
-`speclap cluster` solves on them. The table
-gives the best wall time over the repeats of smallest_k(S, 5), the number
-of Sturm-count passes of its multisection (`sturm_counts` calls), the mean
-number of Newton steps per isolated eigenvalue (runs of the recurrence in
-`_newton`), the Krylov dimension m its Lanczos reduction stopped at and
-the number of checkpoints it took to get there, and the largest
-difference of its five eigenvalues from the exact ones. Then the best times
-of its four stages, each run on its own on the input smallest_k gave it at
-its last checkpoint: the Lanczos reduction to m (`lanczos`, all
-checkpoints' steps in one call), multisection and Newton for the six
-lowest eigenvalues of T_m (`tridiagonal_eigenvalues`), inverse iteration
-for their vectors (`tridiagonal_eigenvectors`), and the Ritz product
+allows: the graphs the perfbench workloads draw, and the matrix a
+`speclap cluster` solves on them. The table gives, for smallest_k(S, 4),
+the solve a 4-way cluster makes, and for smallest_k(S, 5), a 5-way
+cluster's, whose fifth eigenvalue is the first of the bulk: the best
+wall time over the repeats, the number of Sturm-count passes of its
+multisection (`sturm_counts` calls), the Krylov dimension m its Lanczos
+reduction stopped at and the number of checkpoints it took to get there;
+for k = 5 also the mean number of Newton steps per isolated eigenvalue
+(runs of the recurrence in `_newton`) and the largest difference of its
+five eigenvalues from the exact ones. Then the best times of
+smallest_k(S, 5)'s four stages, each run on its own on the input
+smallest_k gave it at its last checkpoint: the Lanczos reduction to m
+(`lanczos`, all checkpoints' steps in one call), multisection and Newton
+for the five lowest eigenvalues of T_m and the sixth as far as the guard
+resolves it (`tridiagonal_eigenvalues`), inverse iteration for the
+vectors of the five (`tridiagonal_eigenvectors`), and the Ritz product
 Y = Q_m Z with the certificate (`certify`, not run at m = n). The
 checkpoints before the last, and the Rayleigh quotients of the isolated
 eigenvalues, are in the total only. Then kernel_dimension on the same
@@ -45,7 +48,7 @@ file path (the module imports only numpy and the standard library). Both
 versions run each stage on the same inputs, made by this checkout: the
 planted Laplacian as smallest_k enters it (at unit scale and exactly
 symmetric), its Lanczos basis and tridiagonal form at the last
-checkpoint, the six lowest eigenvalues, their vectors and Ritz values.
+checkpoint, the eigenvalues it solved for, their vectors and Ritz values.
 Each of --repeats pairs times both versions
 back to back, the order alternating from pair to pair, each side the mean
 of enough calls to take about 5 ms. The table gives each side's median,
@@ -206,7 +209,7 @@ def stage_calls(kernels, S, k=5):
 
     return {
         "lanczos": lanczos,
-        "eigvals": lambda: kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, m)),
+        "eigvals": lambda: kernels.tridiagonal_eigenvalues(d, e, 0, min(k + 1, m), k < m),
         "eigvecs": lambda: (kernels.tridiagonal_eigenvectors(d, e, lam),),
         "ritz": ritz,
     }
@@ -269,11 +272,13 @@ def main():
         return
 
     stages = ("lanczos", "eigvals", "eigvecs", "ritz")
-    print(f"{'n':>5} {'smallest_k 5':>13} {'passes':>6} {'newton':>6} {'m':>5} {'ckpts':>5} {'ref':>6} {'max |dλ|':>9} "
+    print(f"{'n':>5} {'smallest_k 4':>13} {'passes':>6} {'m':>5} {'ckpts':>5}"
+          f" {'smallest_k 5':>13} {'passes':>6} {'newton':>6} {'m':>5} {'ckpts':>5} {'ref':>6} {'max |dλ|':>9} "
           + " ".join(f"{s:>9}" for s in stages)
           + f" {'kernel_dim':>11} {'sym_eigen':>12} {'max |dλ|':>9} {'numpy eigh':>12}")
     for n in (int(s) for s in args.sizes.split(",")):
         S = workload_laplacian(rng, n)
+        t_4, _ = best_time(lambda M: sp.smallest_k(M, 4), S, args.repeats)
         t_k, (vals, _) = best_time(lambda M: sp.smallest_k(M, 5), S, args.repeats)
         t_ref, ref = best_time(np.linalg.eigh, S, args.repeats)
         exact = exact_eigenvalues(S) if n <= EXACT_MAX_N else ref.eigenvalues
@@ -285,9 +290,10 @@ def main():
             full = f"{t_full * 1e3:>10.2f}ms {float(np.max(np.abs(eig.values - exact))):>9.1e}"
         else:
             full = f"{'-':>12} {'-':>9}"
-        trace = solve_trace(S)
+        four, trace = solve_trace(S, 4), solve_trace(S)
         steps = f"{statistics.mean(trace['newton']):.1f}" if trace["newton"] else "-"
-        print(f"{n:>5} {t_k * 1e3:>11.2f}ms {trace['passes']:>6} {steps:>6} {trace['m']:>5} {trace['checkpoints']:>5}"
+        print(f"{n:>5} {t_4 * 1e3:>11.2f}ms {four['passes']:>6} {four['m']:>5} {four['checkpoints']:>5}"
+              f" {t_k * 1e3:>11.2f}ms {trace['passes']:>6} {steps:>6} {trace['m']:>5} {trace['checkpoints']:>5}"
               f" {'mpmath' if n <= EXACT_MAX_N else 'eigh':>6} {err:>9.1e} {split} {t_ker * 1e3:>9.2f}ms"
               f" {full} {t_ref * 1e3:>10.3f}ms")
 

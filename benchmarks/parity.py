@@ -18,7 +18,11 @@ exception that escaped `main` (if any) and the text of every file the call
 wrote, with the temporary directory the graphs and outputs live in replaced
 by `<tmp>`.
 
-`compare A B` matches the calls of two records by argv. It lists every call
+`compare A B` matches the calls of two records by argv. It counts the calls
+that differ beyond float digits: in exit code or escaped exception, or in
+stdout, stderr or file text once every float literal (a number written with
+a point or an exponent, or inf and nan) is masked. Integers stay: they are
+assignments, round counts, node indices and dimensions. It lists every call
 whose record differs, in which part, with exit-code and error-class changes
 called out, and the largest move of each numeric field of the stdout JSON
 over all calls (relative where the larger magnitude is above 1e-6, absolute
@@ -37,6 +41,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -153,6 +158,21 @@ def error_class(rec):
     return None
 
 
+# a float literal as repr, json and the output formats write one, not part
+# of a word or of a longer number
+FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|inf|nan|Infinity|NaN)(?![\w.])")
+
+
+def _beyond_floats(ra, rb):
+    """Whether two records of one call differ in more than float digits:
+    exit code, escaped exception, or any text with its floats masked."""
+    if (ra["code"], ra["raised"]) != (rb["code"], rb["raised"]):
+        return True
+    texts = [(ra[part], rb[part]) for part in ("stdout", "stderr")]
+    texts += [(ra["files"].get(name), rb["files"].get(name)) for name in ra["files"].keys() | rb["files"].keys()]
+    return any(x is None or y is None or FLOAT.sub("#", x) != FLOAT.sub("#", y) for x, y in texts)
+
+
 def _numbers(value, field=""):
     """(field, number) for every numeric leaf of a JSON value; list indices
     collapse to [] so a field names one quantity across its entries."""
@@ -195,7 +215,7 @@ def _load(directory):
 def compare(a_dir, b_dir):
     a, b = _load(a_dir), _load(b_dir)
     only_a, only_b = sorted(a.keys() - b.keys()), sorted(b.keys() - a.keys())
-    differing, outcome_changes, largest = [], [], {}
+    differing, outcome_changes, largest, beyond = [], [], {}, 0
     for key in (k for k in a if k in b):
         ra, rb = a[key], b[key]
         parts = [part for part in ("code", "raised", "stdout", "stderr") if ra[part] != rb[part]]
@@ -204,6 +224,7 @@ def compare(a_dir, b_dir):
         if not parts:
             continue
         differing.append((key, parts))
+        beyond += _beyond_floats(ra, rb)
         ca, cb = (ra["code"], error_class(ra)), (rb["code"], error_class(rb))
         if ca != cb:
             outcome_changes.append((key, ca, cb))
@@ -212,6 +233,7 @@ def compare(a_dir, b_dir):
                 largest[field] = (move, relative, key)
     print(f"compared {len(a.keys() & b.keys())} calls: {len(differing)} differ, "
           f"{len(only_a)} only in {a_dir}, {len(only_b)} only in {b_dir}")
+    print(f"{beyond} of the {len(differing)} differ beyond float digits")
     for label, keys in ((f"only in {a_dir}", only_a), (f"only in {b_dir}", only_b)):
         for key in keys:
             print(f"  {label}: {key}")

@@ -14,7 +14,9 @@ for the tridiagonal ones):
    its vector;
 3. `tridiagonal_eigenvectors`: inverse iteration on T_m for the vectors Z;
 4. `certify`: whether the Ritz pairs (Y = Q_m Z) are the smallest
-   eigenpairs of A, by their residual and one Cholesky inertia test.
+   eigenpairs of A, by their residual and one Cholesky inertia test; the
+   caller passes only the pairs it wants, since the test also proves how
+   far above them the next eigenvalue lies.
 
 `jacobi_svd`, cyclic one-sided Jacobi on at most 5 columns, is the engine
 of every SVD: it starts its own V = I and returns each column of A V with
@@ -257,6 +259,14 @@ def certify(A, Y, theta):
     at most n (n + 1) eps ||B||_2 (Higham, Accuracy and Stability of
     Numerical Algorithms, Thm. 10.3) with ||B||_2 <= 4 ||A||_F here. A
     failed factorisation proves nothing either way.
+
+    The proof holds for any p, and eigen.smallest_k passes the tie group
+    holding its k-th eigenvalue and no pair past it. sigma also proves
+    that group whole: the next eigenvalue lies more than 8 (n + 1)^2 eps
+    ||A||_F above max theta, and that exceeds the tie threshold
+    DEFAULT_TOL ||A||_F = 1e-12 ||A||_F from n = 23 on. smallest_k's
+    first checkpoint is at least 32 steps, so below n = 33 it runs to
+    m = n and reads no certificate.
     """
     n = A.shape[0]
     eps = np.finfo(float).eps

@@ -2,10 +2,11 @@
 
 Every symmetric eigensolve takes one path, `smallest_k`: a Lanczos
 reduction to tridiagonal form, run to checkpoints. At each, Sturm
-multisection isolates the k + 1 smallest eigenvalues of the tridiagonal
-matrix and Newton finishes them, inverse iteration gives their vectors,
-and the reduction stops once a Cholesky inertia test certifies those Ritz
-pairs, or once it is whole.
+multisection isolates the k smallest eigenvalues of the tridiagonal
+matrix and Newton finishes them, the (k + 1)-th is resolved only as far
+as showing that it does not tie with the k-th, inverse iteration gives
+the vectors of the k, and the reduction stops once a Cholesky inertia
+test certifies those k Ritz pairs, or once it is whole.
 `sym_eigen`, the full decomposition, is `smallest_k` with k = n, which
 always runs the whole reduction. `kernel_dimension` needs no eigenvector:
 `_kernel_dimension` counts eigenvalues on the whole tridiagonal form by
@@ -329,28 +330,35 @@ def _kernel_dimension(S):
 
 
 # smallest_k's first checkpoint is at Krylov dimension
-# KRYLOV_PER_PAIR (k + 1) + KRYLOV_BASE, each later one KRYLOV_GROWTH times
-# the last, capped at n. Measured, not knobs: the first certifies all six
-# 4-way solves of perfbench's cluster-n120 at seeds 1-3 (m = 68 of 120), on
-# planted 4-block Laplacians the smallest certified m for k = 4 was 56-70
-# at n = 120 and 78-94 at n = 250, and from 8 to 16 per pair and growth
-# 1.25 to 2 timed alike within the host's noise from n = 48 to 1000 (one
-# BLAS thread), where 6 per pair was slower at n = 120
+# max(KRYLOV_PER_PAIR k + KRYLOV_BASE, KRYLOV_FLOOR), each later one
+# KRYLOV_GROWTH times the last, capped at n. Measured, not knobs: the first
+# certifies all six 4-way solves of perfbench's cluster-n120 at seeds 1-3
+# (m = 56 of 120; they certify from m = 27-30) and the planted 4-way solves
+# of benchmarks/bench_eigen.py from n = 60 to 1000 in one checkpoint. The
+# floor keeps the k = 1 and 2 solves of signed-n48 at one checkpoint
+# (balance's k = 1 solves certify only from m = 22-30), and with it every
+# certificate runs at n > 32, where its margin proves a tie group whole
+# (_kernels.certify). Lower first checkpoints add a failed checkpoint
+# wherever lambda_k lies in the bulk; from 8 to 16 per pair and growth 1.25
+# to 2 timed alike within the host's noise from n = 48 to 1000 (one BLAS
+# thread) when the certificate read k + 1 pairs
 KRYLOV_PER_PAIR = 12
 KRYLOV_BASE = 8
+KRYLOV_FLOOR = 32
 KRYLOV_GROWTH = 1.5
 
 
-def _lowest_eigenvalues(d, e, k, thresh, guard):
+def _lowest_eigenvalues(d, e, k, thresh):
     """(lam, isolated, groups, end): the lowest eigenvalues of the
     tridiagonal T = (d, e) (tridiagonal_eigenvalues) and their isolated
     marks, at least k + 1 of them and more, doubling, while the tie group
     (_tie_groups at thresh) holding the k-th runs on to the last computed;
     groups are their tie groups, and end is where the group holding the
-    k-th ends. With guard, lam[k] is wanted only to tell whether that group
-    runs on: it is resolved only as far as that takes."""
+    k-th ends. lam[k] is wanted only to tell whether that group runs on
+    (the guard of tridiagonal_eigenvalues): it is resolved only as far as
+    that takes."""
     m = len(d)
-    lam, isolated = tridiagonal_eigenvalues(d, e, 0, min(k + 1, m), guard and k < m)
+    lam, isolated = tridiagonal_eigenvalues(d, e, 0, min(k + 1, m), k < m)
     while True:
         groups = _tie_groups(lam, thresh)
         end = next(t for _, t in groups if t >= k)  # of the group holding k - 1
@@ -369,20 +377,23 @@ def smallest_k(S, k):
     S enters at unit scale (_symmetric_input), and the eigenvalues are
     multiplied back by the same power of two. At each checkpoint m the
     Lanczos reduction (_kernels.lanczos) has reached T_m = Q_m^T A Q_m.
-    Sturm-count multisection and Newton give T_m's k + 1 smallest
-    eigenvalues, and more while the tie group holding the k-th runs on
-    (_lowest_eigenvalues); inverse iteration on T_m gives their vectors Z,
-    and Y = Q_m Z, one matrix product, the Ritz vectors. The reduction
-    stops once _kernels.certify proves these the smallest eigenpairs of A
-    (their residual at most 8 eps ||A||_F, and a Cholesky inertia test
-    showing none missed below them), or at m = n, where T_n is the whole
-    reduction. A failed certificate only extends m.
+    Sturm-count multisection and Newton give T_m's k smallest eigenvalues,
+    and more while the tie group holding the k-th runs on
+    (_lowest_eigenvalues); the eigenvalue past that group is resolved only
+    as far as telling that it does not tie, and gets no Newton finish and
+    no vector. Inverse iteration on T_m gives the group's vectors Z, and
+    Y = Q_m Z, one matrix product, the Ritz vectors. The reduction stops
+    once _kernels.certify proves these the smallest eigenpairs of A (their
+    residual at most 8 eps ||A||_F, and a Cholesky inertia test showing
+    none missed below them and the next eigenvalue of A farther above them
+    than a tie), or at m = n, where T_n is the whole reduction. A failed
+    certificate only extends m. So the first eigenvalue of the bulk, the
+    last to converge, is never certified: a K-way solve on a graph with K
+    clusters stops once the K outliers below the eigengap have converged.
     An isolated eigenvalue (proven farther than CLUSTER_GAP ||T||_1 from
     every other, and finished by Newton; see tridiagonal_eigenvalues) is
     the Rayleigh quotient z^T T z of its unit vector z, the others the
-    midpoints of their brackets at full width. At m = n no certificate
-    reads the (k + 1)-th eigenvalue: unless it ties with the k-th, it is
-    resolved only as far as telling that it does not, and gets no vector.
+    midpoints of their brackets at full width.
     Eigenvalues within DEFAULT_TOL * ||S||_F of
     each other are one multiple eigenvalue, whose eigenvectors come back in
     the canonical basis (_canonical_basis); every column is oriented by
@@ -398,24 +409,21 @@ def smallest_k(S, k):
     if not A.any():
         return np.zeros(k), np.eye(n)[:, :k]
     Q, d, e = np.zeros((n, n)), np.zeros(n), np.zeros(n - 1)
-    m, stop = 0, min(KRYLOV_PER_PAIR * (k + 1) + KRYLOV_BASE, n)
+    m, stop = 0, min(max(KRYLOV_PER_PAIR * k + KRYLOV_BASE, KRYLOV_FLOOR), n)
     while True:
         lanczos(A, Q, d, e, m, stop)
         m = stop
         T = d[:m], e[: m - 1]
-        # at m = n no certificate reads the pair past the group
-        lam, isolated, groups, end = _lowest_eigenvalues(*T, k, DEFAULT_TOL * scale, m == n)
+        lam, isolated, groups, end = _lowest_eigenvalues(*T, k, DEFAULT_TOL * scale)
         if end < m or m == n:
-            # below n, the pair past the group bounds the certificate's shift
-            p = end if m == n else end + 1
-            Z = tridiagonal_eigenvectors(*T, lam[:p])
+            Z = tridiagonal_eigenvectors(*T, lam[:end])
             if Z is None:
                 raise NoConvergence("inverse iteration did not converge")
             # an isolated eigenvalue is the Rayleigh quotient z^T T z of its vector
-            theta = np.where(isolated[:p], T[0] @ (Z * Z) + 2.0 * (T[1] @ (Z[:-1] * Z[1:])), lam[:p])
+            theta = np.where(isolated[:end], T[0] @ (Z * Z) + 2.0 * (T[1] @ (Z[:-1] * Z[1:])), lam[:end])
             Y = Q[:m].T @ Z
             if m == n or certify(A, Y, theta):
                 break
         stop = min(math.ceil(KRYLOV_GROWTH * m), n)
-    vectors = _canonicalise(Y[:, :end], [g for g in groups if g[1] <= end])
+    vectors = _canonicalise(Y, [g for g in groups if g[1] <= end])
     return np.ldexp(theta[:k], power), vectors[:, :k].copy()

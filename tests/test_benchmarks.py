@@ -70,6 +70,7 @@ def test_parity_records_compare_clean(tmp_path):
     proc = _run(["parity.py", "compare", a, b])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert " 0 differ, 0 only in " in proc.stdout
+    assert "\n0 of the 0 differ beyond float digits\n" in proc.stdout
     with open(os.path.join(b, "record.json"), encoding="utf-8") as f:
         records = json.load(f)
     assert len(records) > 30 and any(r["files"] for r in records)
@@ -83,6 +84,15 @@ def test_parity_records_compare_clean(tmp_path):
     assert proc.returncode == 1
     assert f"  {moved['argv']}: stdout\n" in proc.stdout
     assert f"e-13 relative ({moved['argv']})" in proc.stdout.split("  objective: ")[1]  # 2^-40 = 9.1e-13
+    assert "\n0 of the 1 differ beyond float digits\n" in proc.stdout
+    # a moved assignment, an integer, is more than float digits
+    report["assignments"][0] += 1
+    moved["stdout"] = json.dumps(report) + "\n"
+    with open(os.path.join(b, "record.json"), "w", encoding="utf-8") as f:
+        json.dump(records, f)
+    proc = _run(["parity.py", "compare", a, b])
+    assert proc.returncode == 1
+    assert "\n1 of the 1 differ beyond float digits\n" in proc.stdout
 
 
 @pytest.mark.parametrize("n, k", [(4, 2), (7, 3), (9, 2), (9, 3)])

@@ -647,21 +647,29 @@ class TestSmallestKOracle:
         _check_against_eigh(S, vals, vecs)
 
     def test_guard_resolved_only_against_the_group(self, monkeypatch):
-        # at m = n no certificate reads the guard lambda_k: with lambda_k
-        # far above lambda_k-1 but 1e-9 from lambda_k+1, it is never
-        # isolated, yet it stops once its clearance from lambda_k-1 is proven
-        # (at full width it takes 12 passes), and the pair past the group
-        # is not solved for
-        rng = np.random.default_rng(64)
-        S = _with_spectrum(rng, np.r_[0.0, 0.25, 1.0, 1.0 + 1e-9, np.linspace(2.0, 3.0, 8)])
-        calls = []
-        counts, vectors = _kernels.sturm_counts, sp.eigen.tridiagonal_eigenvectors
+        # no certificate reads the guard lambda_k+1: with lambda_k+1 far
+        # above lambda_k but 1e-9 from lambda_k+2, it is never isolated, yet
+        # it stops once its clearance from lambda_k is proven (at full width
+        # it takes 12 passes), and it gets no vector and no Newton finish,
+        # both at n = 12, where the first checkpoint is m = n, and at
+        # n = 120, where the certificate of the two wanted pairs passes at
+        # the first checkpoint, below n
+        calls, finished, solved, stops = [], [], [], []
+        counts, newton = _kernels.sturm_counts, _kernels._newton
+        vectors, lanczos = sp.eigen.tridiagonal_eigenvectors, sp.eigen.lanczos
         monkeypatch.setattr(_kernels, "sturm_counts", lambda *args: calls.append(args) or counts(*args))
-        solved = []
+        monkeypatch.setattr(_kernels, "_newton", lambda *args: finished.append(args[2]) or newton(*args))
         monkeypatch.setattr(sp.eigen, "tridiagonal_eigenvectors", lambda d, e, lam: solved.append(lam) or vectors(d, e, lam))
-        vals, vecs = sp.smallest_k(S, 2)
-        assert len(calls) <= 3 and [len(lam) for lam in solved] == [2]
-        _check_against_eigh(S, vals, vecs)
+        monkeypatch.setattr(sp.eigen, "lanczos", lambda A, Q, d, e, start, stop: stops.append(stop) or lanczos(A, Q, d, e, start, stop))
+        for n in (12, 120):
+            for trace in (calls, finished, solved, stops):
+                trace.clear()
+            rng = np.random.default_rng(64)
+            S = _with_spectrum(rng, np.r_[0.0, 0.25, 1.0, 1.0 + 1e-9, np.linspace(2.0, 3.0, n - 4)])
+            vals, vecs = sp.smallest_k(S, 2)
+            assert len(calls) <= 3 and [len(lam) for lam in solved] == [2] and max(finished) < 2
+            assert len(stops) == 1 and (stops[0] == n) == (n == 12)
+            _check_against_eigh(S, vals, vecs)
 
     @pytest.mark.parametrize("n", [500, 1000])
     def test_planted_large(self, n):
@@ -705,27 +713,46 @@ class TestCheckpoints:
         _check_against_eigh(S, *sp.smallest_k(S, 4))
         assert log.checkpoints[-1][0] < 120 and log.certificates[-1][3]
 
+    def test_planted_certifies_only_the_wanted_pairs(self, log, monkeypatch):
+        # a 4-way solve certifies its 4 pairs, not the 5th, the first
+        # eigenvalue of the bulk and the last to converge: it stops at its
+        # first checkpoint, and T_m's 5th eigenvalue gets no Newton finish
+        finished = []
+        newton = _kernels._newton
+        monkeypatch.setattr(_kernels, "_newton", lambda *args: finished.append(args[2]) or newton(*args))
+        S = planted_laplacian(np.random.default_rng(120), 120)
+        _check_against_eigh(S, *sp.smallest_k(S, 4))
+        assert len(log.checkpoints) == 1 and log.checkpoints[0][0] < 120
+        assert [(Y.shape[1], verdict) for _, Y, _, verdict in log.certificates] == [(4, True)]
+        assert sorted(finished) == [0, 1, 2, 3]
+
     def test_second_zero_is_not_lost(self, log):
         # two planted components, of 80 and 40 nodes: the plain Laplacian
         # has two zero eigenvalues. The reduction from e_0 stays inside the
         # first component until it breaks down, so its early checkpoints
         # show one zero Ritz value. One of them has a residual that passes,
         # and the Cholesky inertia test refuses it. The result holds both
-        # zeros.
+        # zeros, at k = 2 and at k = 1, where the tie group holding lambda_1
+        # is both zeros: each certificate is given the zero Ritz values its
+        # checkpoint shows and no other pair, so one zero alone is refused.
         rng = np.random.default_rng(60)
         W = np.zeros((120, 120))
         W[:80, :80], W[80:, 80:] = planted_weights(rng, 80), planted_weights(rng, 40)
         S = sp.laplacian(sp.Graph(W), "unnormalized").M
-        vals, vecs = sp.smallest_k(S, 2)
-        _check_against_eigh(S, vals, vecs)
         eps = np.finfo(float).eps
         bound = 120 * (sp.eigen.DEFAULT_TOL + 64 * eps) * np.linalg.norm(S)
-        assert np.all(np.abs(vals) <= bound)
-        refused = [np.linalg.norm(A @ Y - Y * theta) <= 8 * eps * np.linalg.norm(A)
-                   for A, Y, theta, verdict in log.certificates
-                   if np.count_nonzero(np.abs(theta) <= 1e-9 * np.linalg.norm(A)) == 1 and not verdict]
-        assert any(refused)
-        assert not any(verdict for *_, verdict in log.certificates)
+        for k in (2, 1):
+            log.certificates.clear()
+            vals, vecs = sp.smallest_k(S, k)
+            _check_against_eigh(S, vals, vecs)
+            assert np.all(np.abs(vals) <= bound)
+            zeros = [np.count_nonzero(np.abs(theta) <= 1e-9 * np.linalg.norm(A)) for A, _, theta, _ in log.certificates]
+            refused = [np.linalg.norm(A @ Y - Y * theta) <= 8 * eps * np.linalg.norm(A)
+                       for (A, Y, theta, verdict), z in zip(log.certificates, zeros) if z == 1 and not verdict]
+            assert any(refused)
+            assert not any(verdict for *_, verdict in log.certificates)
+            if k == 1:
+                assert [Y.shape[1] for _, Y, _, _ in log.certificates] == zeros
 
     @pytest.mark.parametrize("g", [complete(12), ring(8)], ids=["complete12", "ring8"])
     @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,5 +1,8 @@
 """Laplacian variants, quadratic forms, balance detection, conjugation."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -319,6 +322,24 @@ class TestUnsignConjugation:
     def test_bipartition_not_plus_minus_one_per_node_rejected(self, rng, x):
         with pytest.raises(ValueError, match=r"must be a \+/-1 vector of length m"):
             sp.unsign_conjugation(random_connected(rng, 5), x)
+
+    @pytest.mark.parametrize("x, match", [([1.7, -1.2], r"\+/-1 vector"), ([1.0, -0.5], r"\+/-1 vector"),
+                                          ([np.nan, -1.0], r"\+/-1 vector"), ([1 + 2j, -1], "complex"),
+                                          (np.array([1 + 0j, -1 + 0j]), "complex")],
+                             ids=["1.7", "0.5", "nan", "1+2j", "complex-dtype"])
+    def test_bipartition_read_as_real_floats(self, monkeypatch, x, match):
+        # refused before any work and with no numpy warning: the parent
+        # truncated [1.7, -1.2] to diag(1, -1) on this graph and cut 1+2j
+        # to 1 with only a ComplexWarning
+        def no_work(*args):
+            raise AssertionError("the edges were read")
+
+        monkeypatch.setattr(sys.modules["speclap.laplacian"], "_first_broken_edge", no_work)
+        g = sp.Graph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                sp.unsign_conjugation(g, x)
 
     def test_inconsistent_bipartition_rejected(self, rng):
         g = random_connected(rng, 5)
