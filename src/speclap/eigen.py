@@ -339,9 +339,11 @@ def _kernel_dimension(S):
 # (balance's k = 1 solves certify only from m = 22-30), and with it every
 # certificate runs at n > 32, where its margin proves a tie group whole
 # (_kernels.certify). Lower first checkpoints add a failed checkpoint
-# wherever lambda_k lies in the bulk; from 8 to 16 per pair and growth 1.25
-# to 2 timed alike within the host's noise from n = 48 to 1000 (one BLAS
-# thread) when the certificate read k + 1 pairs
+# wherever lambda_k lies in the bulk: 8 per pair, or m = 38 at k = 4, made
+# those 4-way solves about 1.3x faster but the planted 5-way ones of
+# bench_eigen 1.2-1.6x slower at n = 120 and 250 (one BLAS thread); 16 per
+# pair was slower at k = 4, a floor of 24 or 40 slower on signed-n48.
+# Growth 1.25 to 2 timed alike when the certificate read k + 1 pairs
 KRYLOV_PER_PAIR = 12
 KRYLOV_BASE = 8
 KRYLOV_FLOOR = 32

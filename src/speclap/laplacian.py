@@ -100,8 +100,8 @@ def is_balanced(g):
 def unsign_conjugation(g, bipartition):
     """For a balanced graph with bipartition x, return the all-positive graph
     with weights |w_ij| and X = diag(x), so that Lbar = X L|W| X. x is read
-    as real floats (eigen._real) and checked +/-1 before any work, so 1.7 is
-    not truncated to 1 nor 1+2j cut to 1."""
+    as real floats (eigen._real), and an entry other than +1 or -1 raises
+    ValueError before any work."""
     x = eigen._real(bipartition)
     if x.shape != (g.m,) or not np.all(np.abs(x) == 1):
         raise ValueError("bipartition must be a +/-1 vector of length m")

@@ -707,22 +707,18 @@ class TestCheckpoints:
         monkeypatch.setattr(sp.eigen, "certify", certified)
         return log
 
-    def test_planted_stops_below_n(self, log):
-        # the gain of the Lanczos path: a 4-way solve at n = 120 stops early
-        S = planted_laplacian(np.random.default_rng(120), 120)
-        _check_against_eigh(S, *sp.smallest_k(S, 4))
-        assert log.checkpoints[-1][0] < 120 and log.certificates[-1][3]
-
-    def test_planted_certifies_only_the_wanted_pairs(self, log, monkeypatch):
-        # a 4-way solve certifies its 4 pairs, not the 5th, the first
-        # eigenvalue of the bulk and the last to converge: it stops at its
-        # first checkpoint, and T_m's 5th eigenvalue gets no Newton finish
+    def test_planted_stops_below_n(self, log, monkeypatch):
+        # the gain of the Lanczos path: a 4-way solve at n = 120 stops early.
+        # It certifies its 4 pairs, not the 5th, the first eigenvalue of the
+        # bulk and the last to converge: it stops at its first checkpoint,
+        # and T_m's 5th eigenvalue gets no Newton finish
         finished = []
         newton = _kernels._newton
         monkeypatch.setattr(_kernels, "_newton", lambda *args: finished.append(args[2]) or newton(*args))
         S = planted_laplacian(np.random.default_rng(120), 120)
         _check_against_eigh(S, *sp.smallest_k(S, 4))
-        assert len(log.checkpoints) == 1 and log.checkpoints[0][0] < 120
+        assert log.checkpoints[-1][0] < 120 and log.certificates[-1][3]
+        assert len(log.checkpoints) == 1
         assert [(Y.shape[1], verdict) for _, Y, _, verdict in log.certificates] == [(4, True)]
         assert sorted(finished) == [0, 1, 2, 3]
 

@@ -328,9 +328,10 @@ class TestUnsignConjugation:
                                           (np.array([1 + 0j, -1 + 0j]), "complex")],
                              ids=["1.7", "0.5", "nan", "1+2j", "complex-dtype"])
     def test_bipartition_read_as_real_floats(self, monkeypatch, x, match):
-        # refused before any work and with no numpy warning: the parent
-        # truncated [1.7, -1.2] to diag(1, -1) on this graph and cut 1+2j
-        # to 1 with only a ComplexWarning
+        # refused before any work and with no numpy warning: a conversion
+        # to int would truncate [1.7, -1.2] to diag(1, -1) on this graph,
+        # and cast a complex array to its real part with only a
+        # ComplexWarning
         def no_work(*args):
             raise AssertionError("the edges were read")
 
